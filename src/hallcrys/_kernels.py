@@ -6,8 +6,7 @@ Two interchangeable backends compute identical results:
 * ``numpy`` -- a pure-numpy fallback.
 
 Selection: environment variable ``HALLCRYS_BACKEND`` set to ``numba`` or
-``numpy``; unset means numba when available.  ``benchmarks/bench_kernels.py``
-times one against the other on representative workloads.
+``numpy``; unset means numba when available.
 """
 
 from __future__ import annotations

@@ -7,6 +7,14 @@ numbers.  Completeness of the catalog is certified by the mass formula
 ``sum_{classes of dim d} |G_d| / |Aut| = |E_d|``, an exact integer identity
 checked at every prime; orbit enumeration under the base-change group gives
 an independent second route within the point budget.
+
+Hall numbers come from Grassmannian scans: one scan of the subspace tuples
+of dimension dim beta in V_lambda labels every closed tuple's submodule and
+quotient, and so fills g^lambda_{alpha beta} for all classes alpha, beta of
+those dimensions at once.  Each Grassmannian is enumerated once per table,
+together with a complement and the coordinate and quotient projections of
+every subspace.  :meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by
+extension-class counting) stays as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +66,16 @@ class IsoClass:
 ZERO_CLASS = IsoClass(())
 
 
+class _Subspace(NamedTuple):
+    """A k-subspace W of F_q^d as the frame [W | C], with C the complement
+    from :func:`linalg.complement_basis`, and the frame's inverse: the first k
+    rows of the inverse give coordinates in W, the others project onto the
+    quotient F_q^d / W in the basis C."""
+    k: int
+    frame: np.ndarray
+    frame_inv: np.ndarray
+
+
 def parse_class_label(text: str) -> IsoClass:
     text = text.strip()
     if text in ("0", ""):
@@ -84,6 +103,7 @@ class ClassTable:
         self._label_cache = {}
         self._solver_cache = {}
         self._hall_cache = {}
+        self._grass_cache = {}
         self._classes_cache = {}
         self._aut_orbit_cache = {}
         for it in self.catalog:
@@ -430,7 +450,12 @@ class ClassTable:
 
     def hall_number(self, lam: IsoClass, alpha: IsoClass, beta: IsoClass) -> int:
         """g^lambda_{alpha beta}: submodules B of V_lambda with B = beta and
-        V_lambda / B = alpha, counted by direct Grassmannian scan."""
+        V_lambda / B = alpha, counted by direct Grassmannian scan.
+
+        One scan of the submodules of dimension dim beta in V_lambda fills
+        g^lambda_{alpha' beta'} for every pair of classes of dimensions
+        (dim alpha, dim beta), zeros included, so each (lambda, dim beta)
+        is scanned at most once."""
         key = (lam, alpha, beta)
         if key in self._hall_cache:
             return self._hall_cache[key]
@@ -439,65 +464,59 @@ class ClassTable:
         bd = self.class_dim(beta)
         if tuple(a + b for a, b in zip(ad, bd)) != ld:
             raise ValueError("dim alpha + dim beta != dim lambda")
-        count = self._hall_scan(lam, alpha, beta, ad, bd)
-        self._hall_cache[key] = count
-        return count
+        for a in self.classes_of_dim(ad):
+            for b in self.classes_of_dim(bd):
+                self._hall_cache[(lam, a, b)] = 0
+        for (a, b), count in self._scan_submodules(lam, bd).items():
+            self._hall_cache[(lam, a, b)] = count
+        return self._hall_cache.setdefault(key, 0)
 
-    def _hall_scan(self, lam, alpha, beta, ad, bd) -> int:
+    def _scan_submodules(self, lam: IsoClass, bd) -> dict:
+        """Count the submodules of V_lambda of dimension bd by the pair
+        (class of the quotient, class of the submodule)."""
         q = self.q
         rep = self.representative(lam)
-        n = self.quiver.n
-        count = 0
-        spaces = [list(linalg.subspaces(rep.dims[v], bd[v], q)) for v in range(n)]
-        for combo in product(*spaces):
-            if not self._closed_under_maps(rep, combo):
-                continue
-            sub, quot = self._sub_quotient(rep, combo)
-            if self.label_module(sub) != beta:
-                continue
-            if self.label_module(quot) == alpha:
-                count += 1
-        return count
-
-    def _closed_under_maps(self, rep, combo) -> bool:
-        q = self.q
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            ws, wt = combo[s], combo[t]
-            if ws.shape[1] == 0:
-                continue
-            image = (rep.maps[k] @ ws) % q
-            if not linalg.column_space_contains(wt, image, q):
-                return False
-        return True
-
-    def _sub_quotient(self, rep, combo):
-        q = self.q
-        n = self.quiver.n
-        comp = [linalg.complement_basis(combo[v], q) for v in range(n)]
-        pis = []
-        for v in range(n):
-            d = rep.dims[v]
-            if d == 0 or comp[v].shape[1] == 0:
-                pis.append(np.zeros((comp[v].shape[1], d), dtype=np.int64))
-                continue
-            full = np.concatenate([combo[v], comp[v]], axis=1)
-            inv = linalg.solve_mod(full, np.eye(d, dtype=np.int64), q)
-            pis.append(inv[combo[v].shape[1]:, :])
-        sub_maps = []
-        quot_maps = []
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            ws, wt = combo[s], combo[t]
-            img = (rep.maps[k] @ ws) % q
-            if wt.shape[1]:
-                coords = linalg.solve_mod(wt, img, q)
-                assert coords is not None
-                sub_maps.append(coords if ws.shape[1] else np.zeros((wt.shape[1], 0), dtype=np.int64))
+        arrows = self.quiver.arrows
+        quot_dims = [d - b for d, b in zip(rep.dims, bd)]
+        tally = {}
+        grass = [self._grassmannian(rep.dims[v], bd[v]) for v in range(self.quiver.n)]
+        for combo in product(*grass):
+            sub_maps = []
+            quot_maps = []
+            for k, (s, t) in enumerate(arrows):
+                ws, wt = combo[s], combo[t]
+                # columns of image: the submodule's image, then the complement's
+                image = (rep.maps[k] @ ws.frame) % q
+                if ws.k and not linalg.column_space_contains(
+                        wt.frame[:, :wt.k], image[:, :ws.k], q):
+                    break
+                # in the target frame's coordinates the map is block triangular:
+                # the sub block maps W_s to W_t, the quotient block C_s to C_t
+                block = (wt.frame_inv @ image) % q
+                sub_maps.append(block[:wt.k, :ws.k])
+                quot_maps.append(block[wt.k:, ws.k:])
             else:
-                sub_maps.append(np.zeros((0, ws.shape[1]), dtype=np.int64))
-            quot_maps.append((pis[t] @ ((rep.maps[k] @ comp[s]) % q)) % q)
-        sub = Representation(self.quiver, q, [c.shape[1] for c in combo], sub_maps)
-        quot = Representation(self.quiver, q, [c.shape[1] for c in comp], quot_maps)
-        return sub, quot
+                sub = Representation(self.quiver, q, bd, sub_maps)
+                quot = Representation(self.quiver, q, quot_dims, quot_maps)
+                pair = (self.label_module(quot), self.label_module(sub))
+                tally[pair] = tally.get(pair, 0) + 1
+        return tally
+
+    def _grassmannian(self, d: int, k: int) -> list:
+        """The k-subspaces of F_q^d, each as a :class:`_Subspace`."""
+        key = (d, k)
+        if key not in self._grass_cache:
+            out = []
+            for basis in linalg.subspaces(d, k, self.q):
+                frame = np.concatenate([basis, linalg.complement_basis(basis, self.q)],
+                                       axis=1)
+                if d:
+                    inv = linalg.solve_mod(frame, np.eye(d, dtype=np.int64), self.q)
+                else:
+                    inv = np.zeros((0, 0), dtype=np.int64)
+                out.append(_Subspace(k, frame, inv))
+            self._grass_cache[key] = out
+        return self._grass_cache[key]
 
     # -- cache -------------------------------------------------------------
 
@@ -522,26 +541,44 @@ class ClassTable:
                         for dim, classes in sorted(self._classes_cache.items())},
         }
 
-    def load_cache(self, data: dict):
+    def load_cache(self, data: dict) -> int:
+        """Merge tables written by :meth:`dump_cache`; returns the number of
+        malformed entries skipped (bad key shape, unknown label, dimensions
+        that do not add up, or a value that is not a nonnegative integer)."""
+        if not isinstance(data, dict):
+            return 1
         if data.get("q") != self.q or data.get("dim_bound") != list(self.dim_bound):
-            return
-        for key, v in data.get("hom", {}).items():
-            a, b = key.split("|")
-            if a in self.by_label and b in self.by_label:
-                self._hom_cache[(a, b)] = int(v)
-        for key, v in data.get("ext", {}).items():
-            a, b = key.split("|")
-            if a in self.by_label and b in self.by_label:
-                self._ext_cache[(a, b)] = int(v)
-        for key, g in data.get("hall", {}).items():
-            l, a, b = key.split("|")
-            try:
-                triple = (parse_class_label(l), parse_class_label(a),
-                          parse_class_label(b))
-            except Exception:
+            return 0
+        skipped = 0
+        for section, store in (("hom", self._hom_cache), ("ext", self._ext_cache),
+                               ("hall", self._hall_cache)):
+            entries = data.get(section, {})
+            if not isinstance(entries, dict):
+                skipped += 1
                 continue
-            if all(p in self.by_label for cls in triple for p in cls.parts):
-                self._hall_cache[triple] = int(g)
+            for key, value in entries.items():
+                parsed = self._parse_cache_key(section, key)
+                if parsed is None or type(value) is not int or value < 0:
+                    skipped += 1
+                else:
+                    store[parsed] = value
+        return skipped
+
+    def _parse_cache_key(self, section: str, key: str):
+        parts = key.split("|")
+        if section != "hall":
+            if len(parts) == 2 and all(p in self.by_label for p in parts):
+                return tuple(parts)
+            return None
+        if len(parts) != 3:
+            return None
+        lam, alpha, beta = (parse_class_label(p) for p in parts)
+        if not all(p in self.by_label for cls in (lam, alpha, beta) for p in cls.parts):
+            return None
+        ad, bd = self.class_dim(alpha), self.class_dim(beta)
+        if tuple(a + b for a, b in zip(ad, bd)) != self.class_dim(lam):
+            return None
+        return lam, alpha, beta
 
     def hall_number_rp(self, lam: IsoClass, alpha: IsoClass, beta: IsoClass) -> int:
         """Riedtmann-Peng count: g = a_lam * |Ext(a,b)_lam| / (a_a a_b |Hom(a,b)|),
@@ -618,6 +655,20 @@ class ClassTable:
             m[A.dims[t]:, A.dims[s]:] = B.maps[k]
             maps.append(m)
         return Representation(self.quiver, q, dims, maps)
+
+
+class TableSet(dict):
+    """The ClassTables of one quiver and bound, keyed by prime and built on
+    first use by ``build(q)``; a GenericContext and a CertificateEngine can
+    share one."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, q: int) -> ClassTable:
+        table = self[q] = self.build(q)
+        return table
 
 
 def _fraction_inverse(rows):

@@ -15,7 +15,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from .classtable import ClassTable, IsoClass, parse_class_label
+from .classtable import ClassTable, IsoClass, TableSet, parse_class_label
 from .crystal import Crystal, certify_exceptional
 from .exseq import CertificateEngine, braid_move_hall, braid_move_module
 from .generic import GenericContext, generic_ringel_pair, kashiwara_pair_elements
@@ -64,10 +64,19 @@ def _load_table(config: RunConfig, quiver: Quiver, q: int) -> ClassTable:
     if path and os.path.exists(path):
         try:
             with open(path) as fh:
-                table.load_cache(json.load(fh))
-        except (OSError, json.JSONDecodeError):
-            pass
+                skipped = table.load_cache(json.load(fh))
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"hallcrys: cache file {path} ignored: {exc}", file=sys.stderr)
+        else:
+            if skipped:
+                print(f"hallcrys: cache file {path}: skipped {skipped} malformed "
+                      f"entries", file=sys.stderr)
     return table
+
+
+def _tables(config: RunConfig, quiver: Quiver) -> TableSet:
+    """The command's tables, one per prime, loaded from the cache on first use."""
+    return TableSet(lambda q: _load_table(config, quiver, q))
 
 
 def _save_table(config: RunConfig, quiver: Quiver, table: ClassTable):
@@ -85,6 +94,11 @@ def _save_table(config: RunConfig, quiver: Quiver, table: ClassTable):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _save_tables(config: RunConfig, quiver: Quiver, tables: TableSet):
+    for table in tables.values():
+        _save_table(config, quiver, table)
 
 
 def _all_dims(quiver: Quiver, bound: int):
@@ -311,25 +325,25 @@ def cmd_compute(config: RunConfig, expression: str) -> dict:
     node = _Parser(expression).parse()
     results = {"fixed": {}, "generic": None, "generic_error": None}
     falsifications = []
+    tables = _tables(config, quiver)
     for q in config.primes:
-        table = _load_table(config, quiver, q)
         try:
-            val = _eval_fixed(node, table)
+            val = _eval_fixed(node, tables[q])
             results["fixed"][str(q)] = (val.to_json() if hasattr(val, "to_json")
                                         else str(val))
         except CLIError as exc:
             results["fixed"][str(q)] = f"error: {exc}"
-        _save_table(config, quiver, table)
     if quiver.is_dynkin():
         ctx = GenericContext(quiver, _bound_tuple(quiver, config), config.primes,
                              point_budget=config.point_budget,
-                             ext_budget=config.ext_budget)
+                             ext_budget=config.ext_budget, tables=tables)
         try:
             results["generic"] = str(_eval_generic(node, ctx))
         except CLIError as exc:
             results["generic_error"] = str(exc)
     else:
         results["generic_error"] = "generic layer requires a Dynkin quiver"
+    _save_tables(config, quiver, tables)
     return _report("compute", {"quiver": quiver.to_json(), "expression": expression},
                    results, config.primes, falsifications)
 
@@ -342,7 +356,8 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
                 all_exceptional: bool) -> dict:
     quiver = Quiver.load(config.quiver_path)
     bound = _bound_tuple(quiver, config)
-    t0 = _load_table(config, quiver, config.primes[0])
+    tables = _tables(config, quiver)
+    t0 = tables[config.primes[0]]
     if all_exceptional:
         classes = []
         for dim in _all_dims(quiver, config.dim_bound):
@@ -363,10 +378,10 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
     results = []
     engine = CertificateEngine(quiver, bound, config.primes,
                                point_budget=config.point_budget,
-                               ext_budget=config.ext_budget)
+                               ext_budget=config.ext_budget, tables=tables)
     ctx = GenericContext(quiver, bound, config.primes,
                          point_budget=config.point_budget,
-                         ext_budget=config.ext_budget)
+                         ext_budget=config.ext_budget, tables=tables)
     crystal = None
     if target in ("crystal", "both") and quiver.is_dynkin():
         max_weight = max(sum(t0.class_dim(c)) for c in classes) if classes else 0
@@ -387,6 +402,7 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
             entry["crystal"] = cert.to_json()
             falsifications.extend(f"{cls.label}: {f}" for f in cert.falsifications)
         results.append(entry)
+    _save_tables(config, quiver, tables)
     return _report("certify", {"quiver": quiver.to_json(), "target": target,
                                "label": label, "all_exceptional": all_exceptional},
                    results, config.primes, falsifications)
@@ -411,8 +427,9 @@ def cmd_selftest(config: RunConfig) -> dict:
         if not ok:
             falsifications.append(name)
 
+    tables = _tables(config, quiver)
     for q in config.primes:
-        table = _load_table(config, quiver, q)
+        table = tables[q]
         dims = [d for d in _all_dims(quiver, config.dim_bound) if sum(d) <= 4]
         classes = []
         for d in dims:
@@ -475,12 +492,11 @@ def cmd_selftest(config: RunConfig) -> dict:
                     if hall_side != rescale(table, new_obj):
                         braid_ok = False
         check(f"braid move hall/module consistency q={q}", braid_ok)
-        _save_table(config, quiver, table)
     # one integrality certificate replay per exceptional simple
     from .exseq import CertificateEngine
     engine = CertificateEngine(quiver, _bound_tuple(quiver, config), config.primes,
                                point_budget=config.point_budget,
-                               ext_budget=config.ext_budget)
+                               ext_budget=config.ext_budget, tables=tables)
     cert_ok = True
     for v in range(quiver.n):
         cls = IsoClass((f"S{quiver.vertices[v]}",))
@@ -490,6 +506,7 @@ def cmd_selftest(config: RunConfig) -> dict:
             if expr_evaluate_fixed(tree, t) != rescale(t, cls):
                 cert_ok = False
     check("certificate replay on the simples", cert_ok)
+    _save_tables(config, quiver, tables)
     return _report("selftest", {"quiver": quiver.to_json(),
                                 "dim_bound": config.dim_bound},
                    checks, config.primes, falsifications)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .classtable import ClassTable, IsoClass
+from .classtable import ClassTable, IsoClass, TableSet
 from .generic import ExprTree, expr_evaluate_fixed, PRIME_POOL
 from .hallalg import (HallElement, derivation, divided_power, multiply,
                       rescale, v_power)
@@ -402,21 +402,21 @@ class CertificateEngine:
     """
 
     def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), pool=PRIME_POOL,
-                 point_budget=500_000, ext_budget=200_000):
+                 point_budget=500_000, ext_budget=200_000, tables=None):
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
         self.primes = tuple(primes)
         self.pool = tuple(pool)
         self.point_budget = point_budget
         self.ext_budget = ext_budget
-        self._tables = {}
+        # shared with other users of the same quiver and bound when given
+        self._tables = tables if tables is not None else TableSet(
+            lambda q: ClassTable(self.quiver, q, self.dim_bound, self.point_budget,
+                                 self.ext_budget))
         self._indec_tree = {}
         self._dp_tree = {}
 
     def table(self, q: int) -> ClassTable:
-        if q not in self._tables:
-            self._tables[q] = ClassTable(self.quiver, q, self.dim_bound,
-                                         self.point_budget, self.ext_budget)
         return self._tables[q]
 
     # -- verification ----------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classtable import ClassTable, IsoClass, ZERO_CLASS
+from .classtable import ClassTable, IsoClass, TableSet, ZERO_CLASS
 from .quivers import Quiver, cartan_datum, dim_add, dim_sub, euler_bilinear, euler_symmetric
 from .scalars import (LaurentPoly, RatFunc, eval_at_sqrt_q, parse_laurent,
                       quantum_binomial, quantum_factorial, render_laurent)
@@ -70,7 +70,7 @@ class GenericContext:
     """Shared fixed-q tables over several primes plus interpolation caches."""
 
     def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), pool=PRIME_POOL,
-                 point_budget=500_000, ext_budget=200_000):
+                 point_budget=500_000, ext_budget=200_000, tables=None):
         if len(primes) < 2:
             raise ValueError("need at least two primes (one for validation)")
         self.quiver = quiver
@@ -79,7 +79,10 @@ class GenericContext:
         self.pool = tuple(p for p in pool)
         self.point_budget = point_budget
         self.ext_budget = ext_budget
-        self._tables = {}
+        # shared with other users of the same quiver and bound when given
+        self._tables = tables if tables is not None else TableSet(
+            lambda q: ClassTable(self.quiver, q, self.dim_bound, self.point_budget,
+                                 self.ext_budget))
         self._hall_polys = {}
         self._aut_polys = {}
         self.datum = cartan_datum(quiver)
@@ -92,9 +95,6 @@ class GenericContext:
             assert base == other, "rigid labels must not depend on the prime"
 
     def table(self, q: int) -> ClassTable:
-        if q not in self._tables:
-            self._tables[q] = ClassTable(self.quiver, q, self.dim_bound,
-                                         self.point_budget, self.ext_budget)
         return self._tables[q]
 
     def require_generic(self):

@@ -117,25 +117,19 @@ def gl_order(n: int, q: int) -> int:
 
 
 def complement_basis(basis: np.ndarray, p: int) -> np.ndarray:
-    """Columns extending ``basis`` to a basis of the ambient space."""
-    n = basis.shape[0]
-    chosen = []
-    current = basis
-    rank = rank_mod(current, p)
-    for i in range(n):
-        if rank == n:
-            break
-        e = np.zeros((n, 1), dtype=np.int64)
-        e[i, 0] = 1
-        trial = np.concatenate([current, e], axis=1)
-        r2 = rank_mod(trial, p)
-        if r2 > rank:
-            chosen.append(e)
-            current = trial
-            rank = r2
-    if chosen:
-        return np.concatenate(chosen, axis=1)
-    return np.zeros((n, 0), dtype=np.int64)
+    """Columns extending ``basis`` to a basis of the ambient space.
+
+    The chosen columns are the unit vectors e_i that are pivot columns of
+    rref([basis | I]): each e_i not in the span of ``basis`` and the earlier
+    e_j, i.e. the greedy choice in index order.
+    """
+    n, k = basis.shape
+    if n == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    joint = np.concatenate([basis, np.eye(n, dtype=np.int64)], axis=1)
+    _, _, piv = rref_mod(joint, p)
+    units = [int(c) - k for c in piv if c >= k]
+    return np.eye(n, dtype=np.int64)[:, units]
 
 
 def invertible_mod(a: np.ndarray, p: int) -> bool:

@@ -1,7 +1,11 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from hallcrys.classtable import ClassTable, IsoClass, ZERO_CLASS, parse_class_label
 from hallcrys.modules import BudgetExceeded
+from hallcrys.quivers import euler_bilinear
 
 
 P = IsoClass.of("r1.1")
@@ -155,6 +159,32 @@ class TestHallNumbers:
                                 for be in betas:
                                     assert (t.hall_number(lam, al, be)
                                             == t.hall_number_rp(lam, al, be))
+
+    @pytest.mark.parametrize("name, q, bound, npairs", [
+        ("a3", 2, (2, 2, 2), 584), ("kron", 2, (2, 2), 130), ("kron", 3, (2, 2), 169)])
+    def test_riedtmann_sum(self, reg, a3, kron, name, q, bound, npairs):
+        # sum_lam g^lam_{alpha beta} a_alpha a_beta / a_lam
+        #   = |Ext(alpha, beta)| / |Hom(alpha, beta)| = q^-<dim alpha, dim beta>,
+        # from the Euler form and the closed-form aut orders alone
+        quiver = a3 if name == "a3" else kron
+        t = reg.table(quiver, q) if name == "a3" else reg.table(quiver, q, (3, 3))
+        dims = list(product(*[range(b + 1) for b in bound]))
+        pairs = 0
+        for ad in dims:
+            for bd in dims:
+                ld = tuple(x + y for x, y in zip(ad, bd))
+                if not any(ld) or any(x > b for x, b in zip(ld, bound)):
+                    continue
+                lams = t.classes_of_dim(ld)
+                for alpha in t.classes_of_dim(ad):
+                    for beta in t.classes_of_dim(bd):
+                        pairs += 1
+                        total = sum(Fraction(t.hall_number(lam, alpha, beta),
+                                             t.aut_order(lam)) for lam in lams)
+                        expected = (Fraction(q) ** -euler_bilinear(quiver, ad, bd)
+                                    / (t.aut_order(alpha) * t.aut_order(beta)))
+                        assert total == expected, (alpha.label, beta.label)
+        assert pairs == npairs
 
     def test_aggregate_count(self, reg, kron):
         # sum over lambda of g^lam_{S1, S2-stuff}: extensions of S1 by S2 at q=2

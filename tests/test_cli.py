@@ -161,6 +161,57 @@ class TestSelftestAndCache:
         assert all(c["pass"] for c in report["results"])
 
 
+class TestCertifyCache:
+    ARGS = ("certify", "--all-exceptional", "--dim-bound", "2",
+            "--target", "integrality")
+
+    def test_cache_written_and_reused(self, a2_file, tmp_path, monkeypatch, capsys):
+        from hallcrys import cli
+        from hallcrys.classtable import ClassTable
+        cache = tmp_path / "cache"
+        argv = [*self.ARGS, "--quiver", a2_file, "--cache", str(cache)]
+        built = []
+        load = cli._load_table
+        monkeypatch.setattr(cli, "_load_table",
+                            lambda config, quiver, q: built.append(q) or load(config, quiver, q))
+        assert cli.main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        # one file per prime a table was built for, each holding Hall numbers
+        files = sorted(os.listdir(cache))
+        assert [int(f.split("_q")[1].split("_")[0]) for f in files] == sorted(built)
+        for f in files:
+            assert json.loads((cache / f).read_text())["hall"]
+
+        def no_scan(*args):
+            raise AssertionError("Hall scan on a cached rerun")
+
+        monkeypatch.setattr(ClassTable, "_scan_submodules", no_scan)
+        assert cli.main(argv) == 0
+        second = json.loads(capsys.readouterr().out)
+        first.pop("generated_at")
+        second.pop("generated_at")
+        assert first == second
+
+    def test_malformed_entries_skipped(self, a2_file, tmp_path):
+        cache = tmp_path / "cache"
+        clean = run_cli(*self.ARGS, "--quiver", a2_file, "--cache", str(cache))
+        assert clean.returncode == 0, clean.stdout + clean.stderr
+        path = cache / sorted(os.listdir(cache))[0]
+        data = json.loads(path.read_text())
+        data["hall"]["broken-key"] = 1            # bad key shape
+        data["hall"]["r1.1|S1|nosuch"] = 1        # unknown label
+        data["hall"]["r1.1|S1|S2"] = "one"       # non-integer value
+        data["hom"]["S1"] = 0                     # bad key shape
+        path.write_text(json.dumps(data))
+        proc = run_cli(*self.ARGS, "--quiver", a2_file, "--cache", str(cache))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"cache file {path}: skipped 4 malformed entries" in proc.stderr
+        reports = [json.loads(p.stdout) for p in (clean, proc)]
+        for report in reports:
+            report.pop("generated_at")
+        assert reports[0] == reports[1]
+
+
 def test_wild_quiver_is_operational_error(tmp_path):
     path = tmp_path / "wild.json"
     path.write_text(json.dumps({"vertices": ["1", "2"],

@@ -116,5 +116,33 @@ def test_complement_basis():
         assert rank_mod(full, p) == 3
 
 
+def greedy_complement(basis, p):
+    """The definition: add e_0, e_1, ... in order whenever the rank grows."""
+    n = basis.shape[0]
+    current, chosen = basis, []
+    for i in range(n):
+        e = np.eye(n, dtype=np.int64)[:, i:i + 1]
+        trial = np.concatenate([current, e], axis=1)
+        if rank_mod(trial, p) > rank_mod(current, p):
+            chosen.append(i)
+            current = trial
+    return np.eye(n, dtype=np.int64)[:, chosen]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_complement_basis_matches_greedy(p):
+    rng = np.random.default_rng(p)
+    for _ in range(60):
+        n = int(rng.integers(0, 6))
+        k = int(rng.integers(0, n + 2))
+        basis = rng.integers(0, p, (n, k)).astype(np.int64)
+        if k and rng.random() < 0.3:
+            basis[:, -1] = (2 * basis[:, 0]) % p       # rank-deficient input
+        comp = linalg.complement_basis(basis, p)
+        expected = greedy_complement(basis, p)
+        assert comp.shape == expected.shape and comp.dtype == np.int64
+        assert np.array_equal(comp, expected)
+
+
 def test_backend_flag_reported():
     assert BACKEND in ("numba", "numpy")
