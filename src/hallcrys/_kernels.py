@@ -1,75 +1,61 @@
 """Hot mod-p kernels: row reduction and orbit closure.
 
-Two interchangeable backends compute identical results:
-
-* ``numba`` -- @njit kernels (default when numba imports cleanly),
-* ``numpy`` -- a pure-numpy fallback.
-
-Selection: environment variable ``HALLCRYS_BACKEND`` set to ``numba`` or
-``numpy``; unset means numba when available.
+``rref_mod`` is one Gauss–Jordan elimination over rows of Python ints; at
+the small shapes Hall-number scans use, that beats numpy row operations.
+``orbit_fill`` is a breadth-first flood fill with the generator action
+batched through numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV = os.environ.get("HALLCRYS_BACKEND", "").strip().lower()
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:
-    if _ENV == "numba":
-        raise
-    _HAVE_NUMBA = False
-
-# the environment flag picks the default; per-call overrides (benchmarks,
-# parity tests) may still request either backend explicitly
-BACKEND = "numpy" if _ENV == "numpy" or not _HAVE_NUMBA else "numba"
+# Read only by perfbench, which records them with each run's environment.
+_HAVE_NUMBA = False
+BACKEND = "python"
 
 
-# ----------------------------------------------------------------------
-# pure-numpy reference implementations
-
-
-def _rref_mod_numpy(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p, in place; returns (rank, pivot_cols)."""
-    rows, cols = a.shape
-    pivots = np.empty(min(rows, cols), dtype=np.int64)
+def rref_mod(a: np.ndarray, p: int):
+    """RREF of ``a`` mod p (not in place); returns (rref, rank, pivot_cols)."""
+    a = np.asarray(a, dtype=np.int64)
+    nrows, ncols = a.shape
+    rows = (a % p).tolist()
+    pivots = []
     rank = 0
-    for col in range(cols):
-        if rank == rows:
+    for col in range(ncols):
+        if rank == nrows:
             break
-        sub = a[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if piv is None:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        other = np.nonzero(a[:, col])[0]
-        for r in other:
-            if r != rank:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        pivots[rank] = col
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank]
+        inv = pow(lead[col], -1, p)
+        if inv != 1:
+            lead = rows[rank] = [x * inv % p for x in lead]
+        for r in range(nrows):
+            f = rows[r][col]
+            if f and r != rank:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], lead)]
+        pivots.append(col)
         rank += 1
-    return rank, pivots[:rank].copy()
+    out = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    return out, rank, np.array(pivots, dtype=np.int64)
 
 
-def _orbit_fill_numpy(start_codes, visited, gen_left, gen_right, arrow_src,
-                      arrow_tgt, dims, p):
-    """Mark the orbit(s) of the start codes under the generator maps.
+def rank_mod(a: np.ndarray, p: int) -> int:
+    return rref_mod(a, p)[1]
+
+
+def orbit_fill(start_codes, visited, gen_left, gen_right, arrow_src,
+               arrow_tgt, dims, p) -> int:
+    """Mark the orbit(s) of the start codes under the generator maps;
+    returns the number of newly visited points.
 
     Point encoding: concatenation of the arrow matrices (row-major, arrow
     order fixed) read as base-p digits, least significant first.
     """
     na = arrow_src.shape[0]
-    maxd = gen_left.shape[2]
     cells = [(int(dims[arrow_tgt[k]]), int(dims[arrow_src[k]])) for k in range(na)]
     ncell = sum(r * c for r, c in cells)
     pow_p = p ** np.arange(ncell, dtype=np.int64)
@@ -111,159 +97,3 @@ def _orbit_fill_numpy(start_codes, visited, gen_left, gen_right, arrow_src,
         count += int(codes.size)
         frontier = codes
     return count
-
-
-# ----------------------------------------------------------------------
-# numba kernels
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=False)
-    def _modinv_nb(x, p):
-        # extended Euclid; x nonzero mod p
-        a, b = x % p, p
-        u, v = 1, 0
-        while b:
-            qq = a // b
-            a, b = b, a - qq * b
-            u, v = v, u - qq * v
-        return u % p
-
-    @numba.njit(cache=False)
-    def _rref_mod_nb(a, p):
-        rows, cols = a.shape
-        pivots = np.empty(min(rows, cols), dtype=np.int64)
-        rank = 0
-        for col in range(cols):
-            if rank == rows:
-                break
-            piv = -1
-            for r in range(rank, rows):
-                if a[r, col] != 0:
-                    piv = r
-                    break
-            if piv == -1:
-                continue
-            if piv != rank:
-                for c in range(cols):
-                    tmp = a[rank, c]
-                    a[rank, c] = a[piv, c]
-                    a[piv, c] = tmp
-            inv = _modinv_nb(a[rank, col], p)
-            for c in range(cols):
-                a[rank, c] = (a[rank, c] * inv) % p
-            for r in range(rows):
-                if r != rank and a[r, col] != 0:
-                    f = a[r, col]
-                    for c in range(cols):
-                        a[r, c] = (a[r, c] - f * a[rank, c]) % p
-            pivots[rank] = col
-            rank += 1
-        return rank, pivots[:rank].copy()
-
-    @numba.njit(cache=False)
-    def _orbit_fill_nb(start_codes, visited, gen_left, gen_right, arrow_src,
-                       arrow_tgt, dims, p):
-        na = arrow_src.shape[0]
-        maxd = gen_left.shape[2]
-        ncell = 0
-        for k in range(na):
-            ncell += dims[arrow_tgt[k]] * dims[arrow_src[k]]
-        stack = np.empty(visited.shape[0], dtype=np.int64)
-        top = 0
-        count = 0
-        for s in range(start_codes.shape[0]):
-            code = start_codes[s]
-            if not visited[code]:
-                visited[code] = True
-                stack[top] = code
-                top += 1
-                count += 1
-        mat = np.zeros((na, maxd, maxd), dtype=np.int64)
-        tmp = np.zeros((maxd, maxd), dtype=np.int64)
-        out = np.zeros((maxd, maxd), dtype=np.int64)
-        ngen = gen_left.shape[0]
-        while top > 0:
-            top -= 1
-            code = stack[top]
-            rem = code
-            for k in range(na):
-                r = dims[arrow_tgt[k]]
-                c = dims[arrow_src[k]]
-                for i in range(r):
-                    for j in range(c):
-                        mat[k, i, j] = rem % p
-                        rem //= p
-            for g in range(ngen):
-                new_code = 0
-                shift = 1
-                for k in range(na):
-                    sv = arrow_src[k]
-                    tv = arrow_tgt[k]
-                    r = dims[tv]
-                    c = dims[sv]
-                    # tmp = M @ gen_right[g, sv]
-                    for i in range(r):
-                        for j in range(c):
-                            acc = 0
-                            for l in range(c):
-                                acc += mat[k, i, l] * gen_right[g, sv, l, j]
-                            tmp[i, j] = acc % p
-                    # out = gen_left[g, tv] @ tmp
-                    for i in range(r):
-                        for j in range(c):
-                            acc = 0
-                            for l in range(r):
-                                acc += gen_left[g, tv, i, l] * tmp[l, j]
-                            out[i, j] = acc % p
-                    for i in range(r):
-                        for j in range(c):
-                            new_code += out[i, j] * shift
-                            shift *= p
-                if not visited[new_code]:
-                    visited[new_code] = True
-                    stack[top] = new_code
-                    top += 1
-                    count += 1
-        return count
-
-
-# ----------------------------------------------------------------------
-# public API
-
-
-def rref_mod(a: np.ndarray, p: int, backend: str | None = None):
-    """RREF of ``a`` mod p (not in place); returns (rref, rank, pivot_cols)."""
-    work = np.ascontiguousarray(a, dtype=np.int64) % p
-    work = work.copy()
-    be = _pick(backend)
-    if work.size == 0:
-        return work, 0, np.empty(0, dtype=np.int64)
-    if be == "numba":
-        rank, piv = _rref_mod_nb(work, p)
-    else:
-        rank, piv = _rref_mod_numpy(work, p)
-    return work, int(rank), piv
-
-
-def rank_mod(a: np.ndarray, p: int, backend: str | None = None) -> int:
-    return rref_mod(a, p, backend)[1]
-
-
-def orbit_fill(start_codes, visited, gen_left, gen_right, arrow_src, arrow_tgt,
-               dims, p, backend: str | None = None) -> int:
-    """Flood-fill the orbit of the start codes; returns number of new points."""
-    be = _pick(backend)
-    start = np.asarray(start_codes, dtype=np.int64)
-    if be == "numba":
-        return int(_orbit_fill_nb(start, visited, gen_left, gen_right,
-                                  arrow_src, arrow_tgt, dims, p))
-    return int(_orbit_fill_numpy(start, visited, gen_left, gen_right,
-                                 arrow_src, arrow_tgt, dims, p))
-
-
-def _pick(backend) -> str:
-    be = backend or BACKEND
-    if be == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return be

@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from ._kernels import orbit_fill
 from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim,
-                      hom_dim, indecomposable_catalog)
+                      hom_dim, hom_system, indecomposable_catalog)
 from .quivers import Quiver, euler_bilinear
 
 
@@ -603,25 +603,11 @@ class ClassTable:
         q = self.q
         A = self.representative(alpha)
         B = self.representative(beta)
-        # cocycles: tuples c_k in Hom(A_{s(k)}, B_{t(k)}); coboundaries: image
-        # of f -> (B_k f_s - f_t A_k)
+        # cocycles: tuples c_k in Hom(A_{s(k)}, B_{t(k)}); coboundaries: the
+        # image of the Hom system f -> (B_k f_s - f_t A_k)
         cell_shapes = [(B.dims[t], A.dims[s]) for s, t in self.quiver.arrows]
-        ncells = sum(r * c for r, c in cell_shapes)
-        nvars = sum(B.dims[v] * A.dims[v] for v in range(self.quiver.n))
-        d = np.zeros((ncells, nvars), dtype=np.int64)
-        offs_v = np.cumsum([0] + [B.dims[v] * A.dims[v] for v in range(self.quiver.n)])
-        r0 = 0
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            blk = cell_shapes[k][0] * cell_shapes[k][1]
-            if blk:
-                if B.dims[s] * A.dims[s]:
-                    d[r0:r0 + blk, offs_v[s]:offs_v[s + 1]] = np.kron(
-                        B.maps[k], np.eye(A.dims[s], dtype=np.int64))
-                if B.dims[t] * A.dims[t]:
-                    d[r0:r0 + blk, offs_v[t]:offs_v[t + 1]] -= np.kron(
-                        np.eye(B.dims[t], dtype=np.int64), A.maps[k].T)
-            r0 += blk
-        d %= q
+        d = hom_system(A, B)
+        ncells, nvars = d.shape
         if nvars and ncells:
             img = linalg.column_reduce(d, q)
         else:
@@ -673,19 +659,11 @@ class TableSet(dict):
 
 def _fraction_inverse(rows):
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(1 if k == i else 0)
-           for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("catalog Hom matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(k == i)) for k in range(n)]
+           for i, row in enumerate(rows)]
+    pivots, _ = linalg.gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise ValueError("catalog Hom matrix is singular")
     return [row[n:] for row in aug]
 
 

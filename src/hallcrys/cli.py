@@ -86,7 +86,12 @@ def _save_table(config: RunConfig, quiver: Quiver, table: ClassTable):
     os.makedirs(config.cache_dir, exist_ok=True)
     payload = json.dumps(table.dump_cache(), sort_keys=True, indent=1)
     fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
+    # mkstemp creates the file 0600; give it the mode open() would, so a
+    # cache directory shared through HALLCRYS_CACHE_DIR stays readable
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
         os.replace(tmp, path)

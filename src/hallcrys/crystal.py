@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import linalg
 from .classtable import IsoClass
 from .generic import (ExprTree, GenericContext, GenericElement, expand_divided,
                       generic_basis, generic_divided_power_simple,
@@ -126,7 +127,7 @@ def kernel_basis(ctx: GenericContext, i: int, weight):
         img = generic_rprime(ctx, t0.simple_class(i), generic_basis(ctx, cls))
         cols.append([img.coeffs.get(tc, RatFunc.zero()) for tc in target])
     # nullspace of the (target x classes) matrix
-    null = _ratfunc_nullspace(cols, len(target))
+    null = linalg.nullspace(cols, len(target), RatFunc)
     out = []
     for vec in null:
         coeffs = {cls: c for cls, c in zip(classes, vec) if not c.is_zero()}
@@ -164,36 +165,6 @@ def _string_lifts(ctx: GenericContext, i: int, weight):
     return lifts
 
 
-def _ratfunc_nullspace(cols, nrows):
-    """Right-kernel basis of the matrix with the given columns."""
-    ncols = len(cols)
-    mat = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
-    piv_of_col = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not mat[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = RatFunc.one() / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        piv_of_col[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in piv_of_col]
-    for fc in free:
-        vec = [RatFunc.zero()] * ncols
-        vec[fc] = RatFunc.one()
-        for pc, row in piv_of_col.items():
-            vec[pc] = -mat[row][fc]
-        basis.append(vec)
-    return basis
-
-
 def string_decompose(ctx: GenericContext, i: int, x: GenericElement) -> StringDecomposition:
     """Decompose x = sum_n E_i^{(n)} x_n with f'_i(x_n) = 0, exactly."""
     if x.is_zero():
@@ -207,11 +178,10 @@ def string_decompose(ctx: GenericContext, i: int, x: GenericElement) -> StringDe
     rank_memo = _ctx_memo(ctx).setdefault("full_rank", set())
     key = (i, tuple(weight))
     if key not in rank_memo:
-        if _ratfunc_nullspace(cols, len(classes)):
+        if linalg.nullspace(cols, len(classes), RatFunc):
             raise SingularStringSystem("string lifts are linearly dependent")
         rank_memo.add(key)
-    from .generic import _ratfunc_solve
-    sol = _ratfunc_solve(cols, target)
+    sol = linalg.solve(cols, target, RatFunc)
     if sol is None:
         raise SingularStringSystem(
             f"string system at weight {weight}, vertex {i} is singular")

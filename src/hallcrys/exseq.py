@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
+from . import linalg
 from .classtable import ClassTable, IsoClass, TableSet
 from .generic import ExprTree, expr_evaluate_fixed, PRIME_POOL
 from .hallalg import (HallElement, derivation, divided_power, multiply,
@@ -644,19 +645,17 @@ class CertificateEngine:
         if not rels:
             return tree
         words = sorted(set(tree.terms) | {w for r in rels for w in r.terms})
-        rows, rhs = [], []
-        for w in words:
-            x0, x1 = _mod_two_reduce(tree.terms.get(w, LaurentPoly.zero()))
-            row0, row1 = [], []
-            for r in rels:
-                e0, e1 = _mod_two_reduce(r.terms.get(w, LaurentPoly.zero()))
-                row0.extend([e0, -e1])
-                row1.extend([e1, e0])
-            rows.append(row0)
-            rhs.append(x0)
-            rows.append(row1)
-            rhs.append(x1)
-        sol = _fraction_solve(rows, rhs)
+        # two equations per word (the 1 and v parts mod v^2 + 1), two unknowns
+        # (a0, a1) per relation: (e0 + e1 v)(a0 + a1 v) is
+        # (e0 a0 - e1 a1) + (e1 a0 + e0 a1) v
+        rhs = [x for w in words
+               for x in _mod_two_reduce(tree.terms.get(w, LaurentPoly.zero()))]
+        cols = []
+        for r in rels:
+            es = [_mod_two_reduce(r.terms.get(w, LaurentPoly.zero())) for w in words]
+            cols.append([x for e0, e1 in es for x in (e0, e1)])
+            cols.append([x for e0, e1 in es for x in (-e1, e0)])
+        sol = linalg.solve(cols, rhs, Fraction)
         if sol is None:
             raise CertificateError("no Serre correction exists mod [2]")
         out = tree
@@ -728,34 +727,3 @@ def _word_tree(quiver, word):
     for v, k in word:
         tree = tree * ExprTree.letter(quiver, v, k)
     return tree
-
-
-def _fraction_solve(rows, rhs):
-    """One exact solution of rows * x = rhs over Q, or None; free vars -> 0."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row, c in enumerate(piv_cols):
-        sol[c] = aug[row][ncols]
-    return sol

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .classtable import ClassTable, IsoClass, TableSet, ZERO_CLASS
 from .quivers import Quiver, cartan_datum, dim_add, dim_sub, euler_bilinear, euler_symmetric
 from .scalars import (LaurentPoly, RatFunc, eval_at_sqrt_q, parse_laurent,
@@ -625,39 +626,9 @@ def monomial_expansion(x: GenericElement):
         val = expr_evaluate_generic(tree, ctx)
         cols.append([val.coeffs.get(cls, RatFunc.zero()) for cls in classes])
     target = [x.coeffs.get(cls, RatFunc.zero()) for cls in classes]
-    sol = _ratfunc_solve(cols, target)
+    sol = linalg.solve(cols, target, RatFunc)
     if sol is None:
         raise ValueError("monomials fail to span the weight space")
     return [(w, c) for w, c in zip(words, sol) if not c.is_zero()]
 
 
-def _ratfunc_solve(cols, target):
-    """Solve sum_j c_j cols[j] = target over the RatFunc field; None if unsolvable."""
-    nrows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not aug[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = RatFunc.one() / aug[r][c]
-        aug[r] = [val * inv for val in aug[r]]
-        for i in range(nrows):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # consistency
-    for i in range(r, nrows):
-        if not aug[i][ncols].is_zero():
-            return None
-    sol = [RatFunc.zero()] * ncols
-    for row, c in enumerate(piv_cols):
-        sol[c] = aug[row][ncols]
-    return sol

@@ -1,4 +1,5 @@
-"""Exact linear algebra over prime fields, built on the backend kernels."""
+"""Exact linear algebra: over prime fields, built on the mod-p kernels, and
+one Gauss–Jordan elimination over exact fields such as Q and Q(v)."""
 
 from __future__ import annotations
 
@@ -59,11 +60,6 @@ def column_reduce(basis: np.ndarray, p: int) -> np.ndarray:
     """Canonical column basis (transposed rref) of the column space."""
     r, rank, _ = rref_mod(basis.T, p)
     return r[:rank].T.copy()
-
-
-def coordinates_in_basis(basis: np.ndarray, vecs: np.ndarray, p: int):
-    """Express columns of ``vecs`` in the column basis; None when outside."""
-    return solve_mod(basis, vecs, p)
 
 
 def subspaces(n: int, k: int, p: int):
@@ -135,3 +131,74 @@ def complement_basis(basis: np.ndarray, p: int) -> np.ndarray:
 def invertible_mod(a: np.ndarray, p: int) -> bool:
     n, m = a.shape
     return n == m and rank_mod(a, p) == n
+
+
+# ----------------------------------------------------------------------
+# exact fields (Fraction, RatFunc)
+
+
+def gauss_jordan(rows, ncols=None):
+    """Reduce ``rows`` in place to reduced row echelon form over an exact field.
+
+    Entries support ``+ - * /`` and truthiness (``Fraction``, ``RatFunc``).
+    Pivots are taken column by column, from the first nonzero row at or below
+    the current one, among the first ``ncols`` columns (default all); later
+    columns, such as a right-hand side, are reduced along.  Returns
+    ``(pivot_cols, det)``, where ``det`` is the product of the pivots with the
+    sign of the row swaps: the determinant of a square matrix of full rank.
+    """
+    nrows = len(rows)
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    det = 1
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        lead = rows[rank][col]
+        det = det * lead
+        prow = rows[rank] = [x / lead if x else x for x in rows[rank]]
+        for r in range(nrows):
+            f = rows[r][col]
+            if f and r != rank:
+                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], prow)]
+        pivots.append(col)
+        rank += 1
+    return pivots, det
+
+
+def solve(cols, rhs, field):
+    """One solution of sum_j x_j cols[j] = rhs over ``field`` (a type such as
+    ``Fraction`` or ``RatFunc``), free variables 0; None when inconsistent."""
+    ncols = len(cols)
+    aug = [[col[i] for col in cols] + [b] for i, b in enumerate(rhs)]
+    pivots, _ = gauss_jordan(aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots):]):
+        return None
+    x = [field(0)] * ncols
+    for row, c in zip(aug, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+def nullspace(cols, nrows, field):
+    """Basis of the right kernel of the ``nrows``-row matrix with the given
+    columns, over ``field``: one vector per non-pivot column of its RREF."""
+    ncols = len(cols)
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    pivots, _ = gauss_jordan(rows)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [field(0)] * ncols
+        vec[fc] = field(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis

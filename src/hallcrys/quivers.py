@@ -6,6 +6,8 @@ import hashlib
 import json
 from fractions import Fraction
 
+from .linalg import gauss_jordan
+
 
 class QuiverError(ValueError):
     pass
@@ -155,8 +157,8 @@ class Quiver:
         n = self.n
         for k in range(1, n + 1):
             minor = [[Fraction(c[i][j]) for j in range(k)] for i in range(k)]
-            det = _exact_det(minor)
-            if det <= 0:
+            pivots, det = gauss_jordan(minor)
+            if len(pivots) < k or det <= 0:
                 return False
         return True
 
@@ -202,26 +204,6 @@ class Quiver:
     def __repr__(self):
         arrows = ", ".join(f"{self.vertices[s]}->{self.vertices[t]}" for s, t in self.arrows)
         return f"Quiver({'|'.join(self.vertices)}; {arrows})"
-
-
-def _exact_det(rows):
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 # ----------------------------------------------------------------------

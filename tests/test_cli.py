@@ -192,6 +192,21 @@ class TestCertifyCache:
         second.pop("generated_at")
         assert first == second
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_cache_files_follow_umask(self, a2_file, tmp_path, capsys, umask):
+        from hallcrys import cli
+        cache = tmp_path / "cache"
+        old = os.umask(umask)
+        try:
+            assert cli.main([*self.ARGS, "--quiver", a2_file, "--cache", str(cache)]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        files = list(cache.iterdir())
+        assert files and all(f.suffix == ".json" for f in files)
+        for f in files:
+            assert f.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_malformed_entries_skipped(self, a2_file, tmp_path):
         cache = tmp_path / "cache"
         clean = run_cli(*self.ARGS, "--quiver", a2_file, "--cache", str(cache))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hallcrys import linalg
-from hallcrys._kernels import BACKEND, orbit_fill, rank_mod, rref_mod
+from hallcrys._kernels import orbit_fill, rank_mod, rref_mod
 
 
 def brute_rank(a, p):
@@ -37,16 +37,40 @@ def test_rref_against_bruteforce(p):
         assert rank_mod(a, p) == brute_rank(a, p)
 
 
+def is_rref(r, rank, piv, p):
+    """Reduced echelon shape: zero rows last, unit pivots strictly to the
+    right of the row above, and each pivot the only nonzero in its column."""
+    nrows, ncols = r.shape
+    assert not r[rank:].any()
+    assert len(piv) == rank and list(piv) == sorted(set(piv.tolist()))
+    for i, c in enumerate(piv):
+        assert r[i, c] == 1 and not r[i, :c].any()
+        assert not np.delete(r[:, c], i).any()
+    assert ((0 <= r) & (r < p)).all()
+    return True
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_backend_parity(p):
-    pytest.importorskip("numba")
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        n, m = rng.integers(1, 7, 2)
-        a = rng.integers(0, p, (n, m))
-        r1, k1, p1 = rref_mod(a, p, backend="numba")
-        r2, k2, p2 = rref_mod(a, p, backend="numpy")
-        assert np.array_equal(r1, r2) and k1 == k2 and np.array_equal(p1, p2)
+def test_rref_definition(p):
+    """rref_mod against the definition: echelon shape with unit pivots, the
+    same row space as the input, and the reported pivots as its pivot columns."""
+    rng = np.random.default_rng(100 + p)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [tuple(rng.integers(1, 8, 2)) for _ in range(60)]
+    for k, (n, m) in enumerate(shapes):
+        a = rng.integers(-p, 2 * p, (n, m))
+        if n > 1 and k % 3 == 0:
+            a[-1] = 2 * a[0] - a[1]                     # rank-deficient input
+        if n and k % 4 == 0:
+            a[rng.integers(0, n)] = 0                   # a zero row
+        r, rank, piv = rref_mod(a, p)
+        assert r.shape == (n, m) and r.dtype == np.int64 and piv.dtype == np.int64
+        assert is_rref(r, rank, piv, p)
+        # row space: each spans the other iff stacking raises neither rank
+        assert rank == rank_mod(a, p) == rank_mod(np.concatenate([a, r]), p)
+        if p ** m <= 125:                               # brute force stays small
+            assert rank == (brute_rank(a, p) if n else 0)
+        # untouched input
+        assert rref_mod(a, p)[0].tolist() == r.tolist()
 
 
 def test_nullspace_and_solve():
@@ -81,12 +105,10 @@ def test_subspaces_distinct():
         seen.add(key)
 
 
-def test_orbit_fill_backend_parity():
-    pytest.importorskip("numba")
+def test_orbit_fill_gl1_orbits():
     # GL1 x GL1 acting on one arrow map over F_5: orbits {0} and the rest
     p = 5
-    visited_nb = np.zeros(p, dtype=bool)
-    visited_np = np.zeros(p, dtype=bool)
+    visited = np.zeros(p, dtype=bool)
     gen_left = np.zeros((2, 2, 1, 1), dtype=np.int64)
     gen_right = np.zeros((2, 2, 1, 1), dtype=np.int64)
     for g in range(2):
@@ -100,12 +122,12 @@ def test_orbit_fill_backend_parity():
     arrow_src = np.array([0], dtype=np.int64)
     arrow_tgt = np.array([1], dtype=np.int64)
     dims = np.array([1, 1], dtype=np.int64)
-    n1 = orbit_fill([1], visited_nb, gen_left, gen_right, arrow_src, arrow_tgt,
-                    dims, p, backend="numba")
-    n2 = orbit_fill([1], visited_np, gen_left, gen_right, arrow_src, arrow_tgt,
-                    dims, p, backend="numpy")
-    assert n1 == n2 == 4
-    assert np.array_equal(visited_nb, visited_np)
+    args = (gen_left, gen_right, arrow_src, arrow_tgt, dims, p)
+    assert orbit_fill([1], visited, *args) == 4
+    assert visited.tolist() == [False, True, True, True, True]
+    assert orbit_fill([3], visited, *args) == 0        # already visited
+    assert orbit_fill([0], visited, *args) == 1        # the zero map is fixed
+    assert visited.all()
 
 
 def test_complement_basis():
@@ -142,7 +164,3 @@ def test_complement_basis_matches_greedy(p):
         expected = greedy_complement(basis, p)
         assert comp.shape == expected.shape and comp.dtype == np.int64
         assert np.array_equal(comp, expected)
-
-
-def test_backend_flag_reported():
-    assert BACKEND in ("numba", "numpy")
