@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -403,7 +405,10 @@ class ClassTable:
         dim Hom(I, M) = sum_K mult_K * dim Hom(I, K) over the catalog; the
         catalog Hom matrix is invertible (block-triangular w.r.t. the
         preprojective < regular < preinjective order), so multiplicities are
-        determined; they must come out as nonnegative integers.
+        determined; they must come out as nonnegative integers.  The inverse
+        is cached per label set as an integer matrix over one common
+        denominator, so each multiplicity is an integer dot product with the
+        Hom counts followed by an exact division.
         """
         if M.is_zero():
             return ZERO_CLASS
@@ -415,18 +420,19 @@ class ClassTable:
         if not items:
             raise ValueError(f"no catalog entries under dim {M.dims}")
         labels = tuple(it.label for it in items)
-        inv = self._hom_matrix_inverse(labels)
-        h = [Fraction(hom_dim(it.rep, M)) for it in items]
-        mult = [sum(inv[i][j] * h[j] for j in range(len(items)))
-                for i in range(len(items))]
+        inv, den = self._hom_matrix_inverse(labels)
+        h = [hom_dim(it.rep, M) for it in items]
         parts = []
         dim = [0] * self.quiver.n
-        for it, m in zip(items, mult):
-            if m.denominator != 1 or m < 0:
-                raise ValueError(f"non-integral multiplicity {m} of {it.label}")
-            parts.extend([it.label] * int(m))
+        for it, row in zip(items, inv):
+            num = sum(map(mul, row, h))
+            if num % den or num < 0:
+                raise ValueError(
+                    f"non-integral multiplicity {Fraction(num, den)} of {it.label}")
+            m = num // den
+            parts.extend([it.label] * m)
             for v in range(self.quiver.n):
-                dim[v] += int(m) * it.dim[v]
+                dim[v] += m * it.dim[v]
         if tuple(dim) != M.dims:
             raise ValueError("Hom-count decomposition does not match dimensions")
         cls = IsoClass(tuple(sorted(parts)))
@@ -436,15 +442,20 @@ class ClassTable:
         return cls
 
     def _hom_matrix_inverse(self, labels):
+        """(inv, den): the inverse of the catalog Hom matrix on ``labels`` is
+        inv / den, with inv a list of int rows and den > 0 the least common
+        denominator of its entries."""
         if labels in self._solver_cache:
             return self._solver_cache[labels]
         n = len(labels)
         # rows indexed by probe I, columns by summand K: D[I][K] = hom(I, K)
-        D = [[Fraction(self.hom_indec(labels[i], labels[j])) for j in range(n)]
+        D = [[self.hom_indec(labels[i], labels[j]) for j in range(n)]
              for i in range(n)]
         inv = _fraction_inverse(D)
-        self._solver_cache[labels] = inv
-        return inv
+        den = lcm(*(x.denominator for row in inv for x in row))
+        out = ([[x.numerator * (den // x.denominator) for x in row] for row in inv], den)
+        self._solver_cache[labels] = out
+        return out
 
     # -- Hall numbers -------------------------------------------------------
 
@@ -661,7 +672,7 @@ def _fraction_inverse(rows):
     n = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(int(k == i)) for k in range(n)]
            for i, row in enumerate(rows)]
-    pivots, _ = linalg.gauss_jordan(aug, n)
+    pivots = linalg.gauss_jordan(aug, n)[0]
     if len(pivots) < n:
         raise ValueError("catalog Hom matrix is singular")
     return [row[n:] for row in aug]

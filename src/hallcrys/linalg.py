@@ -144,14 +144,16 @@ def gauss_jordan(rows, ncols=None):
     Pivots are taken column by column, from the first nonzero row at or below
     the current one, among the first ``ncols`` columns (default all); later
     columns, such as a right-hand side, are reduced along.  Returns
-    ``(pivot_cols, det)``, where ``det`` is the product of the pivots with the
-    sign of the row swaps: the determinant of a square matrix of full rank.
+    ``(pivot_cols, leads, sign)``: ``leads`` are the pivot entries before
+    normalization and ``sign`` is the sign of the row swaps, so for a square
+    matrix of full rank ``sign * prod(leads)`` is its determinant.
     """
     nrows = len(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     pivots = []
-    det = 1
+    leads = []
+    sign = 1
     rank = 0
     for col in range(ncols):
         if rank == nrows:
@@ -161,9 +163,9 @@ def gauss_jordan(rows, ncols=None):
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
-            det = -det
+            sign = -sign
         lead = rows[rank][col]
-        det = det * lead
+        leads.append(lead)
         prow = rows[rank] = [x / lead if x else x for x in rows[rank]]
         for r in range(nrows):
             f = rows[r][col]
@@ -171,7 +173,7 @@ def gauss_jordan(rows, ncols=None):
                 rows[r] = [x - f * y if y else x for x, y in zip(rows[r], prow)]
         pivots.append(col)
         rank += 1
-    return pivots, det
+    return pivots, leads, sign
 
 
 def solve(cols, rhs, field):
@@ -179,7 +181,7 @@ def solve(cols, rhs, field):
     ``Fraction`` or ``RatFunc``), free variables 0; None when inconsistent."""
     ncols = len(cols)
     aug = [[col[i] for col in cols] + [b] for i, b in enumerate(rhs)]
-    pivots, _ = gauss_jordan(aug, ncols)
+    pivots = gauss_jordan(aug, ncols)[0]
     if any(row[ncols] for row in aug[len(pivots):]):
         return None
     x = [field(0)] * ncols
@@ -193,7 +195,7 @@ def nullspace(cols, nrows, field):
     columns, over ``field``: one vector per non-pivot column of its RREF."""
     ncols = len(cols)
     rows = [[col[i] for col in cols] for i in range(nrows)]
-    pivots, _ = gauss_jordan(rows)
+    pivots = gauss_jordan(rows)[0]
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [field(0)] * ncols

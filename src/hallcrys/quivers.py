@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import prod
 
 from .linalg import gauss_jordan
 
@@ -157,8 +158,8 @@ class Quiver:
         n = self.n
         for k in range(1, n + 1):
             minor = [[Fraction(c[i][j]) for j in range(k)] for i in range(k)]
-            pivots, det = gauss_jordan(minor)
-            if len(pivots) < k or det <= 0:
+            pivots, leads, sign = gauss_jordan(minor)
+            if len(pivots) < k or prod(leads, start=sign) <= 0:
                 return False
         return True
 

@@ -115,9 +115,20 @@ class TestLabeling:
     @pytest.mark.parametrize("q", [2, 3])
     def test_label_module_roundtrip(self, reg, kron, q):
         t = reg.table(kron, q, (3, 3))
-        for dim in [(1, 1), (2, 1), (2, 2)]:
+        for dim in [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)]:
             for cls in t.classes_of_dim(dim):
                 assert t.label_module(t.representative(cls)) == cls
+        # the Kronecker Hom matrix is not unitriangular: regular summands with
+        # End dimension 2 and 3 give the cached inverses denominators above 1
+        dens = set()
+        for labels, (inv, den) in t._solver_cache.items():
+            H = [[t.hom_indec(a, b) for b in labels] for a in labels]
+            n = len(labels)
+            assert [[sum(inv[i][k] * H[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)] == [[den * (i == j) for j in range(n)]
+                                           for i in range(n)]
+            dens.add(den)
+        assert max(dens) > 1
 
     def test_label_distinguishes_regulars(self, reg, kron):
         t = reg.table(kron, 2, (3, 3))

@@ -4,6 +4,7 @@ solutions and kernels."""
 
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import numpy as np
 import pytest
@@ -63,7 +64,8 @@ def test_det_matches_permutation_expansion():
         for _ in range(40):
             rows = rand_matrix(rng, n, n, rand_fraction)
             work = [row[:] for row in rows]
-            pivots, det = linalg.gauss_jordan(work)
+            pivots, leads, sign = linalg.gauss_jordan(work)
+            det = prod(leads, start=sign)
             expected = permutation_det(rows)
             if len(pivots) < n:
                 singular += 1

@@ -1,8 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from hallcrys.modules import (CatalogUnavailable, Representation, direct_sum,
-                              ext_dim, hom_dim, indecomposable_catalog,
+                              ext_dim, hom_dim, hom_system, indecomposable_catalog,
                               is_morphism, projective, projective_presentation,
                               reflect_minus, reflect_plus, NotASink, NotASource)
 from hallcrys.quivers import Quiver, euler_bilinear
@@ -44,6 +46,62 @@ class TestHomExt:
         N = Representation.simple(a2, 3, 0)
         with pytest.raises(ValueError):
             hom_dim(M, N)
+
+
+def kron_hom_system(M, N):
+    """The intertwiner system written with np.kron: the reference for
+    :func:`hom_system`."""
+    quiver = M.quiver
+    nvar = [N.dims[v] * M.dims[v] for v in range(quiver.n)]
+    offs = np.cumsum([0] + nvar)
+    rows = sum(N.dims[t] * M.dims[s] for s, t in quiver.arrows)
+    D = np.zeros((rows, offs[-1]), dtype=np.int64)
+    r0 = 0
+    for k, (s, t) in enumerate(quiver.arrows):
+        blk = N.dims[t] * M.dims[s]
+        if blk:
+            if nvar[s]:
+                D[r0:r0 + blk, offs[s]:offs[s + 1]] = np.kron(
+                    N.maps[k], np.eye(M.dims[s], dtype=np.int64))
+            if nvar[t]:
+                D[r0:r0 + blk, offs[t]:offs[t + 1]] -= np.kron(
+                    np.eye(N.dims[t], dtype=np.int64), M.maps[k].T)
+        r0 += blk
+    return D % M.q
+
+
+def random_rep(rng, quiver, q):
+    dims = tuple(int(d) for d in rng.integers(0, 4, quiver.n))
+    return Representation(quiver, q, dims, [rng.integers(0, q, (dims[t], dims[s]))
+                                            for s, t in quiver.arrows])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_hom_system_matches_kron_reference(a2, a3, kron, q):
+    rng = np.random.default_rng(10 + q)
+    empty_blocks = brute = 0
+    for quiver in (a2, a3, kron):
+        for _ in range(60):
+            M, N = random_rep(rng, quiver, q), random_rep(rng, quiver, q)
+            D = hom_system(M, N)
+            assert D.dtype == np.int64
+            assert np.array_equal(D, kron_hom_system(M, N))
+            nvar = [n * m for n, m in zip(N.dims, M.dims)]
+            empty_blocks += any(N.dims[t] * M.dims[s] == 0 for s, t in quiver.arrows)
+            if sum(nvar) > 4:
+                continue
+            # brute force over all q^(sum nvar) <= q^4 candidate maps
+            count = 0
+            for flat in product(range(q), repeat=sum(nvar)):
+                f, off = [], 0
+                for v, n in enumerate(nvar):
+                    f.append(np.array(flat[off:off + n], dtype=np.int64)
+                             .reshape(N.dims[v], M.dims[v]))
+                    off += n
+                count += is_morphism(M, N, f)
+            assert count == q ** hom_dim(M, N)
+            brute += 1
+    assert empty_blocks and brute
 
 
 class TestProjectives:
