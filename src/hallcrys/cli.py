@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .classtable import ClassTable, IsoClass, TableSet, parse_class_label
-from .crystal import Crystal, certify_exceptional
+from .crystal import Crystal, CrystalFalsification, certify_exceptional
 from .exseq import CertificateEngine, braid_move_hall, braid_move_module
 from .generic import GenericContext, generic_ringel_pair, kashiwara_pair_elements
 from .hallalg import multiply, rescale, ringel_pair, rprime
@@ -391,6 +391,7 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
     if target in ("crystal", "both") and quiver.is_dynkin():
         max_weight = max(sum(t0.class_dim(c)) for c in classes) if classes else 0
         crystal = Crystal(ctx, max_weight)
+        falsifications.extend(f"crystal: {f}" for f in crystal.falsifications)
     for cls in classes:
         entry = {"label": cls.label}
         if target in ("integrality", "both"):
@@ -591,6 +592,10 @@ def main(argv=None) -> int:
     except (CLIError, QuiverError, ValueError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 1
+    except CrystalFalsification as exc:
+        # a contradicted theorem is a falsification, not an operational error
+        report = _report(args.command, {"quiver": args.quiver}, {},
+                         config.primes, [str(exc)])
     except RuntimeError as exc:
         # budget, catalog or certificate failures are operational errors
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))

@@ -249,3 +249,44 @@ def test_table_format(a2_file):
                    "--format", "table")
     assert proc.returncode == 0
     assert "# compute" in proc.stdout
+
+
+class TestCrystalFalsifications:
+    """Crystal falsifications reach the report and set exit code 2."""
+
+    ARGS = ("certify", "--all-exceptional", "--dim-bound", "2",
+            "--target", "crystal", "--primes", "2,3")
+
+    def _certify(self, a2_file, monkeypatch, capsys):
+        from hallcrys import cli
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        code = cli.main([*self.ARGS, "--quiver", a2_file])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_bfs_sign_falsification_reported(self, a2_file, monkeypatch, capsys):
+        from hallcrys.crystal import Crystal
+        generate = Crystal._generate
+        entry = "pairing -1 between words (0, 1) and (1, 0)"
+
+        def doctored(self):
+            generate(self)
+            self.falsifications.append(entry)
+
+        monkeypatch.setattr(Crystal, "_generate", doctored)
+        code, report = self._certify(a2_file, monkeypatch, capsys)
+        assert code == 2
+        assert f"crystal: {entry}" in report["falsifications"]
+        assert len(report["results"]) == 8
+
+    def test_raised_falsification_exits_2(self, a2_file, monkeypatch, capsys):
+        from hallcrys.crystal import Crystal, CrystalFalsification
+        message = "Etilde image at word (0,) left the lattice L(infinity)"
+
+        def raising(self):
+            raise CrystalFalsification(message)
+
+        monkeypatch.setattr(Crystal, "_generate", raising)
+        code, report = self._certify(a2_file, monkeypatch, capsys)
+        assert code == 2
+        assert "error" not in report
+        assert report["falsifications"] == [message]

@@ -1,15 +1,19 @@
+from itertools import product
+
 import pytest
 
 from hallcrys.classtable import IsoClass
-from hallcrys.crystal import (Crystal, certify_exceptional,
+from hallcrys.crystal import (Crystal, CrystalFalsification, certify_exceptional,
                               etilde, exceptional_norm, fdoubleprime_tree,
                               fprime, fprime_tree, ftilde, kashiwara_apply,
-                              membership_L, string_decompose)
+                              membership_L, norm_exponent, reduced_pair,
+                              reduction_at_infinity, string_decompose)
 from hallcrys.generic import (ExprTree, generic_basis, generic_chevalley,
                               generic_divided_power_simple, generic_identity,
                               generic_multiply, generic_ringel_pair,
                               kashiwara_pair_elements)
-from hallcrys.scalars import RatFunc, a_membership, parse_laurent
+from hallcrys.scalars import (RatFunc, a_membership, in_one_plus_vinv_A,
+                              parse_laurent)
 
 P = IsoClass.of("r1.1")
 
@@ -163,6 +167,73 @@ class TestCrystalGeneration:
                     m = a_membership(generic_ringel_pair(b1.rep, b2.rep))
                     assert m.in_A
                     assert m.unit_part == (1 if i == j else 0)
+
+
+@pytest.fixture(scope="module")
+def a3_crystal_w5(reg, a3):
+    return Crystal(reg.ctx(a3), 5)
+
+
+class TestReductionAtInfinity:
+    """Deduplication by reductions at v = infinity, against the Ringel pairing."""
+
+    def test_reduced_unit_matches_ringel_pairing(self, reg, a2, a3, a3_crystal_w5):
+        for cry in (Crystal(reg.ctx(a2), 4), a3_crystal_w5):
+            vertices = [v for v in cry.all_vertices() if sum(v.weight) <= 4]
+            for b1 in vertices:
+                assert b1.reduction == reduction_at_infinity(b1.rep)
+                for b2 in vertices:
+                    oracle = a_membership(generic_ringel_pair(b1.rep, b2.rep))
+                    assert oracle.in_A
+                    assert reduced_pair(b1.reduction, b2.reduction) \
+                        == oracle.unit_part, (b1.word, b2.word)
+
+    def test_norm_exponent_on_a3_box(self, reg, a3):
+        ctx = reg.ctx(a3, (2, 2, 2))
+        t0 = ctx.table(ctx.primes[0])
+        count = 0
+        for dim in product(range(3), repeat=3):
+            for cls in t0.classes_of_dim(dim):
+                e = norm_exponent(ctx, cls)
+                x = generic_basis(ctx, cls)
+                norm = generic_ringel_pair(x, x)
+                assert in_one_plus_vinv_A(norm * RatFunc.v_power(2 * e)), cls.label
+                count += 1
+        assert count > 27
+
+    def test_norm_exponent_of_s1_plus_s2(self, reg, a2):
+        ctx = reg.ctx(a2)
+        cls = IsoClass.of("S1", "S2")
+        x = generic_basis(ctx, cls)
+        assert generic_ringel_pair(x, x) == RatFunc(parse_laurent("v^2"),
+                                                    parse_laurent("v^4 - 2v^2 + 1"))
+        assert norm_exponent(ctx, cls) == 1
+
+    def test_scaled_vertex_leaves_the_lattice(self, reg, a2):
+        ctx = reg.ctx(a2)
+        cry = Crystal(ctx, 2)
+        v = cry.vertices_of_weight((1, 1))[0]
+        scaled = v.rep.scale(RatFunc.v_power(1))
+        assert reduction_at_infinity(scaled) is None
+        assert not membership_L(scaled)
+        with pytest.raises(CrystalFalsification, match="left the lattice"):
+            cry._accept(scaled, (0,) + v.word, v.weight)
+        assert len(cry.vertices_of_weight((1, 1))) == 2
+
+    def test_lusztig_ade_bijection(self, reg, a3, a3_crystal_w5):
+        # <u_lambda> mod v^-1 L is B(infinity): each vertex reduces to one class
+        t0 = reg.ctx(a3).table(2)
+        non_unit = 0
+        for weight, bucket in a3_crystal_w5.by_weight.items():
+            if not any(weight):
+                continue
+            classes = []
+            for v in bucket:
+                assert list(v.reduction.values()) == [1], v.word
+                classes.extend(v.reduction)
+            assert sorted(classes) == sorted(t0.classes_of_dim(weight)), weight
+            non_unit += len(bucket)
+        assert non_unit == 119
 
 
 class TestCertificates:
