@@ -34,6 +34,7 @@ from ._kernels import orbit_fill
 from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim,
                       hom_dim, hom_system, indecomposable_catalog)
 from .quivers import Quiver, euler_bilinear
+from .scalars import QSqrtScalar, eval_at_sqrt_q
 
 
 @dataclass(frozen=True, order=True)
@@ -210,6 +211,19 @@ class ClassTable:
             return False
         return self.hom(b, a) == 0 and self.ext(b, a) == 0
 
+    # -- the scalar layer of hallalg.HallElement: Q(sqrt q) ----------------
+
+    def scalar(self, c) -> QSqrtScalar:
+        """c in Q(sqrt q); Laurent polynomials and rational functions in v are
+        evaluated at v = sqrt(q)."""
+        return c if isinstance(c, QSqrtScalar) else eval_at_sqrt_q(c, self.q)
+
+    def zero(self) -> QSqrtScalar:
+        return QSqrtScalar.zero(self.q)
+
+    def v_power(self, e: int) -> QSqrtScalar:
+        return QSqrtScalar.v_power(e, self.q)
+
     # -- automorphism orders ----------------------------------------------
 
     def aut_order(self, cls: IsoClass) -> int:
@@ -232,6 +246,8 @@ class ClassTable:
                 block *= D**s - D**t
             total *= block
         return total
+
+    aut = aut_order              # the layer's automorphism count
 
     def aut_order_units(self, cls: IsoClass) -> int:
         """|Aut| by brute enumeration of the unit group of End (small cases)."""

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .classtable import ClassTable, IsoClass, TableSet, parse_class_label
 from .crystal import Crystal, CrystalFalsification, certify_exceptional
 from .exseq import CertificateEngine, braid_move_hall, braid_move_module
-from .generic import GenericContext, generic_ringel_pair, kashiwara_pair_elements
-from .hallalg import multiply, rescale, ringel_pair, rprime
+from .generic import (GenericContext, generic_multiply, generic_ringel_pair,
+                      generic_rprime, kashiwara_pair_elements)
+from .hallalg import HallElement, multiply, rescale, ringel_pair, rprime
 from .quivers import Quiver, QuiverError, dim_total
 
 SCHEMA = 1
@@ -254,6 +255,8 @@ class _Parser:
             args = self.text[self.pos + 6:end].split(",")
             if len(args) != 2:
                 self.error("braid[i,dir] takes two arguments")
+            if args[1].strip() not in ("1", "+1", "-1"):
+                self.error(f"braid direction must be 1, +1 or -1, not {args[1].strip()!r}")
             self.pos = end + 1
             self.expect("(")
             a = self.parse_product()
@@ -264,64 +267,58 @@ class _Parser:
         self.error("expected u[...], pairR, pairK, rprime[...] or braid[...]")
 
 
-def _eval_fixed(node, table: ClassTable):
-    kind = node[0]
-    if kind == "class":
-        return rescale(table, parse_class_label(node[1]))
-    if kind == "product":
-        out = None
-        for sub in node[1]:
-            val = _eval_fixed(sub, table)
-            out = val if out is None else multiply(out, val)
-        return out
-    if kind == "rprime":
-        vertex = table.quiver.index.get(node[1])
-        if vertex is None:
-            raise CLIError(f"unknown vertex {node[1]!r}")
-        return rprime(table.simple_class(vertex), _eval_fixed(node[2], table))
-    if kind == "pairR":
-        return ringel_pair(_eval_fixed(node[1], table), _eval_fixed(node[2], table))
-    if kind == "braid":
-        a = _eval_fixed(node[3], table)
-        b = _eval_fixed(node[4], table)
-        if len(a.coeffs) != 1 or len(b.coeffs) != 1:
-            raise CLIError("braid[.] expects single basis classes")
-        (ca,), (cb,) = list(a.coeffs), list(b.coeffs)
-        return braid_move_hall(table, ca, cb, 1 if node[2] in ("1", "+1") else -1)
-    if kind == "pairK":
-        raise CLIError("pairK is generic-only; see the generic results")
-    raise CLIError(f"cannot evaluate {kind}")
+def _operand(node, layer, role: str) -> HallElement:
+    """The value of node as an element; a scalar there is an error."""
+    val = _evaluate(node, layer)
+    if not isinstance(val, HallElement):
+        raise CLIError(f"pairR/pairK give a scalar, not {role}")
+    return val
 
 
-def _eval_generic(node, ctx: GenericContext):
-    from .generic import generic_basis, generic_multiply, generic_rprime
+def _evaluate(node, layer):
+    """Evaluate a parsed expression over a ClassTable or a GenericContext.
+
+    The generic layer goes through the ``generic_*`` entry points, so every
+    product there is spot-checked against the fixed-q one."""
+    generic = isinstance(layer, GenericContext)
+    product = generic_multiply if generic else multiply
     kind = node[0]
     if kind == "class":
         cls = parse_class_label(node[1])
-        t0 = ctx.table(ctx.primes[0])
-        if t0.field_dependent(cls):
+        if generic and layer.field_dependent(cls):
             raise CLIError(f"label {cls.label} is field-dependent; no generic form")
-        return generic_basis(ctx, cls)
+        return rescale(layer, cls)
     if kind == "product":
         out = None
         for sub in node[1]:
-            val = _eval_generic(sub, ctx)
-            out = val if out is None else generic_multiply(out, val)
+            val = _operand(sub, layer, "a factor of a product")
+            out = val if out is None else product(out, val)
         return out
     if kind == "rprime":
-        vertex = ctx.quiver.index.get(node[1])
+        vertex = layer.quiver.index.get(node[1])
         if vertex is None:
             raise CLIError(f"unknown vertex {node[1]!r}")
-        t0 = ctx.table(ctx.primes[0])
-        return generic_rprime(ctx, t0.simple_class(vertex), _eval_generic(node[2], ctx))
-    if kind == "pairR":
-        return generic_ringel_pair(_eval_generic(node[1], ctx), _eval_generic(node[2], ctx))
-    if kind == "pairK":
-        x = _eval_generic(node[1], ctx)
-        y = _eval_generic(node[2], ctx)
-        return kashiwara_pair_elements(x, y)
+        x = _operand(node[2], layer, "an argument of rprime")
+        if generic:
+            return generic_rprime(layer, layer.simple_class(vertex), x)
+        return rprime(layer.simple_class(vertex), x)
+    if kind in ("pairR", "pairK"):
+        if kind == "pairK" and not generic:
+            raise CLIError("pairK is generic-only; see the generic results")
+        x = _operand(node[1], layer, f"an argument of {kind}")
+        y = _operand(node[2], layer, f"an argument of {kind}")
+        if kind == "pairK":
+            return kashiwara_pair_elements(x, y)
+        return generic_ringel_pair(x, y) if generic else ringel_pair(x, y)
     if kind == "braid":
-        raise CLIError("braid moves are evaluated at fixed q; see fixed results")
+        if generic:
+            raise CLIError("braid moves are evaluated at fixed q; see fixed results")
+        a = _operand(node[3], layer, "an argument of braid")
+        b = _operand(node[4], layer, "an argument of braid")
+        if len(a.coeffs) != 1 or len(b.coeffs) != 1:
+            raise CLIError("braid[.] expects single basis classes")
+        (ca,), (cb,) = list(a.coeffs), list(b.coeffs)
+        return braid_move_hall(layer, ca, cb, int(node[2]))
     raise CLIError(f"cannot evaluate {kind}")
 
 
@@ -333,7 +330,7 @@ def cmd_compute(config: RunConfig, expression: str) -> dict:
     tables = _tables(config, quiver)
     for q in config.primes:
         try:
-            val = _eval_fixed(node, tables[q])
+            val = _evaluate(node, tables[q])
             results["fixed"][str(q)] = (val.to_json() if hasattr(val, "to_json")
                                         else str(val))
         except CLIError as exc:
@@ -343,7 +340,7 @@ def cmd_compute(config: RunConfig, expression: str) -> dict:
                              point_budget=config.point_budget,
                              ext_budget=config.ext_budget, tables=tables)
         try:
-            results["generic"] = str(_eval_generic(node, ctx))
+            results["generic"] = str(_evaluate(node, ctx))
         except CLIError as exc:
             results["generic_error"] = str(exc)
     else:

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .classtable import IsoClass
-from .generic import (ExprTree, GenericContext, GenericElement, expand_divided,
-                      generic_basis, generic_divided_power_simple,
-                      generic_identity, generic_multiply, generic_ringel_pair,
-                      generic_rprime, generic_zero)
+from .generic import (ExprTree, GenericContext, expand_divided, generic_multiply,
+                      generic_ringel_pair, generic_rprime)
+from .hallalg import (HallElement, divided_power_simple, identity_element, rescale,
+                      ringel_pair, zero_element)
 from .quivers import euler_symmetric
 from .scalars import (LaurentPoly, RatFunc, a_membership, eval_at_sqrt_q,
                       in_one_plus_vinv_A)
@@ -37,13 +37,12 @@ class CrystalFalsification(RuntimeError):
 # f' and f'' on monomial trees (the defining letter recursions)
 
 
-def fprime(ctx: GenericContext, i: int, x: GenericElement) -> GenericElement:
+def fprime(ctx: GenericContext, i: int, x: HallElement) -> HallElement:
     """f'_i = r'_{S_i} on the generic layer."""
-    t0 = ctx.table(ctx.primes[0])
-    return generic_rprime(ctx, t0.simple_class(i), x)
+    return generic_rprime(ctx, ctx.simple_class(i), x)
 
 
-def fprime_tree(ctx: GenericContext, i: int, tree: ExprTree) -> GenericElement:
+def fprime_tree(ctx: GenericContext, i: int, tree: ExprTree) -> HallElement:
     """f'_i by the defining recursion f'_i(E_j P) = v_i^{a_ij} E_j f'_i(P) + d_ij P.
 
     An independent route from :func:`fprime`; both must agree.
@@ -51,14 +50,14 @@ def fprime_tree(ctx: GenericContext, i: int, tree: ExprTree) -> GenericElement:
     return _letter_recursion(ctx, i, tree, sign=+1)
 
 
-def fdoubleprime_tree(ctx: GenericContext, i: int, tree: ExprTree) -> GenericElement:
+def fdoubleprime_tree(ctx: GenericContext, i: int, tree: ExprTree) -> HallElement:
     """f''_i: the mirrored recursion with v_i^{-a_ij}."""
     return _letter_recursion(ctx, i, tree, sign=-1)
 
 
 def _letter_recursion(ctx, i, tree, sign):
     datum = ctx.datum
-    total = generic_zero(ctx)
+    total = zero_element(ctx)
     for coeff, letters in expand_divided(tree.terms.items(), tree.quiver):
         total = total + _word_recursion(ctx, i, letters, datum, sign).scale(coeff)
     return total
@@ -66,11 +65,11 @@ def _letter_recursion(ctx, i, tree, sign):
 
 def _word_recursion(ctx, i, letters, datum, sign):
     if not letters:
-        return generic_zero(ctx)
+        return zero_element(ctx)
     j, rest = letters[0], letters[1:]
-    ej = generic_divided_power_simple(ctx, j, 1)
+    ej = divided_power_simple(ctx, j, 1)
     sub = _word_recursion(ctx, i, rest, datum, sign)
-    out = generic_zero(ctx)
+    out = zero_element(ctx)
     if not sub.is_zero():
         twist = RatFunc.v_power(sign * datum.symmetrizers[i] * datum.a_ij(i, j))
         out = out + generic_multiply(ej, sub, check_prime=False).scale(twist)
@@ -80,9 +79,9 @@ def _word_recursion(ctx, i, letters, datum, sign):
 
 
 def _evaluate_letters(ctx, letters):
-    cur = generic_identity(ctx)
+    cur = identity_element(ctx)
     for v in letters:
-        cur = generic_multiply(cur, generic_divided_power_simple(ctx, v, 1),
+        cur = generic_multiply(cur, divided_power_simple(ctx, v, 1),
                                check_prime=False)
     return cur
 
@@ -94,13 +93,13 @@ def _evaluate_letters(ctx, letters):
 @dataclass
 class StringDecomposition:
     vertex: int
-    components: list            # (n, GenericElement in ker f'_i), n ascending
+    components: list            # (n, HallElement in ker f'_i), n ascending
 
-    def reassemble(self, ctx: GenericContext) -> GenericElement:
-        total = generic_zero(ctx)
+    def reassemble(self, ctx: GenericContext) -> HallElement:
+        total = zero_element(ctx)
         for n, xn in self.components:
             total = total + generic_multiply(
-                generic_divided_power_simple(ctx, self.vertex, n), xn,
+                divided_power_simple(ctx, self.vertex, n), xn,
                 check_prime=False)
         return total
 
@@ -109,38 +108,32 @@ class SingularStringSystem(RuntimeError):
     """The direct-sum decomposition failed to produce a solvable system."""
 
 
-def _weight_basis(ctx: GenericContext, weight):
-    t0 = ctx.table(ctx.primes[0])
-    return t0.classes_of_dim(weight)
-
-
 def kernel_basis(ctx: GenericContext, i: int, weight):
-    """Basis of ker f'_i inside the weight space, as GenericElements."""
+    """Basis of ker f'_i inside the weight space, as HallElements."""
     memo = _ctx_memo(ctx).setdefault("kernel", {})
     key = (i, tuple(weight))
     if key in memo:
         return memo[key]
-    t0 = ctx.table(ctx.primes[0])
-    classes = _weight_basis(ctx, weight)
+    classes = ctx.classes_of_dim(weight)
     if not classes:
         memo[key] = []
         return []
     below = tuple(w - (1 if v == i else 0) for v, w in enumerate(weight))
     if any(w < 0 for w in below):
-        out = [generic_basis(ctx, cls) for cls in classes]
+        out = [rescale(ctx, cls) for cls in classes]
         memo[key] = out
         return out
-    target = _weight_basis(ctx, below)
+    target = ctx.classes_of_dim(below)
     cols = []
     for cls in classes:
-        img = generic_rprime(ctx, t0.simple_class(i), generic_basis(ctx, cls))
+        img = generic_rprime(ctx, ctx.simple_class(i), rescale(ctx, cls))
         cols.append([img.coeffs.get(tc, RatFunc.zero()) for tc in target])
     # nullspace of the (target x classes) matrix
     null = linalg.nullspace(cols, len(target), RatFunc)
     out = []
     for vec in null:
         coeffs = {cls: c for cls, c in zip(classes, vec) if not c.is_zero()}
-        out.append(GenericElement(ctx, coeffs))
+        out.append(HallElement(ctx, coeffs))
     memo[key] = out
     return out
 
@@ -159,14 +152,14 @@ def _string_lifts(ctx: GenericContext, i: int, weight):
     key = (i, tuple(weight))
     if key in memo:
         return memo[key]
-    classes = _weight_basis(ctx, weight)
+    classes = ctx.classes_of_dim(weight)
     lifts = []
     for n in range(0, weight[i] + 1):
         below = tuple(w - (n if v == i else 0) for v, w in enumerate(weight))
         if any(w < 0 for w in below):
             break
         for ker_el in kernel_basis(ctx, i, below):
-            lifted = generic_multiply(generic_divided_power_simple(ctx, i, n),
+            lifted = generic_multiply(divided_power_simple(ctx, i, n),
                                       ker_el, check_prime=False)
             lifts.append((n, ker_el,
                           [lifted.coeffs.get(cls, RatFunc.zero()) for cls in classes]))
@@ -174,13 +167,13 @@ def _string_lifts(ctx: GenericContext, i: int, weight):
     return lifts
 
 
-def string_decompose(ctx: GenericContext, i: int, x: GenericElement) -> StringDecomposition:
+def string_decompose(ctx: GenericContext, i: int, x: HallElement) -> StringDecomposition:
     """Decompose x = sum_n E_i^{(n)} x_n with f'_i(x_n) = 0, exactly."""
     if x.is_zero():
         return StringDecomposition(i, [])
     ctx.require_generic()
     weight = x.pure_weight()
-    classes = _weight_basis(ctx, weight)
+    classes = ctx.classes_of_dim(weight)
     lifts = _string_lifts(ctx, i, weight)
     cols = [lift[2] for lift in lifts]
     target = [x.coeffs.get(cls, RatFunc.zero()) for cls in classes]
@@ -198,7 +191,7 @@ def string_decompose(ctx: GenericContext, i: int, x: GenericElement) -> StringDe
     for (n, ker_el, _), c in zip(lifts, sol):
         if c.is_zero():
             continue
-        parts[n] = parts.get(n, generic_zero(ctx)) + ker_el.scale(c)
+        parts[n] = parts.get(n, zero_element(ctx)) + ker_el.scale(c)
     comps = [(n, el) for n, el in sorted(parts.items()) if not el.is_zero()]
     dec = StringDecomposition(i, comps)
     assert dec.reassemble(ctx) == x, "string reassembly must be exact"
@@ -208,10 +201,10 @@ def string_decompose(ctx: GenericContext, i: int, x: GenericElement) -> StringDe
 
 
 def kashiwara_apply(kind: str, ctx: GenericContext, i: int,
-                    x: GenericElement) -> GenericElement:
+                    x: HallElement) -> HallElement:
     """Etilde_i / Ftilde_i: shift the E_i-string up or down."""
     dec = string_decompose(ctx, i, x)
-    total = generic_zero(ctx)
+    total = zero_element(ctx)
     for n, xn in dec.components:
         if kind == "Etilde":
             m = n + 1
@@ -222,7 +215,7 @@ def kashiwara_apply(kind: str, ctx: GenericContext, i: int,
         else:
             raise ValueError(f"unknown Kashiwara operator {kind!r}")
         total = total + generic_multiply(
-            generic_divided_power_simple(ctx, i, m), xn, check_prime=False)
+            divided_power_simple(ctx, i, m), xn, check_prime=False)
     return total
 
 
@@ -238,7 +231,7 @@ def ftilde(ctx, i, x):
 # membership in the crystal lattice
 
 
-def membership_L(x: GenericElement) -> bool:
+def membership_L(x: HallElement) -> bool:
     """x in L(infinity) iff (x, x)_R is regular at v = infinity."""
     return a_membership(generic_ringel_pair(x, x)).in_A
 
@@ -248,7 +241,7 @@ def norm_exponent(ctx: GenericContext, cls: IsoClass) -> int:
     memo = _ctx_memo(ctx).setdefault("norm_exponent", {})
     if cls in memo:
         return memo[cls]
-    d = ctx.table(ctx.primes[0]).class_dim(cls)
+    d = ctx.class_dim(cls)
     dd = euler_symmetric(ctx.quiver, d, d)
     aut = ctx.aut_poly(cls)
     twice = aut.degree() - dd
@@ -262,7 +255,7 @@ def norm_exponent(ctx: GenericContext, cls: IsoClass) -> int:
     return twice // 2
 
 
-def reduction_at_infinity(x: GenericElement) -> dict | None:
+def reduction_at_infinity(x: HallElement) -> dict | None:
     """{cls: value of v^{-e_cls} x_cls at v = infinity}, zeros dropped.
 
     None when some v^{-e_cls} x_cls has a pole there, that is when x is not
@@ -271,7 +264,7 @@ def reduction_at_infinity(x: GenericElement) -> dict | None:
     """
     out = {}
     for cls, c in x.coeffs.items():
-        gap = c.num.degree() - norm_exponent(x.ctx, cls) - c.den.degree()
+        gap = c.num.degree() - norm_exponent(x.layer, cls) - c.den.degree()
         if gap > 0:
             return None
         if gap == 0:
@@ -292,7 +285,7 @@ def reduced_pair(r1: dict, r2: dict):
 class CrystalVertex:
     word: tuple                  # operator word, leftmost applied last
     weight: tuple
-    rep: GenericElement = field(compare=False, repr=False)
+    rep: HallElement = field(compare=False, repr=False)
     reduction: dict = field(compare=False, repr=False)   # reduction_at_infinity(rep)
 
     @property
@@ -320,7 +313,7 @@ class Crystal:
 
     def _generate(self):
         ctx = self.ctx
-        one = generic_identity(ctx)
+        one = identity_element(ctx)
         unit = CrystalVertex((), (0,) * ctx.quiver.n, one, reduction_at_infinity(one))
         self.by_weight[unit.weight] = [unit]
         frontier = [unit]
@@ -337,7 +330,7 @@ class Crystal:
                         nxt.append(vertex)
             frontier = nxt
 
-    def _accept(self, y: GenericElement, word, weight):
+    def _accept(self, y: HallElement, word, weight):
         red = reduction_at_infinity(y)
         if red is None:
             raise CrystalFalsification(
@@ -434,7 +427,6 @@ def certify_exceptional(ctx: GenericContext, cls: IsoClass,
                         tree_json=None) -> CrystalCertificate:
     """Crystal membership audit: norm in 1 + v^-1 A, and (on Dynkin layers)
     the unique crystal vertex pairing to +1 with <u_cls> mod v^-1 A."""
-    from .hallalg import rescale, ringel_pair
     t0 = ctx.table(ctx.primes[0])
     if not t0.is_exceptional(cls):
         raise ValueError(f"{cls.label} is not exceptional")
@@ -455,8 +447,8 @@ def certify_exceptional(ctx: GenericContext, cls: IsoClass,
                               falsifications=falsifications, tree=tree_json)
     if not ctx.generic_ok or crystal is None:
         return cert
-    x = generic_basis(ctx, cls)
-    weight = t0.class_dim(cls)
+    x = rescale(ctx, cls)
+    weight = ctx.class_dim(cls)
     units = {}
     matched = []
     for b in crystal.vertices_of_weight(weight):

@@ -1,9 +1,13 @@
 """The generic composition-algebra layer.
 
-Hall polynomials by multi-prime interpolation (Dynkin quivers carry
-field-independent class labels), elements with rational-function coefficients
-in v (with q = v^2), the Lusztig symmetry formulas, divided-power expression
-trees, and the Kashiwara pairing.
+:class:`GenericContext` is the scalar layer of :class:`hallalg.HallElement`
+with coefficients rational functions in v (q = v^2): its structure constants
+are Hall polynomials, fitted by multi-prime interpolation (Dynkin quivers
+carry field-independent class labels).  Products, derivations and the Ringel
+pairing are the ones of :mod:`hallalg`; :func:`generic_multiply` adds the
+fixed-q spot check that compares the two layers.  Also here: divided-power
+expression trees evaluated over either layer, the Lusztig symmetry formulas,
+and the Kashiwara pairing.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ from fractions import Fraction
 
 from . import linalg
 from .classtable import ClassTable, IsoClass, TableSet, ZERO_CLASS
-from .quivers import Quiver, cartan_datum, dim_add, dim_sub, euler_bilinear, euler_symmetric
-from .scalars import (LaurentPoly, RatFunc, eval_at_sqrt_q, parse_laurent,
-                      quantum_binomial, quantum_factorial, render_laurent)
+from .hallalg import (HallElement, add_term, derivation, divided_power_simple,
+                      identity_element, multiply, ringel_pair, zero_element)
+from .quivers import Quiver, cartan_datum
+from .scalars import (LaurentPoly, RatFunc, parse_laurent, quantum_binomial,
+                      quantum_factorial, render_laurent)
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13, 17)
 
@@ -68,7 +74,14 @@ def _lagrange_fit(points):
 
 
 class GenericContext:
-    """Shared fixed-q tables over several primes plus interpolation caches."""
+    """Shared fixed-q tables over several primes plus interpolation caches.
+
+    The scalar layer of :class:`hallalg.HallElement` over Q(v); class
+    bookkeeping (labels, dimensions, classes per dimension) is the first
+    prime's, which the constructor checks against the others.
+    """
+
+    q = None                     # q = v^2 stays an indeterminate
 
     def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), pool=PRIME_POOL,
                  point_budget=500_000, ext_budget=200_000, tables=None):
@@ -88,9 +101,11 @@ class GenericContext:
         self._aut_polys = {}
         self.datum = cartan_datum(quiver)
         self.generic_ok = quiver.is_dynkin()
-        # label stability across the configured primes
-        base = {it.label for it in self.table(self.primes[0]).catalog
-                if not it.field_dependent}
+        # the layer's class bookkeeping is the first prime's table; the rigid
+        # labels it uses must not depend on the prime
+        self._base = self.table(self.primes[0])
+        self.by_label = self._base.by_label
+        base = {it.label for it in self._base.catalog if not it.field_dependent}
         for p in self.primes[1:]:
             other = {it.label for it in self.table(p).catalog if not it.field_dependent}
             assert base == other, "rigid labels must not depend on the prime"
@@ -101,6 +116,40 @@ class GenericContext:
     def require_generic(self):
         if not self.generic_ok:
             raise ValueError("generic coefficients are only supported over Dynkin quivers")
+
+    # -- the scalar layer of hallalg.HallElement: Q(v) ----------------------
+
+    def scalar(self, c) -> RatFunc:
+        return c if isinstance(c, RatFunc) else RatFunc(c)
+
+    def zero(self) -> RatFunc:
+        return RatFunc.zero()
+
+    def v_power(self, e: int) -> RatFunc:
+        return RatFunc.v_power(e)
+
+    def hall_number(self, lam: IsoClass, alpha: IsoClass, beta: IsoClass):
+        """g^lam_{alpha beta} as a RatFunc in v^2, or 0 when it vanishes."""
+        hp = self.hall_polynomial(lam, alpha, beta)
+        return RatFunc(hp.as_laurent()) if any(hp.coeffs) else 0
+
+    def aut(self, cls: IsoClass) -> RatFunc:
+        return RatFunc(self.aut_poly(cls))
+
+    def epsilon(self, cls: IsoClass) -> int:
+        return self._base.epsilon(cls)
+
+    def class_dim(self, cls: IsoClass):
+        return self._base.class_dim(cls)
+
+    def classes_of_dim(self, dim) -> list:
+        return self._base.classes_of_dim(dim)
+
+    def simple_class(self, v: int) -> IsoClass:
+        return self._base.simple_class(v)
+
+    def field_dependent(self, cls: IsoClass) -> bool:
+        return self._base.field_dependent(cls)
 
     # -- Hall polynomials -------------------------------------------------
 
@@ -144,7 +193,7 @@ class GenericContext:
         self.require_generic()
         if cls in self._aut_polys:
             return self._aut_polys[cls]
-        t0 = self.table(self.primes[0])
+        t0 = self._base
         mult = cls.multiplicities()
         labels = sorted(mult)
         cross = 0
@@ -167,186 +216,27 @@ class GenericContext:
         return out
 
 
-class GenericElement:
-    """Finitely supported map from field-independent labels to RatFunc in v."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: GenericContext, coeffs=None):
-        self.ctx = ctx
-        d = {}
-        if coeffs:
-            for cls, c in coeffs.items():
-                if not isinstance(c, RatFunc):
-                    c = RatFunc(c) if not isinstance(c, LaurentPoly) else RatFunc(c)
-                if not c.is_zero():
-                    d[cls] = c
-        self.coeffs = d
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, GenericElement):
-            return NotImplemented
-        return self.ctx.quiver == other.ctx.quiver and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        d = dict(self.coeffs)
-        for cls, c in other.coeffs.items():
-            s = d.get(cls, RatFunc.zero()) + c
-            if s.is_zero():
-                d.pop(cls, None)
-            else:
-                d[cls] = s
-        return GenericElement(self.ctx, d)
-
-    def __sub__(self, other):
-        return self + other.scale(RatFunc(-1))
-
-    def scale(self, c) -> "GenericElement":
-        if not isinstance(c, RatFunc):
-            c = RatFunc(c)
-        return GenericElement(self.ctx, {cls: v * c for cls, v in self.coeffs.items()})
-
-    def weights(self):
-        t = self.ctx.table(self.ctx.primes[0])
-        return {t.class_dim(cls) for cls in self.coeffs}
-
-    def pure_weight(self):
-        ws = self.weights()
-        if len(ws) != 1:
-            raise ValueError(f"element of mixed weight: {sorted(ws)}")
-        return next(iter(ws))
-
-    def specialize(self, q: int):
-        from .hallalg import HallElement
-        table = self.ctx.table(q)
-        return HallElement(table, {cls: eval_at_sqrt_q(c, q)
-                                   for cls, c in self.coeffs.items()})
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({self.coeffs[cls]})*u[{cls.label}]"
-                          for cls in self.support())
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return [[cls.label, str(self.coeffs[cls])] for cls in self.support()]
-
-
-def generic_zero(ctx) -> GenericElement:
-    return GenericElement(ctx)
-
-
-def generic_identity(ctx) -> GenericElement:
-    return GenericElement(ctx, {ZERO_CLASS: RatFunc.one()})
-
-
-def generic_basis(ctx, cls: IsoClass) -> GenericElement:
-    return GenericElement(ctx, {cls: RatFunc.one()})
-
-
-def generic_chevalley(ctx, v: int) -> GenericElement:
-    return generic_basis(ctx, ctx.table(ctx.primes[0]).simple_class(v))
-
-
-def generic_multiply(x: GenericElement, y: GenericElement,
-                     check_prime: bool = True) -> GenericElement:
-    """Generic product via Hall polynomials; specialization at the first
-    configured prime is verified against the fixed-q product."""
-    ctx = x.ctx
-    ctx.require_generic()
-    t0 = ctx.table(ctx.primes[0])
-    out = {}
-    for a, ca in x.coeffs.items():
-        da = t0.class_dim(a)
-        for b, cb in y.coeffs.items():
-            db = t0.class_dim(b)
-            twist = RatFunc.v_power(-euler_bilinear(ctx.quiver, db, da))
-            coeff = ca * cb * twist
-            for lam in t0.classes_of_dim(dim_add(da, db)):
-                hp = ctx.hall_polynomial(lam, a, b)
-                if not hp.coeffs or all(c == 0 for c in hp.coeffs):
-                    continue
-                term = coeff * RatFunc(hp.as_laurent())
-                s = out.get(lam, RatFunc.zero()) + term
-                if s.is_zero():
-                    out.pop(lam, None)
-                else:
-                    out[lam] = s
-    res = GenericElement(ctx, out)
+def generic_multiply(x: HallElement, y: HallElement,
+                     check_prime: bool = True) -> HallElement:
+    """The product over a GenericContext; with ``check_prime`` its
+    specialization at the first configured prime is verified against the
+    fixed-q product."""
+    x.layer.require_generic()
+    res = multiply(x, y)
     if check_prime:
-        from .hallalg import multiply as fq_multiply
-        p = ctx.primes[0]
+        p = x.layer.primes[0]
         lhs = res.specialize(p)
-        rhs = fq_multiply(x.specialize(p), y.specialize(p))
+        rhs = multiply(x.specialize(p), y.specialize(p))
         assert lhs == rhs, "generic product failed its fixed-q spot check"
     return res
 
 
-def generic_power(x: GenericElement, n: int) -> GenericElement:
-    out = generic_identity(x.ctx)
-    for _ in range(n):
-        out = generic_multiply(out, x, check_prime=False)
-    return out
+def generic_rprime(ctx: GenericContext, alpha: IsoClass, x: HallElement) -> HallElement:
+    return derivation("rprime", alpha, x)
 
 
-def generic_divided_power_simple(ctx, v: int, n: int) -> GenericElement:
-    """E_v^{(n)} = <u_{n S_v}> as a generic basis vector."""
-    if n == 0:
-        return generic_identity(ctx)
-    t0 = ctx.table(ctx.primes[0])
-    cls = IsoClass(tuple(sorted((f"S{ctx.quiver.vertices[v]}",) * n)))
-    return generic_basis(ctx, cls)
-
-
-def generic_rprime(ctx, alpha: IsoClass, x: GenericElement) -> GenericElement:
-    """r'_alpha with rational-function coefficients (f'_i when alpha = S_i)."""
-    ctx.require_generic()
-    t0 = ctx.table(ctx.primes[0])
-    da = t0.class_dim(alpha)
-    a_a = RatFunc(ctx.aut_poly(alpha))
-    out = {}
-    for lam, cl in x.coeffs.items():
-        dl = t0.class_dim(lam)
-        db = dim_sub(dl, da)
-        if any(d < 0 for d in db):
-            continue
-        a_l = RatFunc(ctx.aut_poly(lam))
-        for beta in t0.classes_of_dim(db):
-            hp = ctx.hall_polynomial(lam, alpha, beta)
-            if not any(hp.coeffs):
-                continue
-            exp = euler_bilinear(ctx.quiver, da, t0.class_dim(beta)) \
-                + euler_symmetric(ctx.quiver, da, t0.class_dim(beta))
-            a_b = RatFunc(ctx.aut_poly(beta))
-            coeff = RatFunc.v_power(exp) * RatFunc(hp.as_laurent()) * a_b * a_a / a_l
-            s = out.get(beta, RatFunc.zero()) + cl * coeff
-            if s.is_zero():
-                out.pop(beta, None)
-            else:
-                out[beta] = s
-    return GenericElement(ctx, out)
-
-
-def generic_ringel_pair(x: GenericElement, y: GenericElement) -> RatFunc:
-    ctx = x.ctx
-    t0 = ctx.table(ctx.primes[0])
-    total = RatFunc.zero()
-    for cls, cx in x.coeffs.items():
-        cy = y.coeffs.get(cls)
-        if cy is None:
-            continue
-        d = t0.class_dim(cls)
-        norm = RatFunc.v_power(euler_symmetric(ctx.quiver, d, d)) / RatFunc(ctx.aut_poly(cls))
-        total = total + cx * cy * norm
-    return total
+def generic_ringel_pair(x: HallElement, y: HallElement) -> RatFunc:
+    return ringel_pair(x, y)
 
 
 # ----------------------------------------------------------------------
@@ -394,11 +284,7 @@ class ExprTree:
     def __add__(self, other):
         d = dict(self.terms)
         for w, c in other.terms.items():
-            s = d.get(w, LaurentPoly.zero()) + c
-            if s.is_zero():
-                d.pop(w, None)
-            else:
-                d[w] = s
+            add_term(d, w, c)
         return ExprTree(self.quiver, d)
 
     def __sub__(self, other):
@@ -415,12 +301,7 @@ class ExprTree:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 word, extra = _merge_words(w1, w2, eps)
-                c = c1 * c2 * extra
-                s = out.get(word, LaurentPoly.zero()) + c
-                if s.is_zero():
-                    out.pop(word, None)
-                else:
-                    out[word] = s
+                add_term(out, word, c1 * c2 * extra)
         return ExprTree(self.quiver, out)
 
     def is_laurent_integral(self) -> bool:
@@ -484,28 +365,19 @@ def _merge_words(w1, w2, eps):
     return word, extra * more
 
 
-def expr_evaluate_fixed(tree: ExprTree, table: ClassTable):
-    """Multiply the tree out in the fixed-q Hall algebra, left to right."""
-    from .hallalg import HallElement, identity_element, multiply, rescale
-    total = HallElement(table)
+def expr_evaluate(tree: ExprTree, layer) -> HallElement:
+    """Multiply the tree out over a ClassTable or a GenericContext, left to right."""
+    total = zero_element(layer)
     for word, coeff in tree.terms.items():
-        cur = identity_element(table)
+        cur = identity_element(layer)
         for v, n in word:
-            cls = IsoClass(tuple(sorted((f"S{table.quiver.vertices[v]}",) * n)))
-            cur = multiply(cur, rescale(table, cls))
-        total = total + cur.scale(eval_at_sqrt_q(coeff, table.q))
+            cur = multiply(cur, divided_power_simple(layer, v, n))
+        total = total + cur.scale(coeff)
     return total
 
 
-def expr_evaluate_generic(tree: ExprTree, ctx: GenericContext) -> GenericElement:
-    total = generic_zero(ctx)
-    for word, coeff in tree.terms.items():
-        cur = generic_identity(ctx)
-        for v, n in word:
-            cur = generic_multiply(cur, generic_divided_power_simple(ctx, v, n),
-                                   check_prime=False)
-        total = total + cur.scale(RatFunc(coeff))
-    return total
+def expr_evaluate_fixed(tree: ExprTree, table: ClassTable) -> HallElement:
+    return expr_evaluate(tree, table)
 
 
 def lusztig_symmetry_tree(quiver: Quiver, i: int, j: int) -> ExprTree:
@@ -526,9 +398,9 @@ def lusztig_symmetry_tree(quiver: Quiver, i: int, j: int) -> ExprTree:
     return total
 
 
-def lusztig_symmetry_generator(ctx: GenericContext, i: int, j: int) -> GenericElement:
+def lusztig_symmetry_generator(ctx: GenericContext, i: int, j: int) -> HallElement:
     """The displayed sum evaluated in ctx's generic composition algebra."""
-    return expr_evaluate_generic(lusztig_symmetry_tree(ctx.quiver, i, j), ctx)
+    return expr_evaluate(lusztig_symmetry_tree(ctx.quiver, i, j), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -549,27 +421,26 @@ def expand_divided(terms, quiver: Quiver):
     return out
 
 
-def kashiwara_pair(tree: ExprTree, y: GenericElement) -> RatFunc:
+def kashiwara_pair(tree: ExprTree, y: HallElement) -> RatFunc:
     """(x, y)_K via (1,1)_K = 1 and (E_i x', y)_K = (x', f'_i(y))_K."""
     return kashiwara_pair_expanded(
         expand_divided(tree.terms.items(), tree.quiver), y)
 
 
-def kashiwara_pair_elements(x: GenericElement, y: GenericElement) -> RatFunc:
+def kashiwara_pair_elements(x: HallElement, y: HallElement) -> RatFunc:
     """(x, y)_K with x re-expressed in divided-power monomials first."""
     return kashiwara_pair_expanded(
-        expand_divided(monomial_expansion(x), x.ctx.quiver), y)
+        expand_divided(monomial_expansion(x), x.layer.quiver), y)
 
 
-def kashiwara_pair_expanded(pairs, y: GenericElement) -> RatFunc:
-    ctx = y.ctx
-    t0 = ctx.table(ctx.primes[0])
+def kashiwara_pair_expanded(pairs, y: HallElement) -> RatFunc:
+    ctx = y.layer
     total = RatFunc.zero()
     for coeff, letters in pairs:
         cur = y
         dead = False
         for v in letters:
-            cur = generic_rprime(ctx, t0.simple_class(v), cur)
+            cur = generic_rprime(ctx, ctx.simple_class(v), cur)
             if cur.is_zero():
                 dead = True
                 break
@@ -607,23 +478,22 @@ def monomial_words(quiver: Quiver, weight, max_letters=None):
     return out
 
 
-def monomial_expansion(x: GenericElement):
+def monomial_expansion(x: HallElement):
     """Some expression of x in divided-power words, as (word, RatFunc) pairs.
 
     Coefficient solve over Q(v); no integrality is claimed (used for pairing
     computations, where any representative works).
     """
-    ctx = x.ctx
+    ctx = x.layer
     if x.is_zero():
         return []
     weight = x.pure_weight()
     words = monomial_words(ctx.quiver, weight)
-    t0 = ctx.table(ctx.primes[0])
-    classes = t0.classes_of_dim(weight)
+    classes = ctx.classes_of_dim(weight)
     cols = []
     for w in words:
         tree = ExprTree(ctx.quiver, {w: LaurentPoly.one()})
-        val = expr_evaluate_generic(tree, ctx)
+        val = expr_evaluate(tree, ctx)
         cols.append([val.coeffs.get(cls, RatFunc.zero()) for cls in classes])
     target = [x.coeffs.get(cls, RatFunc.zero()) for cls in classes]
     sol = linalg.solve(cols, target, RatFunc)

@@ -61,10 +61,6 @@ class Representation:
     def is_zero(self) -> bool:
         return self.total_dim() == 0
 
-    def same_data(self, other: "Representation") -> bool:
-        return (self.q == other.q and self.dims == other.dims
-                and all(np.array_equal(a, b) for a, b in zip(self.maps, other.maps)))
-
     def __repr__(self):
         return f"Representation(q={self.q}, dims={self.dims})"
 
@@ -399,10 +395,6 @@ def reflect_minus(M: Representation, i: int) -> Representation:
         else:
             maps.append(M.maps[k])
     return Representation(new_quiver, q, dims, maps)
-
-
-def reflection_functor(M: Representation, i: int, sign: int) -> Representation:
-    return reflect_plus(M, i) if sign > 0 else reflect_minus(M, i)
 
 
 def coxeter_minus(M: Representation) -> Representation:

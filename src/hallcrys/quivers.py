@@ -30,10 +30,6 @@ def dim_total(a):
     return sum(a)
 
 
-def dim_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 class Quiver:
     """A finite quiver without oriented cycles.
 
@@ -140,9 +136,6 @@ class Quiver:
             remaining.discard(i)
             q = q.reflect(i)
         return seq
-
-    def arrow_count(self, i, j) -> int:
-        return sum(1 for s, t in self.arrows if s == i and t == j)
 
     # -- classification -------------------------------------------------
 

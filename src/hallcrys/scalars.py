@@ -80,9 +80,6 @@ class LaurentPoly:
     def leading_coeff(self) -> Fraction:
         return self.coeffs[self.degree()]
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -185,17 +182,7 @@ class LaurentPoly:
             raise ValueError("inexact Laurent division")
         return quo.shifted(a - b)
 
-    # -- evaluation and rendering --------------------------------------
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        """Evaluate at a nonzero rational point."""
-        x = _frac(x)
-        if x == 0:
-            raise ZeroDivisionError("Laurent polynomial at 0")
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * x**e
-        return total
+    # -- rendering --------------------------------------------------------
 
     def __str__(self):
         return render_laurent(self)
@@ -224,10 +211,6 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = _ratfunc_canonical(num, den)
-
-    @staticmethod
-    def from_laurent(p: LaurentPoly) -> "RatFunc":
-        return RatFunc(p)
 
     @staticmethod
     def zero() -> "RatFunc":

@@ -97,6 +97,26 @@ class TestCompute:
         assert proc.returncode == 1
         assert "position" in json.loads(proc.stdout)["error"]
 
+    @pytest.mark.parametrize("expression, message", [
+        ("pairR(u[S1],u[S1])*u[S1]",
+         "pairR/pairK give a scalar, not a factor of a product"),
+        ("rprime[9](u[S1])", "unknown vertex '9'"),
+    ], ids=["scalar-factor", "unknown-vertex"])
+    def test_evaluation_error_reported(self, a2_file, expression, message):
+        proc = run_cli("compute", "--quiver", a2_file, expression)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        assert results["fixed"] == {q: f"error: {message}" for q in ("2", "3", "5")}
+        assert results["generic"] is None
+        assert results["generic_error"] == message
+
+    def test_braid_direction_checked(self, a2_file):
+        proc = run_cli("compute", "--quiver", a2_file, "braid[1,7](u[S1],u[S2])")
+        assert proc.returncode == 1
+        assert "braid direction" in json.loads(proc.stdout)["error"]
+        proc = run_cli("compute", "--quiver", a2_file, "braid[1,-1](u[S1],u[S2])")
+        assert proc.returncode == 0, proc.stderr
+
     def test_field_dependent_generic_error(self, kron_file):
         proc = run_cli("compute", "--quiver", kron_file, "u[R[0]m1]*u[S1]",
                        "--primes", "2,3")

@@ -8,10 +8,10 @@ from hallcrys.crystal import (Crystal, CrystalFalsification, certify_exceptional
                               fprime, fprime_tree, ftilde, kashiwara_apply,
                               membership_L, norm_exponent, reduced_pair,
                               reduction_at_infinity, string_decompose)
-from hallcrys.generic import (ExprTree, generic_basis, generic_chevalley,
-                              generic_divided_power_simple, generic_identity,
-                              generic_multiply, generic_ringel_pair,
+from hallcrys.generic import (ExprTree, generic_multiply, generic_ringel_pair,
                               kashiwara_pair_elements)
+from hallcrys.hallalg import (chevalley, divided_power_simple, identity_element,
+                              rescale)
 from hallcrys.scalars import (RatFunc, a_membership, in_one_plus_vinv_A,
                               parse_laurent)
 
@@ -22,12 +22,12 @@ class TestFPrime:
     def test_examples(self, reg, a2):
         ctx = reg.ctx(a2)
         S1 = ctx.table(2).simple_class(0)
-        val = fprime(ctx, 0, generic_basis(ctx, P))
-        assert val == generic_basis(ctx, ctx.table(2).simple_class(1)).scale(
+        val = fprime(ctx, 0, rescale(ctx, P))
+        assert val == rescale(ctx, ctx.table(2).simple_class(1)).scale(
             RatFunc(parse_laurent("1 - v^-2")))
-        assert fprime(ctx, 0, generic_identity(ctx)).is_zero()
-        assert fprime(ctx, 0, generic_chevalley(ctx, 0)) == generic_identity(ctx)
-        assert fprime(ctx, 0, generic_chevalley(ctx, 1)).is_zero()
+        assert fprime(ctx, 0, identity_element(ctx)).is_zero()
+        assert fprime(ctx, 0, chevalley(ctx, 0)) == identity_element(ctx)
+        assert fprime(ctx, 0, chevalley(ctx, 1)).is_zero()
 
     def test_two_routes_agree(self, reg, a2, a3):
         for quiver in (a2, a3):
@@ -35,28 +35,28 @@ class TestFPrime:
             trees = [ExprTree.letter(quiver, 0) * ExprTree.letter(quiver, 1),
                      ExprTree.letter(quiver, 1) * ExprTree.letter(quiver, 0),
                      ExprTree.letter(quiver, 0, 2) * ExprTree.letter(quiver, 1)]
-            from hallcrys.generic import expr_evaluate_generic
+            from hallcrys.generic import expr_evaluate
             for tree in trees:
                 for i in range(quiver.n):
-                    direct = fprime(ctx, i, expr_evaluate_generic(tree, ctx))
+                    direct = fprime(ctx, i, expr_evaluate(tree, ctx))
                     recursive = fprime_tree(ctx, i, tree)
                     assert direct == recursive, (i, str(tree))
 
     def test_fdoubleprime_defining_identities(self, reg, a2):
         ctx = reg.ctx(a2)
-        assert fdoubleprime_tree(ctx, 0, ExprTree.letter(a2, 0)) == generic_identity(ctx)
+        assert fdoubleprime_tree(ctx, 0, ExprTree.letter(a2, 0)) == identity_element(ctx)
         assert fdoubleprime_tree(ctx, 0, ExprTree.letter(a2, 1)).is_zero()
         # f''_i(E_j P) = v_i^{-a_ij} E_j f''_i(P) + delta_ij P on E1E2 vs E1 tail
         tree = ExprTree.letter(a2, 0) * ExprTree.letter(a2, 1)
         val = fdoubleprime_tree(ctx, 0, tree)
         # head is E1: v^{-a_11} E1 f''(E2) + E2-evaluated tail = 1 * 0 + E2
-        assert val == generic_chevalley(ctx, 1)
+        assert val == chevalley(ctx, 1)
 
 
 class TestStrings:
     def test_kernel_element_single_component(self, reg, a2):
         ctx = reg.ctx(a2)
-        E2 = generic_chevalley(ctx, 1)
+        E2 = chevalley(ctx, 1)
         dec = string_decompose(ctx, 0, E2)
         assert len(dec.components) == 1
         n, el = dec.components[0]
@@ -64,26 +64,26 @@ class TestStrings:
 
     def test_ei_component(self, reg, a2):
         ctx = reg.ctx(a2)
-        dec = string_decompose(ctx, 0, generic_chevalley(ctx, 0))
+        dec = string_decompose(ctx, 0, chevalley(ctx, 0))
         assert [(n, str(el)) for n, el in dec.components] == [(1, "(1)*u[0]")]
 
     def test_e2e1_decomposition_frozen(self, reg, a2):
         # frozen regression value computed by the exact linear-algebra oracle
         ctx = reg.ctx(a2)
-        x = generic_multiply(generic_chevalley(ctx, 1), generic_chevalley(ctx, 0))
+        x = generic_multiply(chevalley(ctx, 1), chevalley(ctx, 0))
         dec = string_decompose(ctx, 0, x)
         comps = {n: el for n, el in dec.components}
         assert set(comps) == {0, 1}
         s12 = IsoClass.of("S1", "S2")
         assert comps[0].coeffs[s12] == RatFunc(parse_laurent("v - v^-1"))
         assert comps[0].coeffs[P] == RatFunc(parse_laurent("-v^-1"))
-        assert comps[1] == generic_chevalley(ctx, 1).scale(
+        assert comps[1] == chevalley(ctx, 1).scale(
             RatFunc(parse_laurent("v^-1")))
         assert dec.reassemble(ctx) == x
 
     def test_reassembly_property(self, reg, a3):
         ctx = reg.ctx(a3)
-        E = [generic_chevalley(ctx, v) for v in range(3)]
+        E = [chevalley(ctx, v) for v in range(3)]
         samples = [generic_multiply(E[0], E[1]),
                    generic_multiply(E[1], generic_multiply(E[0], E[2]))]
         for x in samples:
@@ -94,24 +94,24 @@ class TestStrings:
 class TestKashiwaraOperators:
     def test_etilde_of_one(self, reg, a2):
         ctx = reg.ctx(a2)
-        assert etilde(ctx, 0, generic_identity(ctx)) == generic_chevalley(ctx, 0)
+        assert etilde(ctx, 0, identity_element(ctx)) == chevalley(ctx, 0)
 
     def test_ftilde_divided_powers(self, reg, a2):
         ctx = reg.ctx(a2)
-        assert ftilde(ctx, 0, generic_divided_power_simple(ctx, 0, 2)) \
-            == generic_chevalley(ctx, 0)
-        assert ftilde(ctx, 0, generic_identity(ctx)).is_zero()
+        assert ftilde(ctx, 0, divided_power_simple(ctx, 0, 2)) \
+            == chevalley(ctx, 0)
+        assert ftilde(ctx, 0, identity_element(ctx)).is_zero()
 
     def test_e2e1_via_word(self, reg, a2):
         ctx = reg.ctx(a2)
-        z = etilde(ctx, 1, etilde(ctx, 0, generic_identity(ctx)))
-        assert z == generic_multiply(generic_chevalley(ctx, 1),
-                                     generic_chevalley(ctx, 0))
+        z = etilde(ctx, 1, etilde(ctx, 0, identity_element(ctx)))
+        assert z == generic_multiply(chevalley(ctx, 1),
+                                     chevalley(ctx, 0))
 
     def test_etilde_ftilde_inverse_on_image(self, reg, a2):
         ctx = reg.ctx(a2)
-        xs = [generic_identity(ctx), generic_chevalley(ctx, 1),
-              generic_multiply(generic_chevalley(ctx, 1), generic_chevalley(ctx, 0))]
+        xs = [identity_element(ctx), chevalley(ctx, 1),
+              generic_multiply(chevalley(ctx, 1), chevalley(ctx, 0))]
         for x in xs:
             for i in range(2):
                 up = etilde(ctx, i, x)
@@ -121,15 +121,15 @@ class TestKashiwaraOperators:
     def test_unknown_kind(self, reg, a2):
         ctx = reg.ctx(a2)
         with pytest.raises(ValueError):
-            kashiwara_apply("Gtilde", ctx, 0, generic_identity(ctx))
+            kashiwara_apply("Gtilde", ctx, 0, identity_element(ctx))
 
 
 class TestMembership:
     def test_examples(self, reg, a2):
         ctx = reg.ctx(a2)
-        assert membership_L(generic_basis(ctx, P))
-        assert membership_L(generic_identity(ctx))
-        assert not membership_L(generic_chevalley(ctx, 0).scale(RatFunc.v_power(1)))
+        assert membership_L(rescale(ctx, P))
+        assert membership_L(identity_element(ctx))
+        assert not membership_L(chevalley(ctx, 0).scale(RatFunc.v_power(1)))
 
 
 class TestCrystalGeneration:
@@ -195,7 +195,7 @@ class TestReductionAtInfinity:
         for dim in product(range(3), repeat=3):
             for cls in t0.classes_of_dim(dim):
                 e = norm_exponent(ctx, cls)
-                x = generic_basis(ctx, cls)
+                x = rescale(ctx, cls)
                 norm = generic_ringel_pair(x, x)
                 assert in_one_plus_vinv_A(norm * RatFunc.v_power(2 * e)), cls.label
                 count += 1
@@ -204,7 +204,7 @@ class TestReductionAtInfinity:
     def test_norm_exponent_of_s1_plus_s2(self, reg, a2):
         ctx = reg.ctx(a2)
         cls = IsoClass.of("S1", "S2")
-        x = generic_basis(ctx, cls)
+        x = rescale(ctx, cls)
         assert generic_ringel_pair(x, x) == RatFunc(parse_laurent("v^2"),
                                                     parse_laurent("v^4 - 2v^2 + 1"))
         assert norm_exponent(ctx, cls) == 1

@@ -1,17 +1,16 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hallcrys.classtable import IsoClass
-from hallcrys.generic import (ExprTree, GenericContext,
-                              expr_evaluate_fixed, expr_evaluate_generic,
-                              generic_basis, generic_chevalley,
-                              generic_divided_power_simple, generic_identity,
-                              generic_multiply, generic_ringel_pair,
-                              generic_rprime, kashiwara_pair, lusztig_symmetry_tree,
-                              lusztig_symmetry_generator, monomial_expansion,
-                              monomial_words)
-from hallcrys.hallalg import multiply, rescale, transport_Ti
+from hallcrys.generic import (ExprTree, GenericContext, expr_evaluate,
+                              expr_evaluate_fixed, generic_multiply,
+                              generic_ringel_pair, generic_rprime, kashiwara_pair,
+                              lusztig_symmetry_tree, lusztig_symmetry_generator,
+                              monomial_expansion, monomial_words)
+from hallcrys.hallalg import (chevalley, derivation, divided_power_simple,
+                              identity_element, multiply, rescale, transport_Ti)
 from hallcrys.quivers import quiver_a1
 from hallcrys.scalars import LaurentPoly, RatFunc, parse_laurent
 
@@ -53,23 +52,23 @@ class TestHallPolynomials:
 class TestGenericProducts:
     def test_a2_product(self, reg, a2):
         ctx = reg.ctx(a2)
-        E1, E2 = generic_chevalley(ctx, 0), generic_chevalley(ctx, 1)
+        E1, E2 = chevalley(ctx, 0), chevalley(ctx, 1)
         prod = generic_multiply(E1, E2)
-        assert prod == generic_basis(ctx, IsoClass.of("S1", "S2")) + generic_basis(ctx, P)
-        assert generic_multiply(prod, generic_identity(ctx)) == prod
+        assert prod == rescale(ctx, IsoClass.of("S1", "S2")) + rescale(ctx, P)
+        assert generic_multiply(prod, identity_element(ctx)) == prod
 
     def test_generic_serre(self, reg, a2):
         ctx = reg.ctx(a2)
-        E1, E2 = generic_chevalley(ctx, 0), generic_chevalley(ctx, 1)
-        e112 = generic_multiply(generic_divided_power_simple(ctx, 0, 2), E2)
+        E1, E2 = chevalley(ctx, 0), chevalley(ctx, 1)
+        e112 = generic_multiply(divided_power_simple(ctx, 0, 2), E2)
         e121 = generic_multiply(E1, generic_multiply(E2, E1))
-        e211 = generic_multiply(E2, generic_divided_power_simple(ctx, 0, 2))
+        e211 = generic_multiply(E2, divided_power_simple(ctx, 0, 2))
         assert (e112 - e121 + e211).is_zero()
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_specialization_soundness(self, reg, a2, q):
         ctx = reg.ctx(a2)
-        E1, E2 = generic_chevalley(ctx, 0), generic_chevalley(ctx, 1)
+        E1, E2 = chevalley(ctx, 0), chevalley(ctx, 1)
         x = generic_multiply(generic_multiply(E1, E2), E1)
         t = reg.table(a2, q, ctx.dim_bound)
         fixed = multiply(multiply(rescale(t, t.simple_class(0)),
@@ -106,7 +105,7 @@ class TestLusztigSymmetry:
                     rt = rctx.table(2)
                     img = transport_Ti(rescale(t, t.simple_class(j)), i, rt)
                     (target,) = img.coeffs
-                    assert val == generic_basis(rctx, target), (quiver, i, j)
+                    assert val == rescale(rctx, target), (quiver, i, j)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_symmetry_matches_transport_kronecker(self, reg, kron, q):
@@ -131,7 +130,7 @@ class TestExprTrees:
         tree = (ExprTree.letter(a2, 0) * ExprTree.letter(a2, 1)
                 + (ExprTree.letter(a2, 1) * ExprTree.letter(a2, 0)).scale(
                     LaurentPoly({-1: -1})))
-        assert expr_evaluate_generic(tree, ctx) == generic_basis(ctx, P)
+        assert expr_evaluate(tree, ctx) == rescale(ctx, P)
         t3 = reg.table(a2, 3, ctx.dim_bound)
         assert expr_evaluate_fixed(tree, t3) == rescale(t3, P)
         assert expr_evaluate_fixed(ExprTree.zero(a2), t3).is_zero()
@@ -146,31 +145,31 @@ class TestExprTrees:
         q1 = quiver_a1()
         ctx = GenericContext(q1, (3,), primes=(2, 3))
         tree = ExprTree.letter(q1, 0, 2)
-        val = expr_evaluate_generic(tree, ctx)
-        assert val == generic_basis(ctx, IsoClass.of("S1", "S1"))
+        val = expr_evaluate(tree, ctx)
+        assert val == rescale(ctx, IsoClass.of("S1", "S1"))
 
 
 class TestKashiwaraPairing:
     def test_base_cases(self, reg, a2):
         ctx = reg.ctx(a2)
-        assert kashiwara_pair(ExprTree.one(a2), generic_identity(ctx)) == RatFunc.one()
+        assert kashiwara_pair(ExprTree.one(a2), identity_element(ctx)) == RatFunc.one()
         for i in range(2):
             for j in range(2):
                 val = kashiwara_pair(ExprTree.letter(a2, i),
-                                     generic_chevalley(ctx, j))
+                                     chevalley(ctx, j))
                 assert val == (RatFunc.one() if i == j else RatFunc.zero())
 
     def test_spec_example(self, reg, a2):
         ctx = reg.ctx(a2)
         tree = ExprTree.letter(a2, 0) * ExprTree.letter(a2, 1)
-        val = kashiwara_pair(tree, generic_basis(ctx, P))
+        val = kashiwara_pair(tree, rescale(ctx, P))
         assert val == RatFunc(parse_laurent("1 - v^-2"))
 
     def test_symmetry_on_samples(self, reg, a2):
         # (x, y)_K is symmetric; check via monomial expansions both ways
         ctx = reg.ctx(a2)
-        x = generic_basis(ctx, P)
-        y = generic_multiply(generic_chevalley(ctx, 0), generic_chevalley(ctx, 1))
+        x = rescale(ctx, P)
+        y = generic_multiply(chevalley(ctx, 0), chevalley(ctx, 1))
         from hallcrys.generic import kashiwara_pair_elements
         assert kashiwara_pair_elements(x, y) == kashiwara_pair_elements(y, x)
 
@@ -178,12 +177,12 @@ class TestKashiwaraPairing:
 class TestMonomialExpansion:
     def test_roundtrip(self, reg, a2):
         ctx = reg.ctx(a2)
-        x = generic_basis(ctx, P)
+        x = rescale(ctx, P)
         pairs = monomial_expansion(x)
         total = None
         for word, c in pairs:
             tree = ExprTree(a2, {word: LaurentPoly.one()})
-            val = expr_evaluate_generic(tree, ctx).scale(c)
+            val = expr_evaluate(tree, ctx).scale(c)
             total = val if total is None else total + val
         assert total == x
 
@@ -198,10 +197,10 @@ class TestPairingComparisons:
         ctx = reg.ctx(a2)
         t0 = ctx.table(2)
         factor = RatFunc.one() - RatFunc.v_power(-2)
-        samples = [generic_basis(ctx, c) for d in [(1, 0), (0, 1), (1, 1)]
+        samples = [rescale(ctx, c) for d in [(1, 0), (0, 1), (1, 1)]
                    for c in t0.classes_of_dim(d)]
         for i in range(2):
-            Ei = generic_chevalley(ctx, i)
+            Ei = chevalley(ctx, i)
             si = t0.simple_class(i)
             for x in samples:
                 for y in samples + [generic_multiply(Ei, s) for s in samples[:2]]:
@@ -215,7 +214,7 @@ class TestPairingComparisons:
         from hallcrys.scalars import a_membership
         ctx = reg.ctx(a2)
         t0 = ctx.table(2)
-        base = [generic_basis(ctx, c) for d in [(1, 1), (2, 1)]
+        base = [rescale(ctx, c) for d in [(1, 1), (2, 1)]
                 for c in t0.classes_of_dim(d)]
         scaled = [x.scale(RatFunc.v_power(1)) for x in base]   # leave the lattice
         hits = {"in": 0, "out": 0}
@@ -246,3 +245,23 @@ def test_crystal_requires_dynkin(kron):
     ctx = GenericContext(kron, (2, 2), primes=(2, 3))
     with pytest.raises(ValueError):
         Crystal(ctx, 2)
+
+
+class TestCrossLayerDerivations:
+    """Every derivation commutes with the specialization v -> sqrt(p)."""
+
+    @pytest.mark.parametrize("name", ["a2", "a3"])
+    def test_derivations_specialize(self, reg, request, name):
+        quiver = request.getfixturevalue(name)
+        ctx = reg.ctx(quiver)
+        classes = [cls for dim in product(range(4), repeat=quiver.n)
+                   if 0 < sum(dim) <= 3 for cls in ctx.classes_of_dim(dim)]
+        for kind in ("r", "rprime", "delta_right", "delta_left"):
+            for alpha in classes:
+                for lam in classes:
+                    x = rescale(ctx, lam)
+                    generic = derivation(kind, alpha, x)
+                    for p in (2, 3):
+                        assert generic.specialize(p) == \
+                            derivation(kind, alpha, x.specialize(p)), \
+                            (kind, alpha.label, lam.label, p)
