@@ -175,7 +175,7 @@ def cmd_enumerate(config: RunConfig) -> dict:
 
 class _Parser:
     """expr := atom ('*' atom)* ; atom := 'u[label]' | func '(' args ')'
-    func := 'pairR' | 'pairK' | 'rprime[i]' | 'braid[i,+-1]'"""
+    func := 'pairR' | 'pairK' | 'rprime[i]' | 'braid[1,+-1]'"""
 
     def __init__(self, text):
         self.text = text
@@ -252,18 +252,21 @@ class _Parser:
             return ("rprime", vertex, a)
         if rest.startswith("braid["):
             end = self.text.index("]", self.pos)
-            args = self.text[self.pos + 6:end].split(",")
+            args = [arg.strip() for arg in self.text[self.pos + 6:end].split(",")]
             if len(args) != 2:
                 self.error("braid[i,dir] takes two arguments")
-            if args[1].strip() not in ("1", "+1", "-1"):
-                self.error(f"braid direction must be 1, +1 or -1, not {args[1].strip()!r}")
+            position, direction = args
+            if position != "1":
+                self.error(f"braid position must be 1 (a pair has one), not {position!r}")
+            if direction not in ("1", "+1", "-1"):
+                self.error(f"braid direction must be 1, +1 or -1, not {direction!r}")
             self.pos = end + 1
             self.expect("(")
             a = self.parse_product()
             self.expect(",")
             b = self.parse_product()
             self.expect(")")
-            return ("braid", args[0].strip(), args[1].strip(), a, b)
+            return ("braid", direction, a, b)
         self.error("expected u[...], pairR, pairK, rprime[...] or braid[...]")
 
 
@@ -285,9 +288,13 @@ def _evaluate(node, layer):
     kind = node[0]
     if kind == "class":
         cls = parse_class_label(node[1])
+        try:
+            val = rescale(layer, cls)
+        except KeyError as exc:     # an unknown label
+            raise CLIError(exc.args[0]) from None
         if generic and layer.field_dependent(cls):
             raise CLIError(f"label {cls.label} is field-dependent; no generic form")
-        return rescale(layer, cls)
+        return val
     if kind == "product":
         out = None
         for sub in node[1]:
@@ -313,12 +320,12 @@ def _evaluate(node, layer):
     if kind == "braid":
         if generic:
             raise CLIError("braid moves are evaluated at fixed q; see fixed results")
-        a = _operand(node[3], layer, "an argument of braid")
-        b = _operand(node[4], layer, "an argument of braid")
+        a = _operand(node[2], layer, "an argument of braid")
+        b = _operand(node[3], layer, "an argument of braid")
         if len(a.coeffs) != 1 or len(b.coeffs) != 1:
             raise CLIError("braid[.] expects single basis classes")
         (ca,), (cb,) = list(a.coeffs), list(b.coeffs)
-        return braid_move_hall(layer, ca, cb, int(node[2]))
+        return braid_move_hall(layer, ca, cb, int(node[1]))
     raise CLIError(f"cannot evaluate {kind}")
 
 

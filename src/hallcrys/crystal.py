@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .classtable import IsoClass
-from .generic import (ExprTree, GenericContext, expand_divided, generic_multiply,
-                      generic_ringel_pair, generic_rprime)
-from .hallalg import (HallElement, divided_power_simple, identity_element, rescale,
-                      ringel_pair, zero_element)
+from .generic import (ExprTree, GenericContext, expand_divided, generic_ringel_pair,
+                      generic_rprime)
+from .hallalg import (HallElement, divided_power_simple, identity_element, multiply,
+                      rescale, ringel_pair, zero_element)
 from .quivers import euler_symmetric
 from .scalars import (LaurentPoly, RatFunc, a_membership, eval_at_sqrt_q,
                       in_one_plus_vinv_A)
@@ -72,7 +72,7 @@ def _word_recursion(ctx, i, letters, datum, sign):
     out = zero_element(ctx)
     if not sub.is_zero():
         twist = RatFunc.v_power(sign * datum.symmetrizers[i] * datum.a_ij(i, j))
-        out = out + generic_multiply(ej, sub, check_prime=False).scale(twist)
+        out = out + multiply(ej, sub).scale(twist)
     if i == j:
         out = out + _evaluate_letters(ctx, rest)
     return out
@@ -81,8 +81,7 @@ def _word_recursion(ctx, i, letters, datum, sign):
 def _evaluate_letters(ctx, letters):
     cur = identity_element(ctx)
     for v in letters:
-        cur = generic_multiply(cur, divided_power_simple(ctx, v, 1),
-                               check_prime=False)
+        cur = multiply(cur, divided_power_simple(ctx, v, 1))
     return cur
 
 
@@ -98,9 +97,7 @@ class StringDecomposition:
     def reassemble(self, ctx: GenericContext) -> HallElement:
         total = zero_element(ctx)
         for n, xn in self.components:
-            total = total + generic_multiply(
-                divided_power_simple(ctx, self.vertex, n), xn,
-                check_prime=False)
+            total = total + multiply(divided_power_simple(ctx, self.vertex, n), xn)
         return total
 
 
@@ -159,8 +156,7 @@ def _string_lifts(ctx: GenericContext, i: int, weight):
         if any(w < 0 for w in below):
             break
         for ker_el in kernel_basis(ctx, i, below):
-            lifted = generic_multiply(divided_power_simple(ctx, i, n),
-                                      ker_el, check_prime=False)
+            lifted = multiply(divided_power_simple(ctx, i, n), ker_el)
             lifts.append((n, ker_el,
                           [lifted.coeffs.get(cls, RatFunc.zero()) for cls in classes]))
     memo[key] = lifts
@@ -214,8 +210,7 @@ def kashiwara_apply(kind: str, ctx: GenericContext, i: int,
             m = n - 1
         else:
             raise ValueError(f"unknown Kashiwara operator {kind!r}")
-        total = total + generic_multiply(
-            divided_power_simple(ctx, i, m), xn, check_prime=False)
+        total = total + multiply(divided_power_simple(ctx, i, m), xn)
     return total
 
 

@@ -2,7 +2,8 @@
 
 The braid action is implemented twice: at module level (brute-force search
 for the unique L/R partner by dimension and pair checks) and at Hall-algebra
-level (the six case formulas with divided powers and delta-derivations).
+level (three case formulas with divided powers and delta-derivations,
+the left move read in the opposite algebra).
 Certificates expressing <u_lambda> as Laurent-integral divided-power words
 are built recursively through rank-2 contexts; string classes past the first
 slice of an affine rank-2 context are reached by the loop-element ladder
@@ -12,12 +13,13 @@ configured primes plus a held-out one.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
 from .classtable import ClassTable, IsoClass, TableSet
-from .generic import ExprTree, expr_evaluate_fixed, PRIME_POOL
+from .generic import ExprTree, PRIME_POOL, expr_evaluate_fixed, opposite, symmetry_sum
 from .hallalg import (HallElement, derivation, divided_power, multiply,
                       rescale, v_power)
 from .quivers import Quiver, dim_add, dim_scale, dim_sub, dim_total, euler_bilinear
@@ -82,15 +84,15 @@ def m_value(table: ClassTable, a: IsoClass, b: IsoClass) -> int:
 
 
 def n_value(table: ClassTable, a: IsoClass, b: IsoClass) -> int:
-    da, db = table.class_dim(a), table.class_dim(b)
-    num = 2 * (euler_bilinear(table.quiver, da, db) + euler_bilinear(table.quiver, db, da))
-    den = 2 * table.epsilon(a)
-    assert num % den == 0
-    return num // den
+    """n(a, b) = <b,a>/<a,a> = m(b, a)."""
+    return m_value(table, b, a)
 
 
 def sigma_case(table: ClassTable, a: IsoClass, b: IsoClass):
-    """Case among (1),(2),(3) for the right move, with the target dimension."""
+    """Case among (1),(2),(3) for the right move, with the target dimension.
+
+    The left move on (a, b) is the right move on (b, a) in the opposite
+    algebra, so its case (1'),(2'),(3') is sigma_case(table, b, a)."""
     m = m_value(table, a, b)
     da, db = table.class_dim(a), table.class_dim(b)
     if m <= 0:
@@ -101,20 +103,6 @@ def sigma_case(table: ClassTable, a: IsoClass, b: IsoClass):
     if lhs < rhs:
         return 2, m, dim_sub(da, dim_scale(m, db))
     raise BraidError(f"boundary case m*dim = dim for pair ({a.label}, {b.label})")
-
-
-def sigma_inv_case(table: ClassTable, a: IsoClass, b: IsoClass):
-    """Case among (1'),(2'),(3') for the left move, with the target dimension."""
-    n = n_value(table, a, b)
-    da, db = table.class_dim(a), table.class_dim(b)
-    if n <= 0:
-        return 3, n, dim_sub(db, dim_scale(n, da))
-    lhs, rhs = n * dim_total(da), dim_total(db)
-    if lhs > rhs:
-        return 1, n, dim_sub(dim_scale(n, da), db)
-    if lhs < rhs:
-        return 2, n, dim_sub(db, dim_scale(n, da))
-    raise BraidError(f"boundary case n*dim = dim for pair ({a.label}, {b.label})")
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +146,7 @@ def braid_move_module(table: ClassTable, seq, i: int, direction: int):
         r = _find_partner(table, dim, left=b, right=None)
         seq[i], seq[i + 1] = b, r
     else:
-        _, _, dim = sigma_inv_case(table, a, b)
+        _, _, dim = sigma_case(table, b, a)
         l = _find_partner(table, dim, left=None, right=a)
         seq[i], seq[i + 1] = l, a
     if not is_exceptional_sequence(table, seq):
@@ -167,120 +155,51 @@ def braid_move_module(table: ClassTable, seq, i: int, direction: int):
 
 
 # ----------------------------------------------------------------------
-# Hall-level braid moves (the six case formulas)
+# Hall-level braid moves: three case formulas, the left move in the opposite
+# algebra
 
 
 def braid_move_hall(table: ClassTable, a: IsoClass, b: IsoClass,
                     direction: int) -> HallElement:
-    """<u> of the new object R(a,b) (direction +1) or L(a,b) (direction -1)."""
-    if direction > 0:
-        case, m, _ = sigma_case(table, a, b)
-        if case == 3:
-            return _case3(table, a, b, m)
-        if case == 1:
-            return _case1(table, a, b, m)
-        return _case2(table, a, b, m)
-    case, n, _ = sigma_inv_case(table, a, b)
-    if case == 3:
-        return _case3_prime(table, a, b, n)
-    if case == 1:
-        return _case1_prime(table, a, b, n)
-    return _case2_prime(table, a, b, n)
+    """<u> of the new object R(a,b) (direction +1) or L(a,b) (direction -1).
 
-
-def _case3(table, a, b, m):
-    # sum_r (-1)^r v^{-r eps(b)} <u_b>^(r) <u_a> <u_b>^(-m-r)
-    eps_b = table.epsilon(b)
-    total = HallElement(table)
-    ua = rescale(table, a)
-    for r in range(-m + 1):
-        term = multiply(divided_power(table, b, r),
-                        multiply(ua, divided_power(table, b, -m - r)))
-        coeff = v_power(table, -r * eps_b)
-        if r % 2:
-            coeff = coeff * (-1)
-        total = total + term.scale(coeff)
-    return total
-
-
-def _case3_prime(table, a, b, n):
-    # sum_r (-1)^r v^{-r eps(a)} <u_a>^(-n-r) <u_b> <u_a>^(r)
-    eps_a = table.epsilon(a)
-    total = HallElement(table)
-    ub = rescale(table, b)
-    for r in range(-n + 1):
-        term = multiply(divided_power(table, a, -n - r),
-                        multiply(ub, divided_power(table, a, r)))
-        coeff = v_power(table, -r * eps_a)
-        if r % 2:
-            coeff = coeff * (-1)
-        total = total + term.scale(coeff)
-    return total
-
-
-def _case1(table, a, b, m):
-    # sum_{r<m} (-1)^r v^{2 dim_k a} v^{eps(a)} (v^{-eps(b)})^{m^2-mr+r}
-    #          <u_b>^(r) delta_a(<u_b>^(m-r))
+    L(a,b) is R(b,a) in the opposite algebra: the formulas below are the
+    right move's, with (a, b) swapped, the products reversed and delta_a,
+    _b delta exchanged (cases (1'),(2'),(3'))."""
+    mul, delta_a, delta_b = multiply, "delta_right", "delta_left"
+    if direction < 0:
+        a, b = b, a
+        mul, delta_a, delta_b = opposite(multiply), "delta_left", "delta_right"
+    case, m, _ = sigma_case(table, a, b)
     eps_a, eps_b = table.epsilon(a), table.epsilon(b)
-    dim_a = dim_total(table.class_dim(a))
-    total = HallElement(table)
-    for r in range(m):
-        inner = derivation("delta_right", a, divided_power(table, b, m - r))
-        term = multiply(divided_power(table, b, r), inner)
-        exp = 2 * dim_a + eps_a - eps_b * (m * m - m * r + r)
-        coeff = v_power(table, exp)
-        if r % 2:
-            coeff = coeff * (-1)
-        total = total + term.scale(coeff)
-    return total
-
-
-def _case2(table, a, b, m):
-    # v^{2 m dim_k b} / [m]!_{eps(b)} (_b delta)^m (<u_a>)
-    eps_b = table.epsilon(b)
-    dim_b = dim_total(table.class_dim(b))
+    if case == 3:
+        # sum_r (-1)^r v^{-r eps(b)} <u_b>^(r) <u_a> <u_b>^(-m-r)
+        return symmetry_sum(rescale(table, a), lambda r: divided_power(table, b, r),
+                            -m, eps_b, mul)
+    if case == 1:
+        # sum_{r<m} (-1)^r v^{2 dim_k a} v^{eps(a)} (v^{-eps(b)})^{m^2-mr+r}
+        #          <u_b>^(r) delta_a(<u_b>^(m-r))
+        dim_a = dim_total(table.class_dim(a))
+        total = HallElement(table)
+        for r in range(m):
+            inner = derivation(delta_a, a, divided_power(table, b, m - r))
+            term = mul(divided_power(table, b, r), inner)
+            exp = 2 * dim_a + eps_a - eps_b * (m * m - m * r + r)
+            total = total + term.scale(v_power(table, exp) * (-1) ** r)
+        return total
+    # case (2): v^{2 m dim_k b} / [m]!_{eps(b)} (_b delta)^m (<u_a>)
     x = rescale(table, a)
     for _ in range(m):
-        x = derivation("delta_left", b, x)
+        x = derivation(delta_b, b, x)
     fact = eval_at_sqrt_q(quantum_factorial(m, eps_b), table.q)
-    return x.scale(v_power(table, 2 * m * dim_b) / fact)
-
-
-def _case1_prime(table, a, b, n):
-    # sum_{r<n} (-1)^r v^{2 dim_k b} v^{eps(b)} (v^{-eps(a)})^{n^2-nr+r}
-    #          (_b delta(<u_a>^{(n-r)})) <u_a>^{(r)}
-    eps_a, eps_b = table.epsilon(a), table.epsilon(b)
-    dim_b = dim_total(table.class_dim(b))
-    total = HallElement(table)
-    for r in range(n):
-        inner = derivation("delta_left", b, divided_power(table, a, n - r))
-        term = multiply(inner, divided_power(table, a, r))
-        exp = 2 * dim_b + eps_b - eps_a * (n * n - n * r + r)
-        coeff = v_power(table, exp)
-        if r % 2:
-            coeff = coeff * (-1)
-        total = total + term.scale(coeff)
-    return total
-
-
-def _case2_prime(table, a, b, n):
-    # v^{2 n dim_k a} / [n]!_{eps(a)} (delta_a)^n (<u_b>)
-    eps_a = table.epsilon(a)
-    dim_a = dim_total(table.class_dim(a))
-    x = rescale(table, b)
-    for _ in range(n):
-        x = derivation("delta_right", a, x)
-    fact = eval_at_sqrt_q(quantum_factorial(n, eps_a), table.q)
-    return x.scale(v_power(table, 2 * n * dim_a) / fact)
+    return x.scale(v_power(table, 2 * m * dim_total(table.class_dim(b))) / fact)
 
 
 def braid_case_used(table: ClassTable, a: IsoClass, b: IsoClass, direction: int):
     """Which case formula a Hall-level move would use, for reporting."""
     if direction > 0:
-        case, _, _ = sigma_case(table, a, b)
-        return {1: "1", 2: "2", 3: "3"}[case]
-    case, _, _ = sigma_inv_case(table, a, b)
-    return {1: "1'", 2: "2'", 3: "3'"}[case]
+        return str(sigma_case(table, a, b)[0])
+    return f"{sigma_case(table, b, a)[0]}'"
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +254,7 @@ class Rank2Context:
         t1, t2 = self._reduce(pair)
         self.simples = (t1, t2)
         self.m = m_value(table, t1, t2)       # <= 0 at the minimal pair
-        self.n = n_value(table, t1, t2)
+        self.n = m_value(table, t2, t1)
         d1, d2 = table.class_dim(t1), table.class_dim(t2)
         self.dims = (d1, d2)
         self.eps = (table.epsilon(t1), table.epsilon(t2))
@@ -355,7 +274,7 @@ class Rank2Context:
             moves = []
             _, _, rdim = sigma_case(table, a, b)
             moves.append((dim_total(table.class_dim(b)) + dim_total(rdim), 1))
-            _, _, ldim = sigma_inv_case(table, a, b)
+            _, _, ldim = sigma_case(table, b, a)
             moves.append((dim_total(ldim) + dim_total(table.class_dim(a)), -1))
             best = min(moves)
             if best[0] >= total:
@@ -395,8 +314,9 @@ class CertificateEngine:
 
     Indecomposables are resolved through rank-2 contexts: depth-1 objects
     (the R or L of the context's orthogonal minimal pair) get the case-(3)
-    trees; deeper objects (Kronecker strings past the first slice, where the
-    symmetry expansion would leave the positive part) are solved exactly as
+    trees, L's in the opposite algebra; deeper objects (Kronecker strings
+    past the first slice, where the symmetry expansion would leave the
+    positive part) are solved exactly as
     Laurent combinations of products of already-certified trees, fitted
     against the fixed-q algebras at the configured primes and verified at a
     held-out prime.
@@ -512,43 +432,26 @@ class CertificateEngine:
                     continue
                 rseq = braid_move_module(t0, (t1, t2), 0, +1)
                 if rseq[1] == cls:
-                    return self._case3_tree(ctx, s)
+                    return self._case3_tree(ctx, s, +1)
                 lseq = braid_move_module(t0, (t1, t2), 0, -1)
                 if lseq[0] == cls:
-                    return self._case3_prime_tree(ctx, s)
+                    return self._case3_tree(ctx, s, -1)
                 if deep_context is None:
                     deep_context = ctx
         if deep_context is None:
             raise CertificateError(f"no rank-2 partner found for {cls.label}")
         return self._solve_tree(target, deep_context)
 
-    def _case3_tree(self, ctx: Rank2Context, s: int) -> ExprTree:
-        """Divided power of R(T1,T2) via the m <= 0 symmetry expansion:
-        sum_r (-1)^r v^{-r eps(T2)} T2^{(r)} T1^{(s)} T2^{(-s m - r)}."""
-        t1, t2 = ctx.simples
-        m = ctx.m
-        eps2 = ctx.eps[1]
-        total = ExprTree.zero(self.quiver)
-        for r in range(-s * m + 1):
-            term = (self.dp_tree(t2, r) * self.dp_tree(t1, s)
-                    * self.dp_tree(t2, -s * m - r))
-            sign = -1 if r % 2 else 1
-            total = total + term.scale(LaurentPoly({-r * eps2: sign}))
-        return total
-
-    def _case3_prime_tree(self, ctx: Rank2Context, s: int) -> ExprTree:
-        """Divided power of L(T1,T2): mirror expansion with n <= 0:
-        sum_r (-1)^r v^{-r eps(T1)} T1^{(-s n - r)} T2^{(s)} T1^{(r)}."""
-        t1, t2 = ctx.simples
-        n = ctx.n
-        eps1 = ctx.eps[0]
-        total = ExprTree.zero(self.quiver)
-        for r in range(-s * n + 1):
-            term = (self.dp_tree(t1, -s * n - r) * self.dp_tree(t2, s)
-                    * self.dp_tree(t1, r))
-            sign = -1 if r % 2 else 1
-            total = total + term.scale(LaurentPoly({-r * eps1: sign}))
-        return total
+    def _case3_tree(self, ctx: Rank2Context, s: int, direction: int) -> ExprTree:
+        """Divided power of R(T1,T2) (direction +1) via the m <= 0 symmetry
+        expansion sum_r (-1)^r v^{-r eps(T2)} T2^{(r)} T1^{(s)} T2^{(-s m - r)};
+        of L(T1,T2) (direction -1) by the same with T1, T2 swapped, n for m
+        and the product reversed."""
+        (t1, t2), m, eps, mul = ctx.simples, ctx.m, ctx.eps[1], operator.mul
+        if direction < 0:
+            (t2, t1), m, eps, mul = ctx.simples, ctx.n, ctx.eps[0], opposite(mul)
+        return symmetry_sum(self.dp_tree(t1, s), lambda r: self.dp_tree(t2, r),
+                            -s * m, eps, mul)
 
     # -- deep classes: the loop-element ladder --------------------------------
 
@@ -603,13 +506,10 @@ class CertificateEngine:
         return tree
 
     def _rigid_class_of_dim(self, dim) -> IsoClass:
-        t0 = self.table(self.primes[0])
-        cands = [IsoClass((it.label,)) for it in t0.catalog
-                 if it.dim == tuple(dim) and not it.field_dependent]
-        cands = [c for c in cands if t0.is_exceptional(c)]
-        if len(cands) != 1:
-            raise CertificateError(f"no unique rigid class of dimension {dim}")
-        return cands[0]
+        try:
+            return _find_partner(self.table(self.primes[0]), dim, None, None)
+        except BraidError:
+            raise CertificateError(f"no unique rigid class of dimension {dim}") from None
 
     def _ladder_step(self, xtree: ExprTree, ztree: ExprTree, nxt: IsoClass) -> ExprTree:
         two = LaurentPoly({1: 1, -1: 1})

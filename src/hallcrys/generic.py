@@ -12,6 +12,7 @@ and the Kashiwara pairing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,18 +217,15 @@ class GenericContext:
         return out
 
 
-def generic_multiply(x: HallElement, y: HallElement,
-                     check_prime: bool = True) -> HallElement:
-    """The product over a GenericContext; with ``check_prime`` its
-    specialization at the first configured prime is verified against the
-    fixed-q product."""
+def generic_multiply(x: HallElement, y: HallElement) -> HallElement:
+    """The product over a GenericContext, its specialization at the first
+    configured prime verified against the fixed-q product."""
     x.layer.require_generic()
     res = multiply(x, y)
-    if check_prime:
-        p = x.layer.primes[0]
-        lhs = res.specialize(p)
-        rhs = multiply(x.specialize(p), y.specialize(p))
-        assert lhs == rhs, "generic product failed its fixed-q spot check"
+    p = x.layer.primes[0]
+    lhs = res.specialize(p)
+    rhs = multiply(x.specialize(p), y.specialize(p))
+    assert lhs == rhs, "generic product failed its fixed-q spot check"
     return res
 
 
@@ -380,22 +378,32 @@ def expr_evaluate_fixed(tree: ExprTree, table: ClassTable) -> HallElement:
     return expr_evaluate(tree, table)
 
 
+def symmetry_sum(x, dp, k: int, eps: int, mul):
+    """sum_{r=0}^{k} (-1)^r v^{-r eps} dp(r) x dp(k-r), products taken by mul.
+
+    The case-(3) braid move over Hall elements, its certificate trees and
+    T''_{i,1}(E_j) are this one sum; their mirrored forms pass mul with its
+    arguments swapped, i.e. the product of the opposite algebra.
+    """
+    total = None
+    for r in range(k + 1):
+        term = mul(mul(dp(r), x), dp(k - r)).scale(LaurentPoly({-r * eps: (-1) ** r}))
+        total = term if total is None else total + term
+    return total
+
+
+def opposite(mul):
+    """The product of the opposite algebra: mul with its arguments swapped."""
+    return lambda x, y: mul(y, x)
+
+
 def lusztig_symmetry_tree(quiver: Quiver, i: int, j: int) -> ExprTree:
     """T''_{i,1}(E_j) = sum_{r+s=-a_ij} (-1)^r v^{-r eps_i} E_i^{(s)} E_j E_i^{(r)}."""
     if i == j:
         raise ValueError("T''_{i,1}(E_i) leaves the positive part")
     datum = cartan_datum(quiver)
-    aij = datum.a_ij(i, j)
-    eps_i = datum.symmetrizers[i]
-    total = ExprTree.zero(quiver)
-    for r in range(-aij + 1):
-        s = -aij - r
-        sign = -1 if r % 2 else 1
-        coeff = LaurentPoly({-r * eps_i: sign})
-        term = (ExprTree.letter(quiver, i, s) * ExprTree.letter(quiver, j, 1)
-                * ExprTree.letter(quiver, i, r)).scale(coeff)
-        total = total + term
-    return total
+    return symmetry_sum(ExprTree.letter(quiver, j), lambda r: ExprTree.letter(quiver, i, r),
+                        -datum.a_ij(i, j), datum.symmetrizers[i], opposite(operator.mul))
 
 
 def lusztig_symmetry_generator(ctx: GenericContext, i: int, j: int) -> HallElement:

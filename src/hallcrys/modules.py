@@ -555,40 +555,21 @@ def _generate_rigid(quiver: Quiver, q: int, bound, dynkin: bool):
         found[rep.dims] = rep
         return True
 
-    seeds = [projective(quiver, q, v) for v in range(quiver.n)]
-    inj = [_injective(quiver, q, v) for v in range(quiver.n)]
-    frontier = [r for r in seeds if keep(r)]
-    # preprojective sweep
-    while frontier:
-        nxt = []
-        for r in frontier:
-            try:
-                r2 = coxeter_minus(r)
-            except (NotASource, NotASink):
-                continue
-            if not r2.is_zero() and r2.dims not in found:
-                if dynkin or _within_growth(r2.dims, bound):
-                    found[r2.dims] = r2
+    # preprojective sweep, then preinjective sweep
+    for seed, coxeter in ((projective, coxeter_minus), (_injective, coxeter_plus)):
+        frontier = [r for r in (seed(quiver, q, v) for v in range(quiver.n)) if keep(r)]
+        while frontier:
+            nxt = []
+            for r in frontier:
+                try:
+                    r2 = coxeter(r)
+                except (NotASource, NotASink):
+                    continue
+                if (dynkin or _within_growth(r2.dims, bound)) and keep(r2):
                     nxt.append(r2)
-        frontier = nxt
-        if dynkin and len(found) > 4 ** quiver.n + 64:
-            raise RuntimeError("runaway Coxeter generation on a Dynkin quiver")
-    # preinjective sweep
-    frontier = [r for r in inj if keep(r)]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            try:
-                r2 = coxeter_plus(r)
-            except (NotASource, NotASink):
-                continue
-            if not r2.is_zero() and r2.dims not in found:
-                if dynkin or _within_growth(r2.dims, bound):
-                    found[r2.dims] = r2
-                    nxt.append(r2)
-        frontier = nxt
-        if dynkin and len(found) > 4 ** quiver.n + 64:
-            raise RuntimeError("runaway Coxeter generation on a Dynkin quiver")
+            frontier = nxt
+            if dynkin and len(found) > 4 ** quiver.n + 64:
+                raise RuntimeError("runaway Coxeter generation on a Dynkin quiver")
     reps = [r for r in found.values() if all(d <= b for d, b in zip(r.dims, bound))]
     return reps
 

@@ -110,27 +110,19 @@ class Quiver:
 
     def sink_sequence(self):
         """A full admissible sink sequence (length n, smallest index first)."""
-        q = self
-        seq = []
-        remaining = set(range(self.n))
-        while remaining:
-            cands = [i for i in q.sinks() if i in remaining]
-            if not cands:
-                raise QuiverError("no admissible sink; quiver not acyclic?")
-            i = min(cands)
-            seq.append(i)
-            remaining.discard(i)
-            q = q.reflect(i)
-        return seq
+        return self._admissible_sequence(Quiver.sinks, "sink")
 
     def source_sequence(self):
+        return self._admissible_sequence(Quiver.sources, "source")
+
+    def _admissible_sequence(self, candidates, kind: str):
         q = self
         seq = []
         remaining = set(range(self.n))
         while remaining:
-            cands = [i for i in q.sources() if i in remaining]
+            cands = [i for i in candidates(q) if i in remaining]
             if not cands:
-                raise QuiverError("no admissible source; quiver not acyclic?")
+                raise QuiverError(f"no admissible {kind}; quiver not acyclic?")
             i = min(cands)
             seq.append(i)
             remaining.discard(i)

@@ -410,10 +410,6 @@ class QSqrtScalar:
         return QSqrtScalar(1, 0, q)
 
     @staticmethod
-    def of_int(n, q: int) -> "QSqrtScalar":
-        return QSqrtScalar(n, 0, q)
-
-    @staticmethod
     def v_power(e: int, q: int) -> "QSqrtScalar":
         """The value of v^e at v = sqrt(q)."""
         half, odd = divmod(e, 2)

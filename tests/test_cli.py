@@ -101,7 +101,8 @@ class TestCompute:
         ("pairR(u[S1],u[S1])*u[S1]",
          "pairR/pairK give a scalar, not a factor of a product"),
         ("rprime[9](u[S1])", "unknown vertex '9'"),
-    ], ids=["scalar-factor", "unknown-vertex"])
+        ("u[X9]", "unknown indecomposable label 'X9'"),
+    ], ids=["scalar-factor", "unknown-vertex", "unknown-label"])
     def test_evaluation_error_reported(self, a2_file, expression, message):
         proc = run_cli("compute", "--quiver", a2_file, expression)
         assert proc.returncode == 0, proc.stderr
@@ -114,6 +115,12 @@ class TestCompute:
         proc = run_cli("compute", "--quiver", a2_file, "braid[1,7](u[S1],u[S2])")
         assert proc.returncode == 1
         assert "braid direction" in json.loads(proc.stdout)["error"]
+        # a pair has the single position 1
+        for position in ("2", "x"):
+            proc = run_cli("compute", "--quiver", a2_file,
+                           f"braid[{position},1](u[S1],u[S2])")
+            assert proc.returncode == 1
+            assert "braid position" in json.loads(proc.stdout)["error"]
         proc = run_cli("compute", "--quiver", a2_file, "braid[1,-1](u[S1],u[S2])")
         assert proc.returncode == 0, proc.stderr
 

@@ -8,6 +8,7 @@ from hallcrys.exseq import (BraidError, CertificateError,
                             is_exceptional_sequence, m_value, n_value)
 from hallcrys.generic import expr_evaluate_fixed
 from hallcrys.hallalg import derivation, rescale
+from hallcrys.modules import BudgetExceeded
 
 P = IsoClass.of("r1.1")
 S1 = IsoClass.of("S1")
@@ -47,6 +48,7 @@ class TestBraidHallLevel:
     @pytest.mark.parametrize("q", [2, 3])
     def test_all_pairs_match_module_level_a2(self, reg, a2, q):
         t = reg.table(a2, q)
+        cases = set()
         for seq in complete_exceptional_sequences(t):
             a, b = seq
             for d in (1, -1):
@@ -54,6 +56,33 @@ class TestBraidHallLevel:
                 new_obj = moved[1] if d > 0 else moved[0]
                 assert braid_move_hall(t, a, b, d) == rescale(t, new_obj), \
                     (a.label, b.label, d)
+                cases.add(braid_case_used(t, a, b, d))
+        # the left cases are the right ones in the opposite algebra; both
+        # readings of every formula are exercised
+        assert cases == {"1", "2", "3", "1'", "2'", "3'"}
+
+    def test_all_pairs_match_module_level_kronecker(self, reg, kron):
+        t = reg.table(kron, 2, (3, 3))
+        indecs = [IsoClass((it.label,)) for it in t.catalog if not it.field_dependent]
+        indecs = [c for c in indecs if t.is_exceptional(c)]
+        cases, compared, skipped = set(), 0, 0
+        for a in indecs:
+            for b in indecs:
+                if not t.exceptional_pair_check(a, b):
+                    continue
+                for d in (1, -1):
+                    try:
+                        moved = braid_move_module(t, (a, b), 0, d)
+                        hall_side = braid_move_hall(t, a, b, d)
+                    except (BraidError, BudgetExceeded):
+                        skipped += 1     # the move leaves the table bound
+                        continue
+                    new_obj = moved[1] if d > 0 else moved[0]
+                    assert hall_side == rescale(t, new_obj), (a.label, b.label, d)
+                    cases.add(braid_case_used(t, a, b, d))
+                    compared += 1
+        assert (compared, skipped) == (8, 2)
+        assert cases == {"1", "2", "3", "1'", "2'", "3'"}
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_all_adjacent_pairs_match_a3(self, reg, a3, q):
