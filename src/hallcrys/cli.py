@@ -243,7 +243,9 @@ class _Parser:
                 self.expect(")")
                 return (name, a, b)
         if rest.startswith("rprime["):
-            end = self.text.index("]", self.pos)
+            end = self.text.find("]", self.pos)
+            if end < 0:
+                self.error("unterminated rprime[...]")
             vertex = self.text[self.pos + 7:end]
             self.pos = end + 1
             self.expect("(")
@@ -251,7 +253,9 @@ class _Parser:
             self.expect(")")
             return ("rprime", vertex, a)
         if rest.startswith("braid["):
-            end = self.text.index("]", self.pos)
+            end = self.text.find("]", self.pos)
+            if end < 0:
+                self.error("unterminated braid[...]")
             args = [arg.strip() for arg in self.text[self.pos + 6:end].split(",")]
             if len(args) != 2:
                 self.error("braid[i,dir] takes two arguments")
@@ -426,7 +430,7 @@ def cmd_selftest(config: RunConfig) -> dict:
     from .exseq import BraidError, braid_move_hall, braid_move_module
     from .generic import expr_evaluate_fixed
     from .hallalg import serre_defect
-    from .modules import BudgetExceeded, ext_dim, hom_dim
+    from .modules import BudgetExceeded, ext_dims, hom_dim
     from .quivers import euler_bilinear
     quiver = Quiver.load(config.quiver_path)
     falsifications = []
@@ -444,13 +448,12 @@ def cmd_selftest(config: RunConfig) -> dict:
         classes = []
         for d in dims:
             classes.extend(table.classes_of_dim(d))
-        euler_ok = True
-        for a in classes:
-            for b in classes:
-                M, N = table.representative(a), table.representative(b)
-                if hom_dim(M, N) - ext_dim(M, N) != euler_bilinear(
-                        quiver, table.class_dim(a), table.class_dim(b)):
-                    euler_ok = False
+        reps = [table.representative(c) for c in classes]
+        cdims = [table.class_dim(c) for c in classes]
+        ext = ext_dims(reps, reps)
+        euler_ok = all(
+            hom_dim(M, N) - ext[i][j] == euler_bilinear(quiver, cdims[i], cdims[j])
+            for i, M in enumerate(reps) for j, N in enumerate(reps))
         check(f"euler identity q={q}", euler_ok)
         mass_ok = all(table.mass_check(d) for d in dims)
         check(f"mass formula q={q}", mass_ok)

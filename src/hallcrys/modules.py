@@ -281,29 +281,50 @@ def is_morphism(M: Representation, N: Representation, f) -> bool:
 def ext_dim(M: Representation, N: Representation) -> int:
     """dim Ext^1(M, N) as the cokernel of Hom(P0, N) -> Hom(P1, N).
 
-    Built from explicit projective objects and path composition, not from the
-    intertwiner system of :func:`hom_dim`, so the Euler identity
-    hom - ext = <dim M, dim N> is a genuine downstream cross-check.
+    Built from explicit projective objects and path composition, never from
+    the intertwiner system ``hom_system(M, N)`` of :func:`hom_dim`, so the
+    Euler identity hom - ext = <dim M, dim N> is a genuine downstream
+    cross-check.  P0, P1 and Hom(P0, N) depend on M only through dim M; only
+    phi carries M's arrow matrices.  One pair of :func:`ext_dims`.
     """
-    if M.q != N.q:
+    return ext_dims([M], [N])[0][0]
+
+
+def ext_dims(Ms, Ns) -> list:
+    """The matrix [dim Ext^1(M, N) for N in Ns] for M in Ms, by the route of
+    :func:`ext_dim`: one presentation per M, and Hom(P1, N) and Hom(P0, N)
+    once per (dim M, N)."""
+    Ms, Ns = list(Ms), list(Ns)
+    if any(M.q != N.q for M in Ms for N in Ns):
         raise ValueError("mismatched base field")
-    quiver, q = M.quiver, M.q
-    if M.is_zero() or N.is_zero():
-        return 0
-    P1, P0, phi = projective_presentation(M)
-    if P1.is_zero():
-        return 0
-    h1 = hom_dim(P1, N)
-    H0 = hom_basis(P0, N)
-    if not H0:
-        return h1
-    images = []
-    for g in H0:
-        comp = [(g[w] @ phi[w]) % q for w in range(quiver.n)]
-        images.append(np.concatenate([m.ravel() for m in comp]))
-    im = np.stack(images, axis=0)
-    rank = linalg.rank_mod(im, q) if im.size else 0
-    return h1 - rank
+    out = [[0] * len(Ns) for _ in Ms]
+    groups = {}
+    for i, M in enumerate(Ms):
+        if not M.is_zero():
+            groups.setdefault(M.dims, []).append(i)
+    for rows in groups.values():
+        quiver, q = Ms[rows[0]].quiver, Ms[rows[0]].q
+        presentations = [projective_presentation(Ms[i]) for i in rows]
+        P1, P0, _ = presentations[0]        # the same for the whole group
+        if P1.is_zero():
+            continue
+        for j, N in enumerate(Ns):
+            if N.is_zero():
+                continue
+            h1 = hom_dim(P1, N)
+            H0 = hom_basis(P0, N)
+            if not H0:
+                for i in rows:
+                    out[i][j] = h1
+                continue
+            # per vertex w, the basis maps as one (len(H0), N_w, P0_w) array
+            stacked = [np.stack([g[w] for g in H0]) for w in range(quiver.n)]
+            for i, (_, _, phi) in zip(rows, presentations):
+                # row b: the image g_b o phi, flattened vertex by vertex
+                im = np.concatenate([(stacked[w] @ phi[w]).reshape(len(H0), -1)
+                                     for w in range(quiver.n)], axis=1) % q
+                out[i][j] = h1 - (linalg.rank_mod(im, q) if im.size else 0)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -97,6 +97,17 @@ class TestCompute:
         assert proc.returncode == 1
         assert "position" in json.loads(proc.stdout)["error"]
 
+    @pytest.mark.parametrize("expression, atom", [
+        ("u[S1", "u"), ("rprime[1", "rprime"), ("braid[1,1", "braid"),
+        ("u[S1]*rprime[1", "rprime"),
+    ])
+    def test_unterminated_bracket(self, a2_file, expression, atom):
+        proc = run_cli("compute", "--quiver", a2_file, expression)
+        assert proc.returncode == 1
+        position = expression.rfind(atom)
+        assert json.loads(proc.stdout)["error"] == \
+            f"parse error at position {position}: unterminated {atom}[...]"
+
     @pytest.mark.parametrize("expression, message", [
         ("pairR(u[S1],u[S1])*u[S1]",
          "pairR/pairK give a scalar, not a factor of a product"),
@@ -317,3 +328,23 @@ class TestCrystalFalsifications:
         assert code == 2
         assert "error" not in report
         assert report["falsifications"] == [message]
+
+
+def test_selftest_euler_check_is_live(kron_file, monkeypatch, capsys):
+    """One wrong Ext entry is reported as a falsification of the Euler check."""
+    from hallcrys import cli, modules
+    ext_dims = modules.ext_dims
+
+    def off_by_one(Ms, Ns):
+        out = ext_dims(Ms, Ns)
+        if len(Ms) > 1:       # the battery's matrix, not a single ext_dim pair
+            out[0][-1] += 1
+        return out
+
+    monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+    monkeypatch.setattr(modules, "ext_dims", off_by_one)
+    code = cli.main(["selftest", "--quiver", kron_file, "--dim-bound", "2",
+                     "--primes", "2,3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["falsifications"] == ["euler identity q=2", "euler identity q=3"]

@@ -3,10 +3,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hallcrys import linalg
 from hallcrys.modules import (CatalogUnavailable, Representation, direct_sum,
-                              ext_dim, hom_dim, hom_system, indecomposable_catalog,
-                              is_morphism, projective, projective_presentation,
-                              reflect_minus, reflect_plus, NotASink, NotASource)
+                              ext_dim, ext_dims, hom_basis, hom_dim, hom_system,
+                              indecomposable_catalog, is_morphism, projective,
+                              projective_presentation, reflect_minus, reflect_plus,
+                              NotASink, NotASource)
 from hallcrys.quivers import Quiver, euler_bilinear
 
 
@@ -46,6 +48,78 @@ class TestHomExt:
         N = Representation.simple(a2, 3, 0)
         with pytest.raises(ValueError):
             hom_dim(M, N)
+
+    def test_ext_mismatched_field(self, a2):
+        M = Representation.simple(a2, 2, 0)
+        N = Representation.simple(a2, 3, 0)
+        for call in (lambda: ext_dim(M, N), lambda: ext_dims([M], [M, N]),
+                     lambda: ext_dims([Representation.zero(a2, 2)], [N])):
+            with pytest.raises(ValueError, match="mismatched base field"):
+                call()
+
+
+def ext_dim_reference(M, N):
+    """dim Ext^1(M, N) one pair at a time: a fresh presentation of M, and
+    the images of the Hom(P0, N) basis maps composed with phi one by one.
+    The reference for :func:`ext_dims`."""
+    if M.q != N.q:
+        raise ValueError("mismatched base field")
+    quiver, q = M.quiver, M.q
+    if M.is_zero() or N.is_zero():
+        return 0
+    P1, P0, phi = projective_presentation(M)
+    if P1.is_zero():
+        return 0
+    h1 = hom_dim(P1, N)
+    H0 = hom_basis(P0, N)
+    if not H0:
+        return h1
+    images = []
+    for g in H0:
+        comp = [(g[w] @ phi[w]) % q for w in range(quiver.n)]
+        images.append(np.concatenate([m.ravel() for m in comp]))
+    im = np.stack(images, axis=0)
+    rank = linalg.rank_mod(im, q) if im.size else 0
+    return h1 - rank
+
+
+class TestExtDims:
+    """The batched Ext matrix equals the per-pair reference entry by entry."""
+
+    @staticmethod
+    def check(Ms, Ns):
+        got = ext_dims(Ms, Ns)
+        assert got == [[ext_dim_reference(M, N) for N in Ns] for M in Ms]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["a2", "a3", "kron"])
+    def test_all_small_classes(self, reg, request, name, q):
+        quiver = request.getfixturevalue(name)
+        table = reg.table(quiver, q, (3,) * quiver.n)
+        reps = [table.representative(c)
+                for d in product(range(4), repeat=quiver.n) if 0 < sum(d) <= 3
+                for c in table.classes_of_dim(d)]
+        zero = Representation.zero(quiver, q)
+        # Ns in dimension order, then the zero module; Ms shuffled
+        Ns = reps + [zero]
+        Ms = reps + [zero]
+        np.random.default_rng(q).shuffle(Ms)
+        assert [M.dims for M in Ms] != sorted(M.dims for M in Ms)
+        self.check(Ms, Ns)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_empty_arrow_blocks(self, kron, a3, q):
+        # modules whose arrow matrices have a zero-size side
+        for quiver, dims in ((kron, [(2, 0), (0, 2), (1, 0), (3, 0)]),
+                             (a3, [(2, 0, 1), (0, 2, 0), (1, 0, 2), (0, 0, 3)])):
+            Ms = [Representation(quiver, q, d) for d in dims]
+            assert any(m.size == 0 for M in Ms for m in M.maps)
+            self.check(Ms, Ms + [Representation.zero(quiver, q)])
+
+    def test_empty_lists(self, kron):
+        S1 = Representation.simple(kron, 2, 0)
+        assert ext_dims([], [S1]) == []
+        assert ext_dims([S1], []) == [[]]
 
 
 def kron_hom_system(M, N):
