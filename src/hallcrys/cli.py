@@ -43,6 +43,8 @@ class RunConfig:
     def __post_init__(self):
         if len(self.primes) < 2:
             raise CLIError("at least two primes are required (one for validation)")
+        if len(set(self.primes)) != len(self.primes):
+            raise CLIError(f"repeated primes in --primes {','.join(map(str, self.primes))}")
         if self.dim_bound <= 0 or self.point_budget <= 0 or self.ext_budget <= 0:
             raise CLIError("bounds and budgets must be positive")
 
@@ -382,6 +384,9 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
         if not label:
             raise CLIError("provide --label or --all-exceptional")
         classes = [parse_class_label(label)]
+        for part in classes[0].parts:
+            if part not in t0.by_label:
+                raise CLIError(f"unknown indecomposable label {part!r}")
         if not t0.is_exceptional(classes[0]):
             return _report("certify", {"quiver": quiver.to_json(), "label": label},
                            {"rejected": f"{label} is not exceptional"},

@@ -322,12 +322,11 @@ class CertificateEngine:
     held-out prime.
     """
 
-    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), pool=PRIME_POOL,
+    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5),
                  point_budget=500_000, ext_budget=200_000, tables=None):
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
         self.primes = tuple(primes)
-        self.pool = tuple(pool)
         self.point_budget = point_budget
         self.ext_budget = ext_budget
         # shared with other users of the same quiver and bound when given
@@ -500,7 +499,7 @@ class CertificateEngine:
             nxt = self._rigid_class_of_dim(nxt_dim)
             tree = self._ladder_step(tree, ztree, nxt)
             cur = nxt
-        holdout = next(p for p in self.pool if p not in self.primes)
+        holdout = next(p for p in PRIME_POOL if p not in self.primes)
         if not self.verify_tree(tree, target, primes=self.primes + (holdout,)):
             raise CertificateError(f"ladder tree for {target.label} fails replay")
         return tree

@@ -84,14 +84,15 @@ class GenericContext:
 
     q = None                     # q = v^2 stays an indeterminate
 
-    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), pool=PRIME_POOL,
+    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5),
                  point_budget=500_000, ext_budget=200_000, tables=None):
         if len(primes) < 2:
             raise ValueError("need at least two primes (one for validation)")
+        if len(set(primes)) != len(primes):
+            raise ValueError(f"repeated primes in {tuple(primes)}")
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
         self.primes = tuple(primes)
-        self.pool = tuple(p for p in pool)
         self.point_budget = point_budget
         self.ext_budget = ext_budget
         # shared with other users of the same quiver and bound when given
@@ -182,7 +183,7 @@ class GenericContext:
             idx += 1
 
     def _next_prime(self, used):
-        for p in self.pool:
+        for p in PRIME_POOL:
             if p not in used:
                 return p
         return None

@@ -2,6 +2,9 @@
 
 A representation assigns F_q^{d_v} to each vertex and a (d_target x d_source)
 matrix to each arrow.  Everything is exact integer arithmetic mod q.
+
+The duality D = Hom_k(-, k) to the opposite quiver writes each mirrored
+construction once: sigma^+_i = D sigma^-_i D, and I_v = D P_v(Q^op).
 """
 
 from __future__ import annotations
@@ -82,6 +85,12 @@ def direct_sum(reps) -> Representation:
             co += cs
         maps.append(block)
     return Representation(quiver, q, dims, maps)
+
+
+def dual(M: Representation) -> Representation:
+    """D M = Hom_k(M, k), a representation of the opposite quiver: the same
+    dimension vector, every arrow matrix transposed."""
+    return Representation(M.quiver.opposite(), M.q, M.dims, [m.T for m in M.maps])
 
 
 # ----------------------------------------------------------------------
@@ -340,42 +349,13 @@ class NotASource(ValueError):
 
 
 def reflect_plus(M: Representation, i: int) -> Representation:
-    """sigma^+_i at a sink: replace M_i by the kernel of the incoming sum map."""
-    quiver, q = M.quiver, M.q
-    if not quiver.is_sink(i):
-        raise NotASink(f"vertex {quiver.vertices[i]!r} is not a sink")
-    incoming = quiver.arrows_into(i)
-    srcs = [quiver.arrows[k][0] for k in incoming]
-    total = sum(M.dims[s] for s in srcs)
-    h = np.zeros((M.dims[i], total), dtype=np.int64)
-    off = 0
-    for k, s in zip(incoming, srcs):
-        h[:, off:off + M.dims[s]] = M.maps[k]
-        off += M.dims[s]
-    if total == 0:
-        K = np.zeros((0, 0), dtype=np.int64)
-    elif M.dims[i] == 0:
-        K = np.eye(total, dtype=np.int64)
-    else:
-        K = linalg.nullspace_mod(h, q)
-    new_quiver = quiver.reflect(i)
-    dims = list(M.dims)
-    dims[i] = K.shape[1]
-    maps = []
-    off_of = {}
-    off = 0
-    for k, s in zip(incoming, srcs):
-        off_of[k] = off
-        off += M.dims[s]
-    for k, (s, t) in enumerate(new_quiver.arrows):
-        if k in off_of:
-            # reversed arrow i -> old source; project the kernel onto that block
-            s_old = quiver.arrows[k][0]
-            block = K[off_of[k]:off_of[k] + M.dims[s_old], :]
-            maps.append(block)
-        else:
-            maps.append(M.maps[k])
-    return Representation(new_quiver, q, dims, maps)
+    """sigma^+_i at a sink: M_i becomes the kernel of the incoming sum map.
+
+    A sink of Q is a source of Q^op, and D turns that kernel into the
+    cokernel of sigma^-_i, so sigma^+_i = D sigma^-_i D."""
+    if not M.quiver.is_sink(i):
+        raise NotASink(f"vertex {M.quiver.vertices[i]!r} is not a sink")
+    return dual(reflect_minus(dual(M), i))
 
 
 def reflect_minus(M: Representation, i: int) -> Representation:
@@ -423,14 +403,6 @@ def coxeter_minus(M: Representation) -> Representation:
     out = M
     for i in M.quiver.source_sequence():
         out = reflect_minus(out, i)
-    assert out.quiver == M.quiver
-    return out
-
-
-def coxeter_plus(M: Representation) -> Representation:
-    out = M
-    for i in M.quiver.sink_sequence():
-        out = reflect_plus(out, i)
     assert out.quiver == M.quiver
     return out
 
@@ -543,8 +515,9 @@ def indecomposable_catalog(quiver: Quiver, q: int, bound) -> list:
     """All indecomposables with dim <= bound (componentwise).
 
     Dynkin quivers: Coxeter-orbit generation from the projectives (every
-    indecomposable is preprojective).  Kronecker: preprojective and
-    preinjective strings from the same generation plus the regular tubes.
+    indecomposable is preprojective).  Kronecker: the preprojectives, the
+    preinjectives as duals of the opposite quiver's preprojectives, and the
+    regular tubes.
     """
     bound = tuple(bound)
     if quiver.is_dynkin():
@@ -565,57 +538,37 @@ def indecomposable_catalog(quiver: Quiver, q: int, bound) -> list:
 
 
 def _generate_rigid(quiver: Quiver, q: int, bound, dynkin: bool):
-    """Coxeter-orbit generation of the rigid indecomposables within bound."""
+    """Coxeter-orbit generation of the rigid indecomposables within bound:
+    the preprojectives, then the preinjectives as duals of the opposite
+    quiver's preprojectives; the first representative per dimension vector
+    wins, preprojectives first."""
+    found = _preprojectives(quiver, q, bound, dynkin)
+    for dims, rep in _preprojectives(quiver.opposite(), q, bound, dynkin).items():
+        if dims not in found:
+            found[dims] = dual(rep)
+    return [r for r in found.values() if all(d <= b for d, b in zip(r.dims, bound))]
+
+
+def _preprojectives(quiver: Quiver, q: int, bound, dynkin: bool) -> dict:
+    """The projectives, then their C^- orbits, keyed by dimension vector
+    (the first representative wins); off Dynkin, the sweep stops at the
+    growth bound."""
     found = {}
-
-    def keep(rep):
-        if rep.is_zero():
-            return False
-        if rep.dims in found:
-            return False
-        found[rep.dims] = rep
-        return True
-
-    # preprojective sweep, then preinjective sweep
-    for seed, coxeter in ((projective, coxeter_minus), (_injective, coxeter_plus)):
-        frontier = [r for r in (seed(quiver, q, v) for v in range(quiver.n)) if keep(r)]
-        while frontier:
-            nxt = []
-            for r in frontier:
-                try:
-                    r2 = coxeter(r)
-                except (NotASource, NotASink):
-                    continue
-                if (dynkin or _within_growth(r2.dims, bound)) and keep(r2):
+    frontier = [projective(quiver, q, v) for v in range(quiver.n)]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            if not r.is_zero() and r.dims not in found:
+                found[r.dims] = r
+                r2 = coxeter_minus(r)
+                if dynkin or _within_growth(r2.dims, bound):
                     nxt.append(r2)
-            frontier = nxt
-            if dynkin and len(found) > 4 ** quiver.n + 64:
-                raise RuntimeError("runaway Coxeter generation on a Dynkin quiver")
-    reps = [r for r in found.values() if all(d <= b for d, b in zip(r.dims, bound))]
-    return reps
+        frontier = nxt
+        if dynkin and len(found) > 4 ** quiver.n + 64:
+            raise RuntimeError("runaway Coxeter generation on a Dynkin quiver")
+    return found
 
 
 def _within_growth(dims, bound):
     # allow one Coxeter step beyond the bound so truncation cannot lose roots
     return all(d <= 2 * b + 2 for d, b in zip(dims, bound))
-
-
-def _injective(quiver: Quiver, q: int, v: int) -> Representation:
-    """The indecomposable injective I_v, via paths into v."""
-    # paths into v = paths from v in the opposite quiver; build directly
-    opp = Quiver(quiver.vertices, [(t, s) for s, t in quiver.arrows])
-    by_vertex = _path_basis(opp, v)
-    index = {word: pos for words in by_vertex for pos, word in enumerate(words)}
-    dims = tuple(len(words) for words in by_vertex)
-    maps = []
-    for k, (s, t) in enumerate(quiver.arrows):
-        # (I_v)_w = functions on paths w -> v; arrow k: s -> t acts by
-        # precomposition, so the basis path p: t -> v pulls back from p o k.
-        # Opp-paths keep arrow positions, so p o k is word_t + (k,).
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-        for word_t in by_vertex[t]:
-            m_index_s = index.get(word_t + (k,))
-            if m_index_s is not None:
-                m[index[word_t], m_index_s] = 1
-        maps.append(m)
-    return Representation(quiver, q, dims, maps)

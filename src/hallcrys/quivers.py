@@ -108,6 +108,10 @@ class Quiver:
         arrows = [(t, s) if s == i or t == i else (s, t) for s, t in self.arrows]
         return Quiver(self.vertices, arrows)
 
+    def opposite(self) -> "Quiver":
+        """Q^op: every arrow reversed, arrow indices kept."""
+        return Quiver(self.vertices, [(t, s) for s, t in self.arrows])
+
     def sink_sequence(self):
         """A full admissible sink sequence (length n, smallest index first)."""
         return self._admissible_sequence(Quiver.sinks, "sink")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,16 @@ class TestValidation:
     def test_single_prime_rejected(self, a2_file):
         proc = run_cli("enumerate", "--quiver", a2_file, "--primes", "2")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("args, primes", [
+        (("certify", "--label", "S1"), "2,2"),
+        (("compute", "u[S1]*u[S2]"), "3,3"),
+    ], ids=["certify", "compute"])
+    def test_repeated_primes_rejected(self, a2_file, args, primes):
+        proc = run_cli(*args, "--quiver", a2_file, "--primes", primes)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == f"repeated primes in --primes {primes}"
+        assert "Traceback" not in proc.stderr
 
 
 class TestEnumerate:
@@ -160,6 +171,13 @@ class TestCertify:
         report = json.loads(proc.stdout)
         assert report["falsifications"]
 
+    @pytest.mark.parametrize("label", ["X9", "S1+X9"])
+    def test_unknown_label_rejected(self, a2_file, label):
+        proc = run_cli("certify", "--quiver", a2_file, "--label", label)
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == "unknown indecomposable label 'X9'"
+        assert "Traceback" not in proc.stderr
+
     def test_all_exceptional_crystal(self, a2_file):
         proc = run_cli("certify", "--quiver", a2_file, "--all-exceptional",
                        "--dim-bound", "2", "--target", "crystal")
@@ -263,6 +281,38 @@ class TestCertifyCache:
         for report in reports:
             report.pop("generated_at")
         assert reports[0] == reports[1]
+
+
+class TestGoldenReports:
+    """Reports are byte-identical, apart from ``generated_at``, to the files
+    under tests/data/golden/, which were written by an earlier version."""
+
+    GOLDEN = os.path.join(BASE, "tests", "data", "golden")
+    CASES = {
+        "kron_enumerate.json": ("kron", "enumerate", "--dim-bound", "3",
+                                "--primes", "2,3"),
+        "kron_compute.json": ("kron", "compute", "--dim-bound", "3", "--primes", "2,3",
+                              "u[r3.2]*u[S1]"),
+        "kron_certify.json": ("kron", "certify", "--all-exceptional", "--dim-bound", "3",
+                              "--target", "integrality", "--primes", "2,3"),
+        "a2_certify.json": ("a2", "certify", "--all-exceptional", "--dim-bound", "2",
+                            "--target", "both"),
+    }
+
+    @staticmethod
+    def _strip(text):
+        return re.sub(r'^ "generated_at": "[^"]*",\n', "", text, count=1, flags=re.M)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_matches_golden(self, name, a2_file, kron_file, monkeypatch):
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        quiver, *args = self.CASES[name]
+        proc = run_cli(*args, "--quiver", {"a2": a2_file, "kron": kron_file}[quiver])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        with open(os.path.join(self.GOLDEN, name)) as fh:
+            golden = fh.read()
+        assert '"generated_at"' in golden and '"generated_at"' in proc.stdout
+        assert self._strip(proc.stdout) == self._strip(golden)
 
 
 def test_wild_quiver_is_operational_error(tmp_path):

@@ -233,11 +233,18 @@ class TestPairingComparisons:
         assert hits["in"] and hits["out"]    # both sides of the iff exercised
 
 
-def test_interpolation_pool_exhaustion(a2):
-    ctx = GenericContext(a2, (2, 2), primes=(2, 3), pool=(2, 3))
+def test_interpolation_pool_exhaustion(a2, monkeypatch):
+    monkeypatch.setattr("hallcrys.generic.PRIME_POOL", (2, 3))
+    ctx = GenericContext(a2, (2, 2), primes=(2, 3))
     from hallcrys.generic import InterpolationUnstable
     with pytest.raises(InterpolationUnstable):
         ctx.hall_polynomial(P, IsoClass.of("S1"), IsoClass.of("S2"))
+
+
+@pytest.mark.parametrize("primes", [(2, 2), (3, 2, 3)])
+def test_repeated_primes_rejected(a2, primes):
+    with pytest.raises(ValueError, match="repeated primes"):
+        GenericContext(a2, (2, 2), primes=primes)
 
 
 def test_crystal_requires_dynkin(kron):

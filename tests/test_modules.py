@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from hallcrys import linalg
-from hallcrys.modules import (CatalogUnavailable, Representation, direct_sum,
-                              ext_dim, ext_dims, hom_basis, hom_dim, hom_system,
-                              indecomposable_catalog, is_morphism, projective,
-                              projective_presentation, reflect_minus, reflect_plus,
-                              NotASink, NotASource)
+from hallcrys.modules import (CatalogUnavailable, Representation, _path_basis,
+                              direct_sum, dual, ext_dim, ext_dims, hom_basis,
+                              hom_dim, hom_system, indecomposable_catalog,
+                              is_morphism, projective, projective_presentation,
+                              reflect_minus, reflect_plus, NotASink, NotASource)
 from hallcrys.quivers import Quiver, euler_bilinear
 
 
@@ -239,6 +239,103 @@ class TestReflectionFunctors:
         back = reflect_minus(r, 1)
         assert back.dims == P.dims
         assert hom_dim(back, P) == 1 and ext_dim(back, P) == 0
+
+
+def injective_reference(quiver, q, v):
+    """The indecomposable injective I_v, built from the paths into v."""
+    # paths into v = paths from v in the opposite quiver; build directly
+    opp = Quiver(quiver.vertices, [(t, s) for s, t in quiver.arrows])
+    by_vertex = _path_basis(opp, v)
+    index = {word: pos for words in by_vertex for pos, word in enumerate(words)}
+    dims = tuple(len(words) for words in by_vertex)
+    maps = []
+    for k, (s, t) in enumerate(quiver.arrows):
+        # (I_v)_w = functions on paths w -> v; arrow k: s -> t acts by
+        # precomposition, so the basis path p: t -> v pulls back from p o k.
+        # Opp-paths keep arrow positions, so p o k is word_t + (k,).
+        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
+        for word_t in by_vertex[t]:
+            m_index_s = index.get(word_t + (k,))
+            if m_index_s is not None:
+                m[index[word_t], m_index_s] = 1
+        maps.append(m)
+    return Representation(quiver, q, dims, maps)
+
+
+def assert_same_rep(M, N):
+    assert M.quiver.vertices == N.quiver.vertices
+    assert M.quiver.arrows == N.quiver.arrows
+    assert (M.q, M.dims) == (N.q, N.dims)
+    assert all(np.array_equal(a, b) for a, b in zip(M.maps, N.maps, strict=True))
+
+
+def rank(A, q):
+    return linalg.rank_mod(A, q) if A.size else 0
+
+
+class TestDuality:
+    """D = Hom_k(-, k) to the opposite quiver, and sigma^+ = D sigma^- D."""
+
+    @pytest.fixture
+    def quivers(self, a2, a3, kron):
+        # D4 with three arrows into one sink, and A3 with a sink in the middle
+        d4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
+        a3_mid = Quiver(["1", "2", "3"], [["1", "2"], ["3", "2"]])
+        return (a2, a3, kron, d4, a3_mid)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_double_dual_is_identity(self, quivers, q):
+        rng = np.random.default_rng(20 + q)
+        empty_blocks = 0
+        for quiver in quivers:
+            for _ in range(20):
+                M = random_rep(rng, quiver, q)
+                D = dual(M)
+                assert D.quiver.arrows == tuple((t, s) for s, t in quiver.arrows)
+                assert D.dims == M.dims
+                assert all(np.array_equal(a, b.T) for a, b in zip(D.maps, M.maps))
+                assert_same_rep(dual(D), M)
+                empty_blocks += any(m.size == 0 for m in M.maps)
+        assert empty_blocks
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_dual_reverses_hom_and_ext(self, quivers, q):
+        rng = np.random.default_rng(30 + q)
+        for quiver in quivers:
+            for _ in range(8):
+                M, N = random_rep(rng, quiver, q), random_rep(rng, quiver, q)
+                assert hom_dim(dual(M), dual(N)) == hom_dim(N, M)
+                assert ext_dim(dual(M), dual(N)) == ext_dim(N, M)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_sigma_plus_is_the_kernel(self, quivers, q):
+        """The new maps out of the sink, stacked, embed ker of the incoming
+        sum map; every other arrow and dimension is untouched."""
+        rng = np.random.default_rng(40 + q)
+        for quiver in quivers:
+            for i in quiver.sinks():
+                incoming = quiver.arrows_into(i)
+                for _ in range(10):
+                    M = random_rep(rng, quiver, q)
+                    R = reflect_plus(M, i)
+                    assert R.quiver.arrows == quiver.reflect(i).arrows
+                    h = np.concatenate([M.maps[k] for k in incoming], axis=1)
+                    K = np.concatenate([R.maps[k] for k in incoming], axis=0)
+                    assert K.shape == (h.shape[1], R.dims[i])
+                    assert rank(K, q) == R.dims[i]
+                    assert R.dims[i] == h.shape[1] - rank(h, q)
+                    assert not ((h @ K) % q).any()
+                    for v in range(quiver.n):
+                        assert v == i or R.dims[v] == M.dims[v]
+                    for k in range(len(quiver.arrows)):
+                        assert k in incoming or np.array_equal(R.maps[k], M.maps[k])
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_injective_is_dual_of_opposite_projective(self, quivers, q):
+        for quiver in quivers:
+            for v in range(quiver.n):
+                assert_same_rep(dual(projective(quiver.opposite(), q, v)),
+                                injective_reference(quiver, q, v))
 
 
 class TestCatalogs:

@@ -55,6 +55,8 @@ def test_reflection_involution_and_isometry(a3):
 def test_sink_source_tools(a2, a3):
     assert a2.sinks() == [1] and a2.sources() == [0]
     assert a2.reflect(1).arrows == ((1, 0),)
+    assert a3.opposite().arrows == ((1, 0), (2, 1))
+    assert a3.opposite().opposite().arrows == a3.arrows
     assert a3.sink_sequence() == [2, 1, 0]
     with pytest.raises(QuiverError):
         a3.reflect(1)    # middle vertex is neither sink nor source
