@@ -1,9 +1,12 @@
-"""Hot mod-p kernels: row reduction and orbit closure.
+"""Mod-p kernels: row reduction, the point encoding of E_d, orbit closure.
 
-``rref_mod`` is one Gauss–Jordan elimination over rows of Python ints; at
-the small shapes Hall-number scans use, that beats numpy row operations.
-``orbit_fill`` is a breadth-first flood fill with the generator action
-batched through numpy.
+``rref_mod`` is the hot kernel: one Gauss–Jordan elimination over rows of
+Python ints; at the small shapes Hall-number scans use, that beats numpy row
+operations.  ``decode_points``/``encode_points`` map points of E_d (tuples
+of arrow matrices) to integer codes and back, and ``orbit_fill`` is the
+breadth-first flood fill behind the orbit oracle of
+:class:`~hallcrys.classtable.ClassTable`, with each generator applied to a
+whole frontier by batched matrix products.
 """
 
 from __future__ import annotations
@@ -47,51 +50,53 @@ def rank_mod(a: np.ndarray, p: int) -> int:
     return rref_mod(a, p)[1]
 
 
-def orbit_fill(start_codes, visited, gen_left, gen_right, arrow_src,
-               arrow_tgt, dims, p) -> int:
-    """Mark the orbit(s) of the start codes under the generator maps;
-    returns the number of newly visited points.
+def decode_points(codes, cells, p) -> list:
+    """The arrow matrices of a batch of points of E_d, one ``(batch, r, c)``
+    array per arrow cell ``(r, c)``.
 
-    Point encoding: concatenation of the arrow matrices (row-major, arrow
-    order fixed) read as base-p digits, least significant first.
+    Point encoding: the arrow matrices (row-major, in arrow order) read as
+    base-p digits, least significant first.
     """
-    na = arrow_src.shape[0]
-    cells = [(int(dims[arrow_tgt[k]]), int(dims[arrow_src[k]])) for k in range(na)]
-    ncell = sum(r * c for r, c in cells)
-    pow_p = p ** np.arange(ncell, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64)
+    pow_p = p ** np.arange(sum(r * c for r, c in cells), dtype=np.int64)
+    digits = (codes[:, None] // pow_p[None, :]) % p
+    mats = []
+    off = 0
+    for r, c in cells:
+        # explicit leading axis: numpy cannot infer -1 for an empty block
+        mats.append(digits[:, off:off + r * c].reshape(codes.shape[0], r, c))
+        off += r * c
+    return mats
 
-    def decode(codes):
-        digits = (codes[:, None] // pow_p[None, :]) % p
-        mats = []
-        off = 0
-        for r, c in cells:
-            # explicit leading axis: numpy cannot infer -1 for an empty block
-            mats.append(digits[:, off:off + r * c].reshape(codes.shape[0], r, c))
-            off += r * c
-        return mats
 
-    def encode(mats):
-        flat = [m.reshape(m.shape[0], m.shape[1] * m.shape[2]) for m in mats]
-        digits = np.concatenate(flat, axis=1)
-        return (digits * pow_p[None, :ncell]).sum(axis=1)
+def encode_points(mats, p) -> np.ndarray:
+    """The codes of a batch of points given as in :func:`decode_points`."""
+    digits = np.concatenate([m.reshape(m.shape[0], m.shape[1] * m.shape[2])
+                             for m in mats], axis=1)
+    return (digits * p ** np.arange(digits.shape[1], dtype=np.int64)).sum(axis=1)
 
+
+def orbit_fill(start_codes, visited, arrows, dims, gens, p) -> int:
+    """Mark the orbit(s) of the start codes under the group the generators
+    span; returns the number of newly visited points.
+
+    ``arrows`` are (source, target) pairs and ``gens`` are (v, g, g^-1)
+    triples: g sends each arrow matrix M into v to g M and each one out of
+    v to M g^-1.
+    """
+    cells = [(dims[t], dims[s]) for s, t in arrows]
     frontier = np.unique(np.asarray(start_codes, dtype=np.int64))
     frontier = frontier[~visited[frontier]]
     visited[frontier] = True
     count = int(frontier.size)
-    ngen = gen_left.shape[0]
-    while frontier.size:
-        mats = decode(frontier)
-        new_codes = []
-        for g in range(ngen):
-            out = []
-            for k, (r, c) in enumerate(cells):
-                sv, tv = int(arrow_src[k]), int(arrow_tgt[k])
-                lg = gen_left[g, tv, :r, :r]
-                rg = gen_right[g, sv, :c, :c]
-                out.append(np.einsum("ij,bjk,kl->bil", lg, mats[k], rg) % p)
-            new_codes.append(encode(out))
-        codes = np.unique(np.concatenate(new_codes))
+    while frontier.size and gens:
+        mats = decode_points(frontier, cells, p)
+        images = []
+        for v, g, g_inv in gens:
+            out = [g @ m % p if t == v else m for m, (_, t) in zip(mats, arrows)]
+            out = [m @ g_inv % p if s == v else m for m, (s, _) in zip(out, arrows)]
+            images.append(encode_points(out, p))
+        codes = np.unique(np.concatenate(images))
         codes = codes[~visited[codes]]
         visited[codes] = True
         count += int(codes.size)

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from ._kernels import orbit_fill
+from ._kernels import decode_points, encode_points, orbit_fill
 from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim,
                       hom_dim, hom_system, indecomposable_catalog)
 from .quivers import Quiver, euler_bilinear
@@ -270,27 +270,33 @@ class ClassTable:
 
     def aut_order_orbit(self, cls: IsoClass) -> int:
         """|Aut| = |G_d| / |orbit| via explicit orbit enumeration."""
-        dim = self.class_dim(cls)
+        g_order = self._group_order(self.class_dim(cls))
         size = self._orbit_size(cls)
-        g_order = 1
-        for d in dim:
-            g_order *= linalg.gl_order(d, self.q)
         assert g_order % size == 0
         return g_order // size
+
+    def _group_order(self, dim) -> int:
+        """|G_d|, the order of the base-change group prod_v GL(d_v, F_q)."""
+        return prod(linalg.gl_order(d, self.q) for d in dim)
 
     def _point_count(self, dim) -> int:
         cells = sum(dim[s] * dim[t] for s, t in self.quiver.arrows)
         return self.q**cells
 
-    def _orbit_machinery(self, dim):
+    def _unvisited(self, dim) -> np.ndarray:
+        """An all-False mask over the points of E_d, within the point budget."""
+        npoints = self._point_count(dim)
+        if npoints > self.point_budget:
+            raise BudgetExceeded(
+                f"|E_d| = {npoints} exceeds the point budget {self.point_budget}")
+        return np.zeros(npoints, dtype=bool)
+
+    def _generators(self, dim) -> list:
+        """(v, g, g^-1) generators of G_d: at each vertex the elementary
+        matrices I + E_ij and, for q > 2, diag(primitive root, 1, ...)."""
         q = self.q
-        quiver = self.quiver
-        maxd = max(max(dim), 1)
         gens = []
-        prim = _primitive_root(q)
         for v, d in enumerate(dim):
-            if d == 0:
-                continue
             mats = []
             for i in range(d):
                 for j in range(d):
@@ -298,72 +304,23 @@ class ClassTable:
                         m = np.eye(d, dtype=np.int64)
                         m[i, j] = 1
                         mats.append(m)
-            if q > 2 or d == 0:
+            if q > 2 and d:
                 m = np.eye(d, dtype=np.int64)
-                m[0, 0] = prim
-                mats.append(m)
-            if not mats:
-                m = np.eye(d, dtype=np.int64)
+                m[0, 0] = _primitive_root(q)
                 mats.append(m)
             for m in mats:
-                gens.append((v, m))
-        ngen = max(len(gens), 1)
-        gen_left = np.zeros((ngen, quiver.n, maxd, maxd), dtype=np.int64)
-        gen_right = np.zeros((ngen, quiver.n, maxd, maxd), dtype=np.int64)
-        for g in range(ngen):
-            for v in range(quiver.n):
-                d = dim[v]
-                gen_left[g, v, :d, :d] = np.eye(d, dtype=np.int64)
-                gen_right[g, v, :d, :d] = np.eye(d, dtype=np.int64)
-        for g, (v, m) in enumerate(gens):
-            d = dim[v]
-            gen_left[g, v, :d, :d] = m
-            inv = linalg.solve_mod(m, np.eye(d, dtype=np.int64), q)
-            gen_right[g, v, :d, :d] = inv
-        arrow_src = np.array([s for s, _ in quiver.arrows], dtype=np.int64)
-        arrow_tgt = np.array([t for _, t in quiver.arrows], dtype=np.int64)
-        dims_arr = np.array(dim, dtype=np.int64)
-        return gen_left, gen_right, arrow_src, arrow_tgt, dims_arr
-
-    def _encode_rep(self, rep: Representation) -> int:
-        code = 0
-        shift = 1
-        q = self.q
-        for k in range(len(self.quiver.arrows)):
-            m = rep.maps[k]
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    code += int(m[i, j]) * shift
-                    shift *= q
-        return code
-
-    def _decode_rep(self, code: int, dim) -> Representation:
-        q = self.q
-        maps = []
-        rem = code
-        for s, t in self.quiver.arrows:
-            m = np.zeros((dim[t], dim[s]), dtype=np.int64)
-            for i in range(dim[t]):
-                for j in range(dim[s]):
-                    m[i, j] = rem % q
-                    rem //= q
-            maps.append(m)
-        return Representation(self.quiver, q, dim, maps)
+                gens.append((v, m, linalg.solve_mod(m, np.eye(d, dtype=np.int64), q)))
+        return gens
 
     def _orbit_size(self, cls: IsoClass) -> int:
-        if cls in self._aut_orbit_cache:
-            return self._aut_orbit_cache[cls]
-        dim = self.class_dim(cls)
-        npoints = self._point_count(dim)
-        if npoints > self.point_budget:
-            raise BudgetExceeded(
-                f"|E_d| = {npoints} exceeds the point budget {self.point_budget}")
-        rep = self.representative(cls)
-        visited = np.zeros(npoints, dtype=bool)
-        machinery = self._orbit_machinery(dim)
-        size = orbit_fill([self._encode_rep(rep)], visited, *machinery, self.q)
-        self._aut_orbit_cache[cls] = size
-        return size
+        if cls not in self._aut_orbit_cache:
+            dim = self.class_dim(cls)
+            visited = self._unvisited(dim)
+            maps = [m[None] for m in self.representative(cls).maps]
+            self._aut_orbit_cache[cls] = orbit_fill(
+                encode_points(maps, self.q), visited, self.quiver.arrows, dim,
+                self._generators(dim), self.q)
+        return self._aut_orbit_cache[cls]
 
     def enumerate_classes(self, dim):
         """Orbit partition of E_d: one (IsoClass, representative) per orbit.
@@ -373,12 +330,11 @@ class ClassTable:
         in each orbit; the per-orbit sizes must tile |E_d| exactly.
         """
         dim = tuple(dim)
-        npoints = self._point_count(dim)
-        if npoints > self.point_budget:
-            raise BudgetExceeded(
-                f"|E_d| = {npoints} exceeds the point budget {self.point_budget}")
-        visited = np.zeros(npoints, dtype=bool)
-        machinery = self._orbit_machinery(dim)
+        visited = self._unvisited(dim)
+        npoints = visited.size
+        gens = self._generators(dim)
+        g_order = self._group_order(dim)
+        cells = [(dim[t], dim[s]) for s, t in self.quiver.arrows]
         out = []
         covered = 0
         code = 0
@@ -386,14 +342,12 @@ class ClassTable:
             while code < npoints and visited[code]:
                 code += 1
             assert code < npoints
-            rep = self._decode_rep(code, dim)
-            size = orbit_fill([code], visited, *machinery, self.q)
+            maps = [m[0] for m in decode_points([code], cells, self.q)]
+            rep = Representation(self.quiver, self.q, dim, maps)
+            size = orbit_fill([code], visited, self.quiver.arrows, dim, gens, self.q)
             covered += size
             cls = self.label_module(rep)
             out.append((cls, rep, size))
-            g_order = 1
-            for d in dim:
-                g_order *= linalg.gl_order(d, self.q)
             assert g_order % self.aut_order(cls) == 0
             assert size == g_order // self.aut_order(cls), \
                 f"orbit size {size} != |G|/|Aut| for {cls.label}"
@@ -403,9 +357,7 @@ class ClassTable:
     def mass_check(self, dim) -> bool:
         """sum over classes of |G_d| / |Aut| equals |E_d| (catalog completeness)."""
         dim = tuple(dim)
-        g_order = 1
-        for d in dim:
-            g_order *= linalg.gl_order(d, self.q)
+        g_order = self._group_order(dim)
         total = 0
         for cls in self.classes_of_dim(dim):
             a = self.aut_order(cls)

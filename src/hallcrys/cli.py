@@ -350,8 +350,7 @@ def cmd_compute(config: RunConfig, expression: str) -> dict:
             results["fixed"][str(q)] = f"error: {exc}"
     if quiver.is_dynkin():
         ctx = GenericContext(quiver, _bound_tuple(quiver, config), config.primes,
-                             point_budget=config.point_budget,
-                             ext_budget=config.ext_budget, tables=tables)
+                             tables=tables)
         try:
             results["generic"] = str(_evaluate(node, ctx))
         except CLIError as exc:
@@ -394,12 +393,8 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
                            [f"{label} is not exceptional"])
     falsifications = []
     results = []
-    engine = CertificateEngine(quiver, bound, config.primes,
-                               point_budget=config.point_budget,
-                               ext_budget=config.ext_budget, tables=tables)
-    ctx = GenericContext(quiver, bound, config.primes,
-                         point_budget=config.point_budget,
-                         ext_budget=config.ext_budget, tables=tables)
+    engine = CertificateEngine(quiver, bound, config.primes, tables=tables)
+    ctx = GenericContext(quiver, bound, config.primes, tables=tables)
     crystal = None
     if target in ("crystal", "both") and quiver.is_dynkin():
         max_weight = max(sum(t0.class_dim(c)) for c in classes) if classes else 0
@@ -435,7 +430,7 @@ def cmd_selftest(config: RunConfig) -> dict:
     from .exseq import BraidError, braid_move_hall, braid_move_module
     from .generic import expr_evaluate_fixed
     from .hallalg import serre_defect
-    from .modules import BudgetExceeded, ext_dims, hom_dim
+    from .modules import BudgetExceeded, ext_dims
     from .quivers import euler_bilinear
     quiver = Quiver.load(config.quiver_path)
     falsifications = []
@@ -455,10 +450,12 @@ def cmd_selftest(config: RunConfig) -> dict:
             classes.extend(table.classes_of_dim(d))
         reps = [table.representative(c) for c in classes]
         cdims = [table.class_dim(c) for c in classes]
+        # Hom is additive over the table's Krull-Schmidt parts; Ext comes from
+        # the direct sums, so the identity still compares two routes
         ext = ext_dims(reps, reps)
         euler_ok = all(
-            hom_dim(M, N) - ext[i][j] == euler_bilinear(quiver, cdims[i], cdims[j])
-            for i, M in enumerate(reps) for j, N in enumerate(reps))
+            table.hom(a, b) - ext[i][j] == euler_bilinear(quiver, cdims[i], cdims[j])
+            for i, a in enumerate(classes) for j, b in enumerate(classes))
         check(f"euler identity q={q}", euler_ok)
         mass_ok = all(table.mass_check(d) for d in dims)
         check(f"mass formula q={q}", mass_ok)
@@ -513,8 +510,7 @@ def cmd_selftest(config: RunConfig) -> dict:
     # one integrality certificate replay per exceptional simple
     from .exseq import CertificateEngine
     engine = CertificateEngine(quiver, _bound_tuple(quiver, config), config.primes,
-                               point_budget=config.point_budget,
-                               ext_budget=config.ext_budget, tables=tables)
+                               tables=tables)
     cert_ok = True
     for v in range(quiver.n):
         cls = IsoClass((f"S{quiver.vertices[v]}",))

@@ -322,17 +322,15 @@ class CertificateEngine:
     held-out prime.
     """
 
-    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5),
-                 point_budget=500_000, ext_budget=200_000, tables=None):
+    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), tables=None):
+        if len(set(primes)) != len(primes):
+            raise ValueError(f"repeated primes in {tuple(primes)}")
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
         self.primes = tuple(primes)
-        self.point_budget = point_budget
-        self.ext_budget = ext_budget
         # shared with other users of the same quiver and bound when given
         self._tables = tables if tables is not None else TableSet(
-            lambda q: ClassTable(self.quiver, q, self.dim_bound, self.point_budget,
-                                 self.ext_budget))
+            lambda q: ClassTable(self.quiver, q, self.dim_bound))
         self._indec_tree = {}
         self._dp_tree = {}
 

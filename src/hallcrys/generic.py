@@ -84,8 +84,7 @@ class GenericContext:
 
     q = None                     # q = v^2 stays an indeterminate
 
-    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5),
-                 point_budget=500_000, ext_budget=200_000, tables=None):
+    def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), tables=None):
         if len(primes) < 2:
             raise ValueError("need at least two primes (one for validation)")
         if len(set(primes)) != len(primes):
@@ -93,12 +92,9 @@ class GenericContext:
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
         self.primes = tuple(primes)
-        self.point_budget = point_budget
-        self.ext_budget = ext_budget
         # shared with other users of the same quiver and bound when given
         self._tables = tables if tables is not None else TableSet(
-            lambda q: ClassTable(self.quiver, q, self.dim_bound, self.point_budget,
-                                 self.ext_budget))
+            lambda q: ClassTable(self.quiver, q, self.dim_bound))
         self._hall_polys = {}
         self._aut_polys = {}
         self.datum = cartan_datum(quiver)
@@ -163,7 +159,6 @@ class GenericContext:
         points = []
         for p in self.primes[:2]:
             points.append((p, self.table(p).hall_number(lam, alpha, beta)))
-        idx = 2
         used = list(self.primes[:2])
         while True:
             fit = _lagrange_fit(points)
@@ -180,7 +175,6 @@ class GenericContext:
                 return poly
             points.append((nxt, val))
             used.append(nxt)
-            idx += 1
 
     def _next_prime(self, used):
         for p in PRIME_POOL:

@@ -90,10 +90,12 @@ class TestMassAndEnumeration:
                 assert t.mass_check(dim), (quiver, q, dim)
 
     @pytest.mark.parametrize("q", [2, 3])
-    def test_enumerate_matches_catalog(self, reg, a2, kron, q):
+    def test_enumerate_matches_catalog(self, reg, a2, a3, kron, q):
         for quiver, dim in [(a2, (1, 1)), (a2, (2, 2)), (kron, (1, 1)), (kron, (2, 1)),
-                            (a2, (1, 0)), (a2, (0, 2)), (kron, (0, 1)), (kron, (2, 0))]:
-            t = reg.table(quiver, q, (3, 3))
+                            (a2, (1, 0)), (a2, (0, 2)), (kron, (0, 1)), (kron, (2, 0)),
+                            (a3, (1, 1, 1)), (a3, (1, 0, 1)), (a3, (2, 1, 1)),
+                            (a3, (0, 2, 1))]:
+            t = reg.table(quiver, q, (3,) * quiver.n)
             enum = t.enumerate_classes(dim)
             assert [c.label for c, _ in enum] == [c.label for c in t.classes_of_dim(dim)]
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from hallcrys.classtable import IsoClass
+from hallcrys.exseq import CertificateEngine
 from hallcrys.generic import (ExprTree, GenericContext, expr_evaluate,
                               expr_evaluate_fixed, generic_multiply,
                               generic_ringel_pair, generic_rprime, kashiwara_pair,
@@ -243,8 +244,9 @@ def test_interpolation_pool_exhaustion(a2, monkeypatch):
 
 @pytest.mark.parametrize("primes", [(2, 2), (3, 2, 3)])
 def test_repeated_primes_rejected(a2, primes):
-    with pytest.raises(ValueError, match="repeated primes"):
-        GenericContext(a2, (2, 2), primes=primes)
+    for build in (GenericContext, CertificateEngine):
+        with pytest.raises(ValueError, match="repeated primes"):
+            build(a2, (2, 2), primes=primes)
 
 
 def test_crystal_requires_dynkin(kron):

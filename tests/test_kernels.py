@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from hallcrys import linalg
-from hallcrys._kernels import orbit_fill, rank_mod, rref_mod
+from hallcrys._kernels import (decode_points, encode_points, orbit_fill, rank_mod,
+                               rref_mod)
+from hallcrys.modules import Representation
+from hallcrys.quivers import quiver_a2, quiver_a3, quiver_kronecker
 
 
 def brute_rank(a, p):
@@ -109,25 +112,84 @@ def test_orbit_fill_gl1_orbits():
     # GL1 x GL1 acting on one arrow map over F_5: orbits {0} and the rest
     p = 5
     visited = np.zeros(p, dtype=bool)
-    gen_left = np.zeros((2, 2, 1, 1), dtype=np.int64)
-    gen_right = np.zeros((2, 2, 1, 1), dtype=np.int64)
-    for g in range(2):
-        for v in range(2):
-            gen_left[g, v, 0, 0] = 1
-            gen_right[g, v, 0, 0] = 1
-    gen_left[0, 0, 0, 0] = 2
-    gen_right[0, 0, 0, 0] = 3          # 2^{-1} mod 5
-    gen_left[1, 1, 0, 0] = 2
-    gen_right[1, 1, 0, 0] = 3
-    arrow_src = np.array([0], dtype=np.int64)
-    arrow_tgt = np.array([1], dtype=np.int64)
-    dims = np.array([1, 1], dtype=np.int64)
-    args = (gen_left, gen_right, arrow_src, arrow_tgt, dims, p)
+    two, half = np.array([[2]]), np.array([[3]])      # 2^{-1} = 3 mod 5
+    args = ([(0, 1)], (1, 1), [(0, two, half), (1, two, half)], p)
     assert orbit_fill([1], visited, *args) == 4
     assert visited.tolist() == [False, True, True, True, True]
     assert orbit_fill([3], visited, *args) == 0        # already visited
     assert orbit_fill([0], visited, *args) == 1        # the zero map is fixed
     assert visited.all()
+
+
+def test_orbit_fill_conjugation_on_a_loop():
+    # GL2(F_2), generated by its two elementary matrices, conjugating the
+    # matrix of a loop: the similarity classes of M_2(F_2)
+    p = 2
+    e12, e21 = np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]])
+    args = ([(0, 0)], (2,), [(0, e12, e12), (0, e21, e21)], p)
+    visited = np.zeros(p ** 4, dtype=bool)
+    sizes = []
+    while not visited.all():
+        sizes.append(orbit_fill([int(np.argmin(visited))], visited, *args))
+    assert sorted(sizes) == [1, 1, 2, 3, 3, 6]
+    # with no generators the orbit is the start point
+    visited[:] = False
+    assert orbit_fill([5, 5], visited, [(0, 0)], (2,), [], p) == 1
+    assert visited.nonzero()[0].tolist() == [5]
+
+
+def encode_reference(rep):
+    """Per-entry point encoding: arrow matrices row-major, in arrow order, as
+    base-q digits, least significant first."""
+    code, shift = 0, 1
+    for m in rep.maps:
+        for i in range(m.shape[0]):
+            for j in range(m.shape[1]):
+                code += int(m[i, j]) * shift
+                shift *= rep.q
+    return code
+
+
+def decode_reference(quiver, q, code, dim):
+    maps = []
+    for s, t in quiver.arrows:
+        m = np.zeros((dim[t], dim[s]), dtype=np.int64)
+        for i in range(dim[t]):
+            for j in range(dim[s]):
+                m[i, j] = code % q
+                code //= q
+        maps.append(m)
+    return Representation(quiver, q, dim, maps)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_point_encoding_matches_reference(q):
+    rng = np.random.default_rng(40 + q)
+    empty_blocks = 0
+    for quiver in (quiver_a2(), quiver_a3(), quiver_kronecker()):
+        for _ in range(25):
+            dim = tuple(int(d) for d in rng.integers(0, 4, quiver.n))
+            cells = [(dim[t], dim[s]) for s, t in quiver.arrows]
+            npoints = q ** sum(r * c for r, c in cells)
+            empty_blocks += sum(r * c == 0 for r, c in cells)
+            reps = [Representation(quiver, q, dim,
+                                   [rng.integers(0, q, cell) for cell in cells])
+                    for _ in range(6)]
+            mats = [np.stack([rep.maps[k] for rep in reps]) for k in range(len(cells))]
+            codes = encode_points(mats, q)
+            assert codes.tolist() == [encode_reference(rep) for rep in reps]
+            assert ((0 <= codes) & (codes < npoints)).all()
+            decoded = decode_points(codes, cells, q)
+            assert [m.shape for m in decoded] == [(len(reps),) + c for c in cells]
+            for k, m in enumerate(decoded):
+                assert np.array_equal(m, mats[k])
+            for code, rep in zip(codes.tolist(), reps):
+                ref = decode_reference(quiver, q, code, dim)
+                assert all(np.array_equal(a, b) for a, b in zip(ref.maps, rep.maps))
+            # the other way round: codes -> points -> codes
+            codes = rng.integers(0, npoints, 6)
+            assert np.array_equal(encode_points(decode_points(codes, cells, q), q), codes)
+    assert empty_blocks
 
 
 def test_complement_basis():
