@@ -69,10 +69,17 @@ def decode_points(codes, cells, p) -> list:
     return mats
 
 
-def encode_points(mats, p) -> np.ndarray:
-    """The codes of a batch of points given as in :func:`decode_points`."""
-    digits = np.concatenate([m.reshape(m.shape[0], m.shape[1] * m.shape[2])
-                             for m in mats], axis=1)
+def encode_points(mats, p, batch=None) -> np.ndarray:
+    """The codes of a batch of points given as in :func:`decode_points`.
+
+    ``batch`` is the number of points; it defaults to the first block's and
+    must be given for a quiver without arrows, where each point is code 0.
+    """
+    if batch is None:
+        batch = mats[0].shape[0]
+    digits = np.concatenate([np.zeros((batch, 0), dtype=np.int64)]
+                            + [m.reshape(batch, m.shape[1] * m.shape[2]) for m in mats],
+                            axis=1)
     return (digits * p ** np.arange(digits.shape[1], dtype=np.int64)).sum(axis=1)
 
 
@@ -95,7 +102,7 @@ def orbit_fill(start_codes, visited, arrows, dims, gens, p) -> int:
         for v, g, g_inv in gens:
             out = [g @ m % p if t == v else m for m, (_, t) in zip(mats, arrows)]
             out = [m @ g_inv % p if s == v else m for m, (s, _) in zip(out, arrows)]
-            images.append(encode_points(out, p))
+            images.append(encode_points(out, p, frontier.size))
         codes = np.unique(np.concatenate(images))
         codes = codes[~visited[codes]]
         visited[codes] = True

@@ -318,7 +318,7 @@ class ClassTable:
             visited = self._unvisited(dim)
             maps = [m[None] for m in self.representative(cls).maps]
             self._aut_orbit_cache[cls] = orbit_fill(
-                encode_points(maps, self.q), visited, self.quiver.arrows, dim,
+                encode_points(maps, self.q, 1), visited, self.quiver.arrows, dim,
                 self._generators(dim), self.q)
         return self._aut_orbit_cache[cls]
 
@@ -466,12 +466,13 @@ class ClassTable:
                 ws, wt = combo[s], combo[t]
                 # columns of image: the submodule's image, then the complement's
                 image = (rep.maps[k] @ ws.frame) % q
-                if ws.k and not linalg.column_space_contains(
-                        wt.frame[:, :wt.k], image[:, :ws.k], q):
-                    break
-                # in the target frame's coordinates the map is block triangular:
-                # the sub block maps W_s to W_t, the quotient block C_s to C_t
+                # the image in the target frame's coordinates [W_t | C_t]: the
+                # tuple is closed when W_s lands in W_t, i.e. the block C_t <- W_s
+                # is zero; then the map is block triangular, the sub block
+                # mapping W_s to W_t and the quotient block C_s to C_t
                 block = (wt.frame_inv @ image) % q
+                if block[wt.k:, :ws.k].any():
+                    break
                 sub_maps.append(block[:wt.k, :ws.k])
                 quot_maps.append(block[wt.k:, ws.k:])
             else:

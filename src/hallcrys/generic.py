@@ -3,11 +3,14 @@
 :class:`GenericContext` is the scalar layer of :class:`hallalg.HallElement`
 with coefficients rational functions in v (q = v^2): its structure constants
 are Hall polynomials, fitted by multi-prime interpolation (Dynkin quivers
-carry field-independent class labels).  Products, derivations and the Ringel
-pairing are the ones of :mod:`hallalg`; :func:`generic_multiply` adds the
-fixed-q spot check that compares the two layers.  Also here: divided-power
-expression trees evaluated over either layer, the Lusztig symmetry formulas,
-and the Kashiwara pairing.
+carry field-independent class labels).  Each polynomial g is fitted twice
+through the same scanned primes, once directly and once through its Riedtmann
+numerator g a_alpha a_beta q^hom / a_lambda; the first fit confirmed at a
+held-out prime wins, and a numerator fit is divided back exactly.  Products,
+derivations and the Ringel pairing are the ones of :mod:`hallalg`;
+:func:`generic_multiply` adds the fixed-q spot check that compares the two
+layers.  Also here: divided-power expression trees evaluated over either
+layer, the Lusztig symmetry formulas, and the Kashiwara pairing.
 """
 
 from __future__ import annotations
@@ -37,18 +40,23 @@ class HallPolynomial:
     coeffs: tuple              # ascending coefficients in q, Fractions
     primes_used: tuple
     validation_prime: int
+    fit: str                   # "g", or "F" for the Riedtmann numerator
 
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else 0
 
     def eval_int(self, q: int) -> int:
-        val = sum(c * q**k for k, c in enumerate(self.coeffs))
+        val = _evaluate(self.coeffs, q)
         assert val.denominator == 1
         return int(val)
 
     def as_laurent(self) -> LaurentPoly:
         """The polynomial with q replaced by v^2."""
         return LaurentPoly({2 * k: c for k, c in enumerate(self.coeffs)})
+
+
+def _evaluate(coeffs, q: int):
+    return sum(c * q**k for k, c in enumerate(coeffs))
 
 
 def _lagrange_fit(points):
@@ -152,29 +160,80 @@ class GenericContext:
     # -- Hall polynomials -------------------------------------------------
 
     def hall_polynomial(self, lam: IsoClass, alpha: IsoClass, beta: IsoClass) -> HallPolynomial:
+        """g^lam_{alpha beta}(q), fitted through Grassmannian scans at primes.
+
+        Two interpolations run through the same scanned primes: one of g and
+        one of its Riedtmann numerator F = g a_alpha a_beta q^hom(alpha,beta)
+        / a_lam = |Ext^1(alpha, beta)_lam|, an integer at each prime.  Both
+        start from the first two configured primes; each further prime of
+        ``PRIME_POOL`` is held out, and the first fit whose prediction
+        matches the scan there is accepted, g before F.  Otherwise the point
+        joins both fits.  The degree of F is often 0 where g's is high, and
+        the other way round, so taking whichever validates first saves the
+        scans at large primes.  An accepted F is turned back into g by exact
+        division by the closed-form ``aut_poly``; the quotient must be a
+        polynomial in q that reproduces every scanned value, or this raises.
+        """
         self.require_generic()
         key = (lam, alpha, beta)
         if key in self._hall_polys:
             return self._hall_polys[key]
-        points = []
-        for p in self.primes[:2]:
-            points.append((p, self.table(p).hall_number(lam, alpha, beta)))
+        g_points, f_points = [], []
+
+        def scan(p):
+            t = self.table(p)
+            g = t.hall_number(lam, alpha, beta)
+            num = g * t.aut_order(alpha) * t.aut_order(beta) * p ** t.hom(alpha, beta)
+            f, rem = divmod(num, t.aut_order(lam))
+            if rem:
+                raise ValueError(f"Riedtmann numerator of {key} "
+                                 f"at q = {p} is not an integer")
+            g_points.append((p, g))
+            f_points.append((p, f))
+
         used = list(self.primes[:2])
+        for p in used:
+            scan(p)
         while True:
-            fit = _lagrange_fit(points)
+            g_fit, f_fit = _lagrange_fit(g_points), _lagrange_fit(f_points)
             nxt = self._next_prime(used)
             if nxt is None:
                 raise InterpolationUnstable(
                     f"hall polynomial for {key} unstable after primes {used}")
-            val = self.table(nxt).hall_number(lam, alpha, beta)
-            predicted = sum(c * nxt**k for k, c in enumerate(fit))
-            if predicted == val:
-                poly = HallPolynomial((lam.label, alpha.label, beta.label),
-                                      fit, tuple(used), nxt)
-                self._hall_polys[key] = poly
-                return poly
-            points.append((nxt, val))
-            used.append(nxt)
+            scan(nxt)
+            if _evaluate(g_fit, nxt) == g_points[-1][1]:
+                coeffs, fit = g_fit, "g"
+            elif _evaluate(f_fit, nxt) == f_points[-1][1]:
+                coeffs, fit = self._g_from_riedtmann(f_fit, key), "F"
+                if any(_evaluate(coeffs, p) != g for p, g in g_points):
+                    raise ValueError(f"Riedtmann fit of {key} "
+                                     "misses a scanned Hall number")
+            else:
+                used.append(nxt)
+                continue
+            poly = HallPolynomial((lam.label, alpha.label, beta.label),
+                                  coeffs, tuple(used), nxt, fit)
+            self._hall_polys[key] = poly
+            return poly
+
+    def _g_from_riedtmann(self, f_coeffs, key) -> tuple:
+        """g = F a_lam / (a_alpha a_beta q^hom(alpha,beta)) as ascending
+        coefficients in q; raises unless the division is exact and leaves a
+        polynomial in q = v^2."""
+        lam, alpha, beta = key
+        num = LaurentPoly({2 * k: c for k, c in enumerate(f_coeffs)}) * self.aut_poly(lam)
+        den = (self.aut_poly(alpha) * self.aut_poly(beta)
+               * LaurentPoly.v_power(2 * self._base.hom(alpha, beta)))
+        try:
+            g = num.divide_exact(den)
+        except ValueError:
+            raise ValueError(f"Riedtmann fit of {key} does not "
+                             "divide by the automorphism orders") from None
+        if any(e < 0 or e % 2 for e in g.coeffs):
+            raise ValueError(f"Riedtmann fit of {key} is not "
+                             f"a polynomial in q: {g}")
+        top = max(g.coeffs, default=0) // 2
+        return tuple(g.coeffs.get(2 * k, Fraction(0)) for k in range(top + 1))
 
     def _next_prime(self, used):
         for p in PRIME_POOL:

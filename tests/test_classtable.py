@@ -5,7 +5,7 @@ import pytest
 
 from hallcrys.classtable import ClassTable, IsoClass, ZERO_CLASS, parse_class_label
 from hallcrys.modules import BudgetExceeded
-from hallcrys.quivers import euler_bilinear
+from hallcrys.quivers import euler_bilinear, quiver_a1
 
 
 P = IsoClass.of("r1.1")
@@ -98,6 +98,16 @@ class TestMassAndEnumeration:
             t = reg.table(quiver, q, (3,) * quiver.n)
             enum = t.enumerate_classes(dim)
             assert [c.label for c, _ in enum] == [c.label for c in t.classes_of_dim(dim)]
+
+    @pytest.mark.parametrize("q, orders", [(2, (6, 168)), (3, (48, 11232))])
+    def test_quiver_without_arrows(self, q, orders):
+        # E_d is a single point, code 0: one orbit, |Aut| = |G_d| = |GL_n|
+        t = ClassTable(quiver_a1(), q, (3,))
+        for n, order in zip((2, 3), orders):
+            cls = IsoClass.of(*["S1"] * n)
+            assert t.aut_order(cls) == t.aut_order_orbit(cls) == order
+            assert [c for c, _ in t.enumerate_classes((n,))] == [cls]
+            assert t.mass_check((n,))
 
     def test_enumerate_budget(self, reg, kron):
         t = ClassTable(kron, 5, (3, 3), point_budget=100)

@@ -25,6 +25,14 @@ def a2_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def a3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("quivers") / "a3.json"
+    path.write_text(json.dumps({"vertices": ["1", "2", "3"],
+                                "arrows": [["1", "2"], ["2", "3"]]}))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def kron_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("quivers") / "kron.json"
     path.write_text(json.dumps({"vertices": ["1", "2"],
@@ -217,6 +225,16 @@ class TestSelftestAndCache:
         assert all(c["pass"] for c in report["results"])
 
 
+    def test_selftest_on_quiver_without_arrows(self, tmp_path):
+        path = tmp_path / "a1.json"
+        path.write_text(json.dumps({"vertices": ["1"], "arrows": []}))
+        proc = run_cli("selftest", "--quiver", str(path), "--dim-bound", "2")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads(proc.stdout)
+        assert len(report["results"]) == 19
+        assert all(c["pass"] for c in report["results"])
+
+
 class TestCertifyCache:
     ARGS = ("certify", "--all-exceptional", "--dim-bound", "2",
             "--target", "integrality")
@@ -297,6 +315,8 @@ class TestGoldenReports:
                               "--target", "integrality", "--primes", "2,3"),
         "a2_certify.json": ("a2", "certify", "--all-exceptional", "--dim-bound", "2",
                             "--target", "both"),
+        "a3_certify.json": ("a3", "certify", "--all-exceptional", "--dim-bound", "2",
+                            "--target", "both"),
     }
 
     @staticmethod
@@ -304,10 +324,11 @@ class TestGoldenReports:
         return re.sub(r'^ "generated_at": "[^"]*",\n', "", text, count=1, flags=re.M)
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_report_matches_golden(self, name, a2_file, kron_file, monkeypatch):
+    def test_report_matches_golden(self, name, a2_file, a3_file, kron_file, monkeypatch):
         monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
         quiver, *args = self.CASES[name]
-        proc = run_cli(*args, "--quiver", {"a2": a2_file, "kron": kron_file}[quiver])
+        files = {"a2": a2_file, "a3": a3_file, "kron": kron_file}
+        proc = run_cli(*args, "--quiver", files[quiver])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         with open(os.path.join(self.GOLDEN, name)) as fh:
             golden = fh.read()

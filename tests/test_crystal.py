@@ -174,6 +174,18 @@ def a3_crystal_w5(reg, a3):
     return Crystal(reg.ctx(a3), 5)
 
 
+def test_riedtmann_fits_hold_at_unscanned_primes(reg, a3, a3_crystal_w5):
+    # the Hall polynomials accepted on the Riedtmann numerator F, checked
+    # against direct scans at two primes that took no part in their fit
+    ctx = reg.ctx(a3)
+    fitted = [(key, hp) for key, hp in ctx._hall_polys.items() if hp.fit == "F"]
+    assert fitted
+    for p in (7, 11):
+        for key, hp in fitted:
+            assert p not in hp.primes_used and p != hp.validation_prime
+            assert hp.eval_int(p) == ctx.table(p).hall_number(*key), (hp.triple, p)
+
+
 class TestReductionAtInfinity:
     """Deduplication by reductions at v = infinity, against the Ringel pairing."""
 

@@ -49,6 +49,51 @@ class TestHallPolynomials:
             ctx.hall_polynomial(IsoClass.of("r2.1"), IsoClass.of("S1"),
                                 IsoClass.of("S1", "S2"))
 
+    def test_gaussian_binomials_fit_riedtmann_numerator(self):
+        # on A1 the Riedtmann numerator of g^{nS1}_{aS1,bS1} is |Ext^1| = 1,
+        # so the binomials [n; a]_q validate at q = 5 after two scans; g is
+        # tried first, and wins where both fits are confirmed
+        ctx = GenericContext(quiver_a1(), (4,), primes=(2, 3, 5))
+
+        def S(n):
+            return IsoClass.of(*["S1"] * n)
+
+        for (n, a), coeffs, fit in [((3, 1), (1, 1, 1), "F"),
+                                    ((4, 2), (1, 1, 2, 1, 1), "F"),
+                                    ((4, 1), (1, 1, 1, 1), "F"),
+                                    ((2, 1), (1, 1), "g")]:
+            hp = ctx.hall_polynomial(S(n), S(a), S(n - a))
+            assert hp.coeffs == tuple(Fraction(c) for c in coeffs)
+            assert (hp.fit, hp.primes_used, hp.validation_prime) == (fit, (2, 3), 5)
+        assert sorted(ctx._tables) == [2, 3, 5]
+
+    @pytest.mark.parametrize("scaled, factor, message", [
+        (1, LaurentPoly({0: 1, 2: 1}), "does not divide"),
+        (1, LaurentPoly({1: 1}), "not a polynomial in q"),
+        (0, LaurentPoly({2: 1}), "misses a scanned Hall number"),
+    ])
+    def test_riedtmann_fit_checked(self, monkeypatch, scaled, factor, message):
+        # g^{3S1}_{S1,2S1} = 1 + q + q^2 is accepted on F; a wrong a_lam or
+        # a_alpha in the conversion back to g must raise, whether it leaves a
+        # remainder, odd powers of v or a polynomial off the scanned values
+        ctx = GenericContext(quiver_a1(), (3,), primes=(2, 3, 5))
+        key = tuple(IsoClass.of(*["S1"] * n) for n in (3, 1, 2))
+        aut_poly = ctx.aut_poly
+        monkeypatch.setattr(ctx, "aut_poly", lambda cls: aut_poly(cls) * (
+            factor if cls == key[scaled] else LaurentPoly.one()))
+        with pytest.raises(ValueError, match=message):
+            ctx.hall_polynomial(*key)
+
+    def test_riedtmann_numerator_must_be_integral(self, monkeypatch):
+        ctx = GenericContext(quiver_a1(), (3,), primes=(2, 3, 5))
+        key = tuple(IsoClass.of(*["S1"] * n) for n in (3, 1, 2))
+        table = ctx.table(3)
+        aut_order = table.aut_order
+        monkeypatch.setattr(table, "aut_order", lambda cls: aut_order(cls) * (
+            7 if cls == key[0] else 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            ctx.hall_polynomial(*key)
+
 
 class TestGenericProducts:
     def test_a2_product(self, reg, a2):
