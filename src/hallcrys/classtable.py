@@ -31,6 +31,7 @@ import numpy as np
 
 from . import linalg
 from ._kernels import decode_points, encode_points, orbit_fill
+from .checks import CheckFailed, check
 from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim,
                       hom_dim, hom_system, indecomposable_catalog)
 from .quivers import Quiver, euler_bilinear
@@ -112,10 +113,13 @@ class ClassTable:
         for it in self.catalog:
             if not it.field_dependent:
                 # rigid catalog entries must be bricks without self-extensions
-                assert self.hom_indec(it.label, it.label) == 1, it.label
-                assert self.ext_indec(it.label, it.label) == 0, it.label
+                check(self.hom_indec(it.label, it.label) == 1,
+                      f"rigid catalog entry {it.label} is not a brick")
+                check(self.ext_indec(it.label, it.label) == 0,
+                      f"rigid catalog entry {it.label} has self-extensions")
             else:
-                assert self.hom_indec(it.label, it.label) == it.end_dim, it.label
+                check(self.hom_indec(it.label, it.label) == it.end_dim,
+                      f"End dimension of {it.label} is not {it.end_dim}")
 
     # -- indecomposable-level tables ------------------------------------
 
@@ -272,7 +276,7 @@ class ClassTable:
         """|Aut| = |G_d| / |orbit| via explicit orbit enumeration."""
         g_order = self._group_order(self.class_dim(cls))
         size = self._orbit_size(cls)
-        assert g_order % size == 0
+        check(g_order % size == 0, f"orbit size of {cls.label} does not divide |G_d|")
         return g_order // size
 
     def _group_order(self, dim) -> int:
@@ -341,17 +345,18 @@ class ClassTable:
         while covered < npoints:
             while code < npoints and visited[code]:
                 code += 1
-            assert code < npoints
+            check(code < npoints, "unvisited points run out before the orbits cover E_d")
             maps = [m[0] for m in decode_points([code], cells, self.q)]
             rep = Representation(self.quiver, self.q, dim, maps)
             size = orbit_fill([code], visited, self.quiver.arrows, dim, gens, self.q)
             covered += size
             cls = self.label_module(rep)
             out.append((cls, rep, size))
-            assert g_order % self.aut_order(cls) == 0
-            assert size == g_order // self.aut_order(cls), \
-                f"orbit size {size} != |G|/|Aut| for {cls.label}"
-        assert covered == npoints
+            check(g_order % self.aut_order(cls) == 0,
+                  f"|Aut| of {cls.label} does not divide |G_d|")
+            check(size == g_order // self.aut_order(cls),
+                  f"orbit size {size} != |G|/|Aut| for {cls.label}")
+        check(covered == npoints, f"orbits cover {covered} of {npoints} points")
         return [(cls, rep) for cls, rep, _ in sorted(out, key=lambda x: x[0])]
 
     def mass_check(self, dim) -> bool:
@@ -361,7 +366,7 @@ class ClassTable:
         total = 0
         for cls in self.classes_of_dim(dim):
             a = self.aut_order(cls)
-            assert g_order % a == 0
+            check(g_order % a == 0, f"|Aut| = {a} of {cls.label} does not divide |G_d|")
             total += g_order // a
         return total == self._point_count(dim)
 
@@ -395,17 +400,15 @@ class ClassTable:
         for it, row in zip(items, inv):
             num = sum(map(mul, row, h))
             if num % den or num < 0:
-                raise ValueError(
+                raise CheckFailed(
                     f"non-integral multiplicity {Fraction(num, den)} of {it.label}")
             m = num // den
             parts.extend([it.label] * m)
             for v in range(self.quiver.n):
                 dim[v] += m * it.dim[v]
         if tuple(dim) != M.dims:
-            raise ValueError("Hom-count decomposition does not match dimensions")
+            raise CheckFailed("Hom-count decomposition does not match dimensions")
         cls = IsoClass(tuple(sorted(parts)))
-        # independent consistency: End dimension must agree
-        assert self.end_dim(cls) == hom_dim(M, M), f"End mismatch for {cls.label}"
         self._label_cache[key] = cls
         return cls
 
@@ -514,11 +517,6 @@ class ClassTable:
                                                 key=lambda kv: (kv[0][0].label,
                                                                 kv[0][1].label,
                                                                 kv[0][2].label))},
-            "aut": {cls.label: self.aut_order(cls)
-                    for dim in sorted(self._classes_cache)
-                    for cls in self._classes_cache[dim]},
-            "classes": {".".join(map(str, dim)): [c.label for c in classes]
-                        for dim, classes in sorted(self._classes_cache.items())},
         }
 
     def load_cache(self, data: dict) -> int:
@@ -575,7 +573,7 @@ class ClassTable:
         hom_ab = self.q ** self.hom(alpha, beta)
         num = a_lam * n_lam
         den = a_a * a_b * hom_ab
-        assert num % den == 0, "Riedtmann-Peng quotient must be integral"
+        check(num % den == 0, "Riedtmann-Peng quotient must be integral")
         return num // den
 
     def extension_middle_counts(self, alpha: IsoClass, beta: IsoClass):
@@ -643,7 +641,7 @@ def _fraction_inverse(rows):
            for i, row in enumerate(rows)]
     pivots = linalg.gauss_jordan(aug, n)[0]
     if len(pivots) < n:
-        raise ValueError("catalog Hom matrix is singular")
+        raise CheckFailed("catalog Hom matrix is singular")
     return [row[n:] for row in aug]
 
 

@@ -2,7 +2,8 @@
 
 Reports are deterministic JSON (sorted keys; a single ``generated_at``
 timestamp field is the only run-dependent entry).  Exit codes: 0 all checks
-pass, 2 a falsification flag was raised, 1 operational error.
+pass, 2 a falsification flag was raised or a check raised
+:class:`~hallcrys.checks.CheckFailed`, 1 operational error.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 
+from .checks import CheckFailed
 from .classtable import ClassTable, IsoClass, TableSet, parse_class_label
-from .crystal import Crystal, CrystalFalsification, certify_exceptional
+from .crystal import Crystal, certify_exceptional
 from .exseq import CertificateEngine, braid_move_hall, braid_move_module
 from .generic import (GenericContext, generic_multiply, generic_ringel_pair,
                       generic_rprime, kashiwara_pair_elements)
@@ -151,6 +153,9 @@ def cmd_enumerate(config: RunConfig) -> dict:
         for dim in _all_dims(quiver, config.dim_bound):
             try:
                 mass_ok = table.mass_check(dim)
+            except CheckFailed as exc:
+                falsifications.append(f"mass formula failed at q={q}, dim={dim}: {exc}")
+                continue
             except Exception as exc:
                 entries.append({"dim": list(dim), "error": str(exc)})
                 continue
@@ -597,13 +602,13 @@ def main(argv=None) -> int:
             report = cmd_selftest(config)
         else:
             raise CLIError(f"unknown command {args.command}")
+    except CheckFailed as exc:
+        # a contradicted identity is a falsification, not an operational error
+        report = _report(args.command, {"quiver": args.quiver}, {},
+                         config.primes, [str(exc)])
     except (CLIError, QuiverError, ValueError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 1
-    except CrystalFalsification as exc:
-        # a contradicted theorem is a falsification, not an operational error
-        report = _report(args.command, {"quiver": args.quiver}, {},
-                         config.primes, [str(exc)])
     except RuntimeError as exc:
         # budget, catalog or certificate failures are operational errors
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))

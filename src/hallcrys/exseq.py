@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
+from .checks import check
 from .classtable import ClassTable, IsoClass, TableSet
 from .generic import ExprTree, PRIME_POOL, expr_evaluate_fixed, opposite, symmetry_sum
 from .hallalg import (HallElement, derivation, divided_power, multiply,
@@ -79,7 +80,7 @@ def m_value(table: ClassTable, a: IsoClass, b: IsoClass) -> int:
     da, db = table.class_dim(a), table.class_dim(b)
     num = 2 * (euler_bilinear(table.quiver, da, db) + euler_bilinear(table.quiver, db, da))
     den = 2 * table.epsilon(b)
-    assert num % den == 0
+    check(num % den == 0, f"m({a.label}, {b.label}) is not an integer")
     return num // den
 
 
@@ -258,9 +259,10 @@ class Rank2Context:
         d1, d2 = table.class_dim(t1), table.class_dim(t2)
         self.dims = (d1, d2)
         self.eps = (table.epsilon(t1), table.epsilon(t2))
-        assert table.hom(t1, t2) == 0 and table.hom(t2, t1) == 0
-        assert table.ext(t2, t1) == 0
-        assert self.m <= 0, "relative simples must have m <= 0"
+        check(table.hom(t1, t2) == 0 and table.hom(t2, t1) == 0,
+              "relative simples must be Hom-orthogonal")
+        check(table.ext(t2, t1) == 0, "relative simples must have Ext(T2, T1) = 0")
+        check(self.m <= 0, "relative simples must have m <= 0")
 
     def _reduce(self, pair):
         table = self.table
@@ -463,6 +465,10 @@ class CertificateEngine:
         fits and everything is verified by replay at the configured primes
         plus one held-out prime.
         """
+        holdout = next((p for p in PRIME_POOL if p not in self.primes), None)
+        if holdout is None:
+            raise CertificateError(
+                f"no PRIME_POOL prime is left to hold out from {self.primes}")
         t0 = self.table(self.primes[0])
         t1c, t2c = ctx.simples
         if ctx.m != -2 or ctx.eps != (1, 1):
@@ -497,7 +503,6 @@ class CertificateEngine:
             nxt = self._rigid_class_of_dim(nxt_dim)
             tree = self._ladder_step(tree, ztree, nxt)
             cur = nxt
-        holdout = next(p for p in PRIME_POOL if p not in self.primes)
         if not self.verify_tree(tree, target, primes=self.primes + (holdout,)):
             raise CertificateError(f"ladder tree for {target.label} fails replay")
         return tree

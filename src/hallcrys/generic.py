@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .checks import CheckFailed, check
 from .classtable import ClassTable, IsoClass, TableSet, ZERO_CLASS
 from .hallalg import (HallElement, add_term, derivation, divided_power_simple,
                       identity_element, multiply, ringel_pair, zero_element)
@@ -47,7 +48,7 @@ class HallPolynomial:
 
     def eval_int(self, q: int) -> int:
         val = _evaluate(self.coeffs, q)
-        assert val.denominator == 1
+        check(val.denominator == 1, f"Hall polynomial {self.triple} is not integral at q = {q}")
         return int(val)
 
     def as_laurent(self) -> LaurentPoly:
@@ -114,7 +115,7 @@ class GenericContext:
         base = {it.label for it in self._base.catalog if not it.field_dependent}
         for p in self.primes[1:]:
             other = {it.label for it in self.table(p).catalog if not it.field_dependent}
-            assert base == other, "rigid labels must not depend on the prime"
+            check(base == other, "rigid labels must not depend on the prime")
 
     def table(self, q: int) -> ClassTable:
         return self._tables[q]
@@ -186,7 +187,7 @@ class GenericContext:
             num = g * t.aut_order(alpha) * t.aut_order(beta) * p ** t.hom(alpha, beta)
             f, rem = divmod(num, t.aut_order(lam))
             if rem:
-                raise ValueError(f"Riedtmann numerator of {key} "
+                raise CheckFailed(f"Riedtmann numerator of {key} "
                                  f"at q = {p} is not an integer")
             g_points.append((p, g))
             f_points.append((p, f))
@@ -206,8 +207,8 @@ class GenericContext:
             elif _evaluate(f_fit, nxt) == f_points[-1][1]:
                 coeffs, fit = self._g_from_riedtmann(f_fit, key), "F"
                 if any(_evaluate(coeffs, p) != g for p, g in g_points):
-                    raise ValueError(f"Riedtmann fit of {key} "
-                                     "misses a scanned Hall number")
+                    raise CheckFailed(f"Riedtmann fit of {key} "
+                                      "misses a scanned Hall number")
             else:
                 used.append(nxt)
                 continue
@@ -227,11 +228,11 @@ class GenericContext:
         try:
             g = num.divide_exact(den)
         except ValueError:
-            raise ValueError(f"Riedtmann fit of {key} does not "
-                             "divide by the automorphism orders") from None
+            raise CheckFailed(f"Riedtmann fit of {key} does not "
+                              "divide by the automorphism orders") from None
         if any(e < 0 or e % 2 for e in g.coeffs):
-            raise ValueError(f"Riedtmann fit of {key} is not "
-                             f"a polynomial in q: {g}")
+            raise CheckFailed(f"Riedtmann fit of {key} is not "
+                              f"a polynomial in q: {g}")
         top = max(g.coeffs, default=0) // 2
         return tuple(g.coeffs.get(2 * k, Fraction(0)) for k in range(top + 1))
 
@@ -260,8 +261,8 @@ class GenericContext:
         t1 = self.table(self.primes[1])
         for la in labels:
             for lb in labels:
-                assert t0.hom_indec(la, lb) == t1.hom_indec(la, lb), \
-                    f"Hom({la},{lb}) must not depend on the prime"
+                check(t0.hom_indec(la, lb) == t1.hom_indec(la, lb),
+                      f"Hom({la},{lb}) must not depend on the prime")
         out = LaurentPoly({2 * cross: 1})
         for la in labels:
             s = mult[la]
@@ -279,7 +280,7 @@ def generic_multiply(x: HallElement, y: HallElement) -> HallElement:
     p = x.layer.primes[0]
     lhs = res.specialize(p)
     rhs = multiply(x.specialize(p), y.specialize(p))
-    assert lhs == rhs, "generic product failed its fixed-q spot check"
+    check(lhs == rhs, "generic product failed its fixed-q spot check")
     return res
 
 

@@ -20,6 +20,7 @@ fixed-q.
 
 from __future__ import annotations
 
+from .checks import check
 from .classtable import ClassTable, IsoClass, ZERO_CLASS
 from .modules import reflect_plus
 from .quivers import cartan_datum, dim_add, dim_sub, euler_bilinear, euler_symmetric
@@ -176,7 +177,7 @@ def divided_power(table: ClassTable, cls: IsoClass, t: int) -> HallElement:
     lhs = power(rescale(table, cls), t).scale(fact.inverse())
     tcls = IsoClass(tuple(sorted(cls.parts * t)))
     rhs = rescale(table, tcls)
-    assert lhs == rhs, f"divided-power identity failed for {cls.label}^({t})"
+    check(lhs == rhs, f"divided-power identity failed for {cls.label}^({t})")
     return rhs
 
 

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ._kernels import rank_mod, rref_mod
+from .checks import check
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -100,7 +101,7 @@ def gaussian_binomial_int(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    check(num % den == 0, "Gaussian binomial quotient must be integral")
     return num // den
 
 

@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
+from .checks import check
 from .quivers import Quiver, dim_total
 
 
@@ -403,7 +404,7 @@ def coxeter_minus(M: Representation) -> Representation:
     out = M
     for i in M.quiver.source_sequence():
         out = reflect_minus(out, i)
-    assert out.quiver == M.quiver
+    check(out.quiver == M.quiver, "C^- must return to the original orientation")
     return out
 
 

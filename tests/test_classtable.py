@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from hallcrys.classtable import ClassTable, IsoClass, ZERO_CLASS, parse_class_label
-from hallcrys.modules import BudgetExceeded
+from hallcrys.modules import BudgetExceeded, hom_dim
 from hallcrys.quivers import euler_bilinear, quiver_a1
 
 
@@ -98,6 +98,9 @@ class TestMassAndEnumeration:
             t = reg.table(quiver, q, (3,) * quiver.n)
             enum = t.enumerate_classes(dim)
             assert [c.label for c, _ in enum] == [c.label for c in t.classes_of_dim(dim)]
+            # the oracle for label_module, which does not compare End dimensions
+            for cls, rep in enum:
+                assert t.end_dim(cls) == hom_dim(rep, rep), cls.label
 
     @pytest.mark.parametrize("q, orders", [(2, (6, 168)), (3, (48, 11232))])
     def test_quiver_without_arrows(self, q, orders):

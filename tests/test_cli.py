@@ -88,6 +88,40 @@ class TestEnumerate:
                 if e.get("field_dependent")]
         assert len(regs) == 4          # the q + 1 regular points at q = 3
 
+    # |Aut(S1+S2)| made seven times too large, so it no longer divides |G_d|
+    DOCTORED = """
+import sys
+from hallcrys import cli
+from hallcrys.classtable import ClassTable, IsoClass
+aut_order = ClassTable.aut_order
+ClassTable.aut_order = lambda self, cls: aut_order(self, cls) * (
+    7 if cls == IsoClass.of("S1", "S2") else 1)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    def test_doctored_aut_order_falsified(self, a2_file, monkeypatch, capsys):
+        """The failed mass formula is a falsification, in process and under
+        python -O alike."""
+        from hallcrys import cli
+        from hallcrys.classtable import ClassTable, IsoClass
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        args = ["enumerate", "--quiver", a2_file, "--dim-bound", "1", "--primes", "2,3"]
+        proc = subprocess.run([sys.executable, "-O", "-c", self.DOCTORED, *args],
+                              capture_output=True, text=True, cwd=BASE,
+                              env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
+        aut_order = ClassTable.aut_order
+        monkeypatch.setattr(ClassTable, "aut_order", lambda self, cls: aut_order(
+            self, cls) * (7 if cls == IsoClass.of("S1", "S2") else 1))
+        code = cli.main(args)
+        runs = [(code, json.loads(capsys.readouterr().out)),
+                (proc.returncode, json.loads(proc.stdout))]
+        for code, report in runs:
+            assert code == 2
+            assert [f.split(":")[0] for f in report["falsifications"]] == [
+                "mass formula failed at q=2, dim=(1, 1)",
+                "mass formula failed at q=3, dim=(1, 1)"]
+            assert all("error" not in e for e in report["results"]["2"])
+
 
 class TestCompute:
     def test_product(self, a2_file):
@@ -388,17 +422,24 @@ class TestCrystalFalsifications:
         assert len(report["results"]) == 8
 
     def test_raised_falsification_exits_2(self, a2_file, monkeypatch, capsys):
+        from hallcrys import CheckFailed
         from hallcrys.crystal import Crystal, CrystalFalsification
-        message = "Etilde image at word (0,) left the lattice L(infinity)"
+        from hallcrys.generic import GenericContext
+        # a crystal theorem contradicted, and a failed check of the generic layer
+        cases = [(Crystal, "_generate", CrystalFalsification,
+                  "Etilde image at word (0,) left the lattice L(infinity)"),
+                 (GenericContext, "hall_polynomial", CheckFailed,
+                  "Riedtmann fit of (S1+S2, S1, S2) misses a scanned Hall number")]
+        for owner, name, error, message in cases:
+            def raising(*args, error=error, message=message):
+                raise error(message)
 
-        def raising(self):
-            raise CrystalFalsification(message)
-
-        monkeypatch.setattr(Crystal, "_generate", raising)
-        code, report = self._certify(a2_file, monkeypatch, capsys)
-        assert code == 2
-        assert "error" not in report
-        assert report["falsifications"] == [message]
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, raising)
+                code, report = self._certify(a2_file, monkeypatch, capsys)
+            assert code == 2
+            assert "error" not in report
+            assert report["falsifications"] == [message]
 
 
 def test_selftest_euler_check_is_live(kron_file, monkeypatch, capsys):

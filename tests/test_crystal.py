@@ -81,14 +81,21 @@ class TestStrings:
             RatFunc(parse_laurent("v^-1")))
         assert dec.reassemble(ctx) == x
 
-    def test_reassembly_property(self, reg, a3):
+    def test_reassembly_property(self, reg, a3, a3_crystal_w5):
+        # the oracle for string_decompose, which checks neither property itself:
+        # the components reassemble x exactly and each lies in ker f'_i
         ctx = reg.ctx(a3)
         E = [chevalley(ctx, v) for v in range(3)]
         samples = [generic_multiply(E[0], E[1]),
                    generic_multiply(E[1], generic_multiply(E[0], E[2]))]
+        assert a3_crystal_w5.ctx is ctx
+        samples += [v.rep for v in a3_crystal_w5.all_vertices()]
         for x in samples:
             for i in range(3):
-                assert string_decompose(ctx, i, x).reassemble(ctx) == x
+                dec = string_decompose(ctx, i, x)
+                assert dec.reassemble(ctx) == x
+                for _, xn in dec.components:
+                    assert fprime(ctx, i, xn).is_zero()
 
 
 class TestKashiwaraOperators:

@@ -1,12 +1,12 @@
 import pytest
 
 from hallcrys.classtable import IsoClass
-from hallcrys.exseq import (BraidError, CertificateError,
+from hallcrys.exseq import (BraidError, CertificateEngine, CertificateError,
                             Rank2Context, braid_case_used, braid_move_hall,
                             braid_move_module, braid_orbit,
                             complete_exceptional_sequences,
                             is_exceptional_sequence, m_value, n_value)
-from hallcrys.generic import expr_evaluate_fixed
+from hallcrys.generic import PRIME_POOL, expr_evaluate_fixed
 from hallcrys.hallalg import derivation, rescale
 from hallcrys.modules import BudgetExceeded
 
@@ -231,6 +231,13 @@ class TestCertificates:
             tree = eng.indec_tree(cls)
             assert tree.is_laurent_integral()
             assert eng.verify_tree(tree, cls, primes=(2, 3, 5, 7))
+
+    def test_ladder_without_holdout_prime(self, kron):
+        # every pool prime configured: the ladder refuses before any replay
+        eng = CertificateEngine(kron, (3, 3), primes=PRIME_POOL)
+        with pytest.raises(CertificateError, match="no PRIME_POOL prime is left"):
+            eng.indec_tree(IsoClass.of("r2.3"))
+        assert list(eng._tables) == [2]
 
     def test_composite_certificate_exponent(self, reg, a2):
         # <u_{S2 + P}> = v^{<P,S2> - 2 hom(P,S2)} <u_{S2}><u_P> style composition
