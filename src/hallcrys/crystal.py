@@ -145,7 +145,8 @@ def _ctx_memo(ctx) -> dict:
 
 
 def _string_lifts(ctx: GenericContext, i: int, weight):
-    """Cached (n, kernel element, lifted coordinate column) triples."""
+    """Cached (n, kernel element, lifted coordinate column) triples; raises
+    SingularStringSystem unless the columns are linearly independent."""
     memo = _ctx_memo(ctx).setdefault("lifts", {})
     key = (i, tuple(weight))
     if key in memo:
@@ -160,6 +161,8 @@ def _string_lifts(ctx: GenericContext, i: int, weight):
             lifted = multiply(divided_power_simple(ctx, i, n), ker_el)
             lifts.append((n, ker_el,
                           [lifted.coeffs.get(cls, RatFunc.zero()) for cls in classes]))
+    if linalg.nullspace([lift[2] for lift in lifts], len(classes), RatFunc):
+        raise SingularStringSystem("string lifts are linearly dependent")
     memo[key] = lifts
     return lifts
 
@@ -180,12 +183,6 @@ def string_decompose(ctx: GenericContext, i: int, x: HallElement) -> StringDecom
     lifts = _string_lifts(ctx, i, weight)
     cols = [lift[2] for lift in lifts]
     target = [x.coeffs.get(cls, RatFunc.zero()) for cls in classes]
-    rank_memo = _ctx_memo(ctx).setdefault("full_rank", set())
-    key = (i, tuple(weight))
-    if key not in rank_memo:
-        if linalg.nullspace(cols, len(classes), RatFunc):
-            raise SingularStringSystem("string lifts are linearly dependent")
-        rank_memo.add(key)
     sol = linalg.solve(cols, target, RatFunc)
     if sol is None:
         raise SingularStringSystem(

@@ -7,8 +7,9 @@ the left move read in the opposite algebra).
 Certificates expressing <u_lambda> as Laurent-integral divided-power words
 are built recursively through rank-2 contexts; string classes past the first
 slice of an affine rank-2 context are reached by the loop-element ladder
-with quantum-Serre corrections, and every tree is verified by replay at the
-configured primes plus a held-out one.
+with quantum-Serre corrections.  Every divided-power tree is replayed once,
+when it is built, at the configured primes; ladder trees also at a held-out
+prime.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from itertools import product as iproduct
 
 from . import linalg
 from .checks import check
-from .classtable import ClassTable, IsoClass, TableSet
-from .generic import ExprTree, PRIME_POOL, expr_evaluate_fixed, opposite, symmetry_sum
+from .classtable import ClassTable, IsoClass, TableSet, ZERO_CLASS
+from .generic import (ExprTree, PRIME_POOL, expr_evaluate_fixed, monomial_words,
+                      opposite, symmetry_sum)
 from .hallalg import (HallElement, derivation, divided_power, multiply,
                       rescale, v_power)
-from .quivers import Quiver, dim_add, dim_scale, dim_sub, dim_total, euler_bilinear
+from .quivers import (Quiver, cartan_datum, dim_add, dim_scale, dim_sub, dim_total,
+                      euler_bilinear)
 from .scalars import LaurentPoly, eval_at_sqrt_q, quantum_factorial
 
 
@@ -286,25 +289,13 @@ class Rank2Context:
 
     def relative_dim(self, cls: IsoClass):
         """(x, y) with dim cls = x dim T1 + y dim T2, or None."""
-        d = self.table.class_dim(cls)
-        d1, d2 = self.dims
-        # two-unknown exact integer solve over the first independent coordinates
-        for i in range(len(d)):
-            for j in range(len(d)):
-                det = d1[i] * d2[j] - d1[j] * d2[i]
-                if det == 0:
-                    continue
-                x_num = d[i] * d2[j] - d[j] * d2[i]
-                y_num = d1[i] * d[j] - d1[j] * d[i]
-                if x_num % det or y_num % det:
-                    return None
-                x, y = x_num // det, y_num // det
-                if all(x * d1[k] + y * d2[k] == d[k] for k in range(len(d))):
-                    return (x, y) if x >= 0 and y >= 0 else None
-                return None
-        if all(v == 0 for v in d):
-            return (0, 0)
-        return None
+        # Fraction entries: gauss_jordan divides, and ints would give floats
+        cols = [[Fraction(c) for c in d] for d in self.dims]
+        sol = linalg.solve(cols, [Fraction(c) for c in self.table.class_dim(cls)],
+                           Fraction)
+        if sol is None or any(c.denominator != 1 or c < 0 for c in sol):
+            return None
+        return tuple(int(c) for c in sol)
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +324,6 @@ class CertificateEngine:
         # shared with other users of the same quiver and bound when given
         self._tables = tables if tables is not None else TableSet(
             lambda q: ClassTable(self.quiver, q, self.dim_bound))
-        self._indec_tree = {}
         self._dp_tree = {}
 
     def table(self, q: int) -> ClassTable:
@@ -356,54 +346,39 @@ class CertificateEngine:
         if not t0.is_exceptional(cls):
             raise CertificateError(f"{cls.label} is not exceptional")
         groups = sorted(cls.multiplicities().items(),
-                        key=lambda kv: (self.table(self.primes[0]).by_label[kv[0]].total(),
-                                        self.table(self.primes[0]).by_label[kv[0]].dim,
-                                        kv[0]))
-        tree = None
-        acc_parts = []
+                        key=lambda kv: (t0.by_label[kv[0]].total(),
+                                        t0.by_label[kv[0]].dim, kv[0]))
+        # <u_acc> <u_g> = v^{<g, acc> - 2 hom(g, acc)} <u_{acc + g}>
+        tree, acc = ExprTree.one(self.quiver), ZERO_CLASS
         for part, s in groups:
-            gtree = self.dp_tree(IsoClass((part,)), s)
             gcls = IsoClass((part,) * s)
-            if tree is None:
-                tree, acc_parts = gtree, list(gcls.parts)
-            else:
-                acc_cls = IsoClass(tuple(sorted(acc_parts)))
-                e = euler_bilinear(self.quiver, t0.class_dim(gcls),
-                                   t0.class_dim(acc_cls)) - 2 * t0.hom(gcls, acc_cls)
-                tree = (tree * gtree).scale(LaurentPoly({e: 1}))
-                acc_parts.extend(gcls.parts)
-        if not tree.is_laurent_integral():
-            raise CertificateError(f"certificate for {cls.label} is not Laurent-integral")
-        if not self.verify_tree(tree, cls):
-            raise CertificateError(f"certificate for {cls.label} fails replay")
-        return tree
-
-    def indec_tree(self, cls: IsoClass) -> ExprTree:
-        if cls in self._indec_tree:
-            return self._indec_tree[cls]
-        tree = self._build_indec_tree(cls, 1)
-        self._indec_tree[cls] = tree
+            e = (euler_bilinear(self.quiver, t0.class_dim(gcls), t0.class_dim(acc))
+                 - 2 * t0.hom(gcls, acc))
+            tree = (tree * self.dp_tree(IsoClass((part,)), s)).scale(LaurentPoly({e: 1}))
+            acc = IsoClass(tuple(sorted(acc.parts + gcls.parts)))
+        check(tree.is_laurent_integral(),
+              f"certificate for {cls.label} is not Laurent-integral")
+        # a single group's tree is dp_tree's, replayed when it was built
+        if len(groups) > 1:
+            check(self.verify_tree(tree, cls), f"certificate for {cls.label} fails replay")
         return tree
 
     def dp_tree(self, cls: IsoClass, s: int) -> ExprTree:
-        """Tree of the divided power <u_cls>^{(s)} = <u_{s cls}>."""
+        """Tree of the divided power <u_cls>^{(s)} = <u_{s cls}>, replayed at
+        the configured primes once, when it is built."""
         key = (cls, s)
         if key in self._dp_tree:
             return self._dp_tree[key]
         if s == 0:
             return ExprTree.one(self.quiver)
-        t0 = self.table(self.primes[0])
         label = cls.parts[0]
         if label.startswith("S"):
-            v = self.quiver.index[label[1:]]
-            tree = ExprTree.letter(self.quiver, v, s)
-        elif s == 1:
-            tree = self.indec_tree(cls)
+            tree = ExprTree.letter(self.quiver, self.quiver.index[label[1:]], s)
         else:
             tree = self._build_indec_tree(cls, s)
         target = IsoClass(tuple(sorted(cls.parts * s)))
-        if not tree.is_laurent_integral() or not self.verify_tree(tree, target):
-            raise CertificateError(f"divided-power tree for {cls.label}^({s}) failed")
+        check(tree.is_laurent_integral() and self.verify_tree(tree, target),
+              f"divided-power tree for {cls.label}^({s}) failed")
         self._dp_tree[key] = tree
         return tree
 
@@ -412,8 +387,6 @@ class CertificateEngine:
     def _build_indec_tree(self, cls: IsoClass, s: int) -> ExprTree:
         t0 = self.table(self.primes[0])
         label = cls.parts[0]
-        if label.startswith("S"):
-            return ExprTree.letter(self.quiver, self.quiver.index[label[1:]], s)
         target = IsoClass(tuple(sorted(cls.parts * s)))
         deep_context = None
         for it in sorted(t0.catalog, key=lambda i: (i.total(), i.dim, i.label)):
@@ -494,17 +467,17 @@ class CertificateEngine:
         delta = dim_add(d1, d2)
         sym = (euler_bilinear(self.quiver, d1, d2)
                + euler_bilinear(self.quiver, d2, d1))
-        ztree = (self.indec_tree(t1c) * self.indec_tree(t2c)
-                 - (self.indec_tree(t2c) * self.indec_tree(t1c)).scale(
-                     LaurentPoly({sym: 1})))
-        tree = self.indec_tree(cur)
+        z1, z2 = self.dp_tree(t1c, 1), self.dp_tree(t2c, 1)
+        ztree = z1 * z2 - (z2 * z1).scale(LaurentPoly({sym: 1}))
+        tree = self.dp_tree(cur, 1)
         for _ in range(steps):
             nxt_dim = dim_add(t0.class_dim(cur), delta)
             nxt = self._rigid_class_of_dim(nxt_dim)
             tree = self._ladder_step(tree, ztree, nxt)
             cur = nxt
-        if not self.verify_tree(tree, target, primes=self.primes + (holdout,)):
-            raise CertificateError(f"ladder tree for {target.label} fails replay")
+        # dp_tree replays the result at the configured primes
+        check(self.verify_tree(tree, target, primes=(holdout,)),
+              f"ladder tree for {target.label} fails replay")
         return tree
 
     def _rigid_class_of_dim(self, dim) -> IsoClass:
@@ -570,8 +543,6 @@ class CertificateEngine:
 
     def _relation_trees(self, weight):
         """Padded quantum Serre trees u * S_ij * w of the given weight."""
-        from .generic import monomial_words
-        from .quivers import cartan_datum
         datum = cartan_datum(self.quiver)
         out = []
         for i in range(self.quiver.n):
@@ -585,19 +556,17 @@ class CertificateEngine:
                 rem = dim_sub(weight, tuple(sw))
                 if any(r < 0 for r in rem):
                     continue
-                serre = ExprTree.zero(self.quiver)
-                for tt in range(n + 1):
-                    term = (ExprTree.letter(self.quiver, i, tt)
-                            * ExprTree.letter(self.quiver, j, 1)
-                            * ExprTree.letter(self.quiver, i, n - tt))
-                    serre = serre + term.scale(LaurentPoly({0: (-1) ** tt}))
+                # sum_t (-1)^t E_i^(t) E_j E_i^(n-t)
+                serre = symmetry_sum(ExprTree.letter(self.quiver, j),
+                                     lambda r: ExprTree.letter(self.quiver, i, r),
+                                     n, 0, operator.mul)
                 for split in _weight_splits(rem, self.quiver.n):
                     left, right = split
+                    # monomial words never repeat a vertex in adjacent letters
                     for u in monomial_words(self.quiver, left):
                         for w in monomial_words(self.quiver, right):
-                            ut = _word_tree(self.quiver, u)
-                            wt = _word_tree(self.quiver, w)
-                            out.append(ut * serre * wt)
+                            out.append(ExprTree(self.quiver, {u: 1}) * serre
+                                       * ExprTree(self.quiver, {w: 1}))
         return out
 
 
@@ -623,9 +592,3 @@ def _weight_splits(rem, n):
     for left in iproduct(*ranges):
         yield tuple(left), tuple(a - b for a, b in zip(rem, left))
 
-
-def _word_tree(quiver, word):
-    tree = ExprTree.one(quiver)
-    for v, k in word:
-        tree = tree * ExprTree.letter(quiver, v, k)
-    return tree

@@ -61,23 +61,10 @@ def _evaluate(coeffs, q: int):
 
 
 def _lagrange_fit(points):
-    """Interpolating polynomial through (x, y) points, ascending coefficients."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        for k, c in enumerate(basis):
-            coeffs[k] += Fraction(yi) * c / denom
+    """Interpolating polynomial through (x, y) points, ascending coefficients:
+    the solution of the Vandermonde system."""
+    cols = [[Fraction(x) ** k for x, _ in points] for k in range(len(points))]
+    coeffs = linalg.solve(cols, [Fraction(y) for _, y in points], Fraction)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

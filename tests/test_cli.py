@@ -442,6 +442,35 @@ class TestCrystalFalsifications:
             assert report["falsifications"] == [message]
 
 
+class TestCertifyExitCodes:
+    """A failed replay is a falsification (exit 2); a certificate limit is an
+    operational error (exit 1)."""
+
+    def _certify(self, path, label, primes, monkeypatch, capsys):
+        from hallcrys import cli
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        code = cli.main(["certify", "--quiver", path, "--label", label,
+                         "--dim-bound", "3", "--target", "integrality",
+                         "--primes", primes])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_no_holdout_prime_is_an_error(self, kron_file, monkeypatch, capsys):
+        code, report = self._certify(kron_file, "r2.3", "2,3,5,7,11,13,17",
+                                     monkeypatch, capsys)
+        assert code == 1
+        assert "no PRIME_POOL prime is left" in report["error"]
+
+    def test_failed_replay_exits_2(self, a2_file, monkeypatch, capsys):
+        from hallcrys.exseq import CertificateEngine
+        monkeypatch.setattr(CertificateEngine, "verify_tree",
+                            lambda self, tree, cls, primes=None: False)
+        code, report = self._certify(a2_file, "S1", "2,3", monkeypatch, capsys)
+        message = "divided-power tree for S1^(1) failed"
+        assert code == 2
+        assert report["results"][0]["integrality"] == f"fail: {message}"
+        assert report["falsifications"] == [f"integrality of S1: {message}"]
+
+
 def test_selftest_euler_check_is_live(kron_file, monkeypatch, capsys):
     """One wrong Ext entry is reported as a falsification of the Euler check."""
     from hallcrys import cli, modules

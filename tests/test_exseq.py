@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hallcrys.classtable import IsoClass
@@ -158,6 +160,17 @@ class TestRank2Contexts:
         assert ctx.simples == pair           # already orthogonal minimal
         assert ctx.relative_dim(IsoClass.of("r1.1.1")) == (1, 1)
 
+    def test_relative_dim_none(self, reg, a3):
+        t = reg.table(a3, 2, (3, 3, 3))
+        pair = (IsoClass.of("S2"), IsoClass.of("r1.1.1"))
+        ctx = Rank2Context(t, pair)
+        assert ctx.simples == pair
+        assert ctx.relative_dim(IsoClass.of("S2", "r1.1.1")) == (1, 1)
+        # dim S1 + S3 = (1,0,1) = -dim S2 + dim r1.1.1
+        assert ctx.relative_dim(IsoClass.of("S1", "S3")) is None
+        # dim S1 = (1,0,0) is outside the span of (0,1,0) and (1,1,1)
+        assert ctx.relative_dim(IsoClass.of("S1")) is None
+
     def test_restricted_delta_consistency(self, reg, a2):
         # restriction check: delta of a context object, computed in the
         # ambient algebra, is supported on context objects and its v-powers
@@ -189,7 +202,7 @@ class TestCertificates:
     def test_p_tree_frozen(self, reg, a2):
         from hallcrys.scalars import LaurentPoly
         eng = reg.engine(a2)
-        tree = eng.indec_tree(P)
+        tree = eng.dp_tree(P, 1)
         assert tree.terms == {((0, 1), (1, 1)): LaurentPoly.one(),
                               ((1, 1), (0, 1)): LaurentPoly({-1: -1})}
 
@@ -211,7 +224,7 @@ class TestCertificates:
     def test_a3_interval_trees(self, reg, a3):
         eng = reg.engine(a3, (2, 2, 2))
         w111 = IsoClass.of("r1.1.1")
-        tree = eng.indec_tree(w111)
+        tree = eng.dp_tree(w111, 1)
         assert len(tree.terms) == 4 and tree.is_laurent_integral()
         assert eng.verify_tree(tree, w111)
         dp = eng.dp_tree(w111, 2)
@@ -220,7 +233,7 @@ class TestCertificates:
     def test_kronecker_depth_one(self, reg, kron):
         eng = reg.engine(kron, (3, 3))
         for label in ["r2.1", "r1.2"]:
-            tree = eng.indec_tree(IsoClass.of(label))
+            tree = eng.dp_tree(IsoClass.of(label), 1)
             assert len(tree.terms) == 3
             assert eng.verify_tree(tree, IsoClass.of(label))
 
@@ -228,7 +241,7 @@ class TestCertificates:
         eng = reg.engine(kron, (3, 3))
         for label in ["r3.2", "r2.3"]:
             cls = IsoClass.of(label)
-            tree = eng.indec_tree(cls)
+            tree = eng.dp_tree(cls, 1)
             assert tree.is_laurent_integral()
             assert eng.verify_tree(tree, cls, primes=(2, 3, 5, 7))
 
@@ -236,8 +249,39 @@ class TestCertificates:
         # every pool prime configured: the ladder refuses before any replay
         eng = CertificateEngine(kron, (3, 3), primes=PRIME_POOL)
         with pytest.raises(CertificateError, match="no PRIME_POOL prime is left"):
-            eng.indec_tree(IsoClass.of("r2.3"))
+            eng.dp_tree(IsoClass.of("r2.3"), 1)
         assert list(eng._tables) == [2]
+
+    def test_each_tree_replayed_once_per_prime(self, reg, a2, kron, monkeypatch):
+        from itertools import product
+
+        from hallcrys import exseq
+        calls = Counter()
+        replay = exseq.expr_evaluate_fixed
+
+        def counted(tree, table):
+            calls[str(tree), table.q] += 1
+            return replay(tree, table)
+
+        monkeypatch.setattr(exseq, "expr_evaluate_fixed", counted)
+        t = reg.table(a2, 2)
+        a2_classes = [cls for dim in product(range(4), repeat=2)
+                      for cls in t.classes_of_dim(dim) if t.is_exceptional(cls)]
+        for quiver, classes in ((a2, a2_classes),
+                                (kron, [IsoClass.of("r2.3"), IsoClass.of("r3.2")])):
+            # a new engine over shared tables builds every tree here
+            eng = CertificateEngine(quiver, (3, 3), (2, 3, 5),
+                                    tables=reg.engine(quiver, (3, 3))._tables)
+            calls.clear()
+            certs = [eng.integral_certificate(cls) for cls in classes]
+            built = list(eng._dp_tree.values()) + [
+                tree for cls, tree in zip(classes, certs)
+                if len(cls.multiplicities()) > 1]
+            assert len(built) > len(classes) // 2
+            for tree in built:
+                for p in eng.primes:
+                    assert calls[str(tree), p] == 1, (str(tree), p)
+            assert set(calls.values()) == {1}
 
     def test_composite_certificate_exponent(self, reg, a2):
         # <u_{S2 + P}> = v^{<P,S2> - 2 hom(P,S2)} <u_{S2}><u_P> style composition
