@@ -230,9 +230,11 @@ class ClassTable:
 
     # -- automorphism orders ----------------------------------------------
 
-    def aut_order(self, cls: IsoClass) -> int:
-        """|Aut| from the closed forms for direct sums of indecomposables."""
-        q = self.q
+    def aut_order(self, cls: IsoClass, q=None):
+        """|Aut| from the closed forms for direct sums of indecomposables,
+        evaluated at the table's prime or at ``q`` (an int, or v^2 for the
+        generic layer's polynomial in q)."""
+        q = self.q if q is None else q
         mult = cls.multiplicities()
         labels = sorted(mult)
         cross = 0
@@ -623,16 +625,42 @@ class ClassTable:
 
 class TableSet(dict):
     """The ClassTables of one quiver and bound, keyed by prime and built on
-    first use by ``build(q)``; a GenericContext and a CertificateEngine can
-    share one."""
+    first use by ``build(q)`` (by default ``ClassTable(quiver, q,
+    dim_bound)``); a GenericContext and a CertificateEngine can share one.
 
-    def __init__(self, build):
+    Cross-prime work (Hall-polynomial interpolation, certificate replay by
+    label) rests on rigid labels and the Hom dimensions among them not
+    depending on q, so every table built after the first is checked against
+    the first: the same rigid (label, dim) list and the same Hom matrix on it.
+    """
+
+    def __init__(self, quiver: Quiver, dim_bound, build=None):
         super().__init__()
-        self.build = build
+        self.quiver = quiver
+        self.dim_bound = tuple(dim_bound)
+        self.build = build or (lambda q: ClassTable(quiver, q, self.dim_bound))
 
     def __missing__(self, q: int) -> ClassTable:
-        table = self[q] = self.build(q)
+        table = self.build(q)
+        if self:
+            _check_same_rigid(next(iter(self.values())), table)
+        self[q] = table
         return table
+
+
+def _check_same_rigid(first: ClassTable, other: ClassTable):
+    """Raise CheckFailed unless both tables have the same rigid (label, dim)
+    list and the same Hom dimensions among those labels."""
+    def rigid(t):
+        return sorted((it.label, it.dim) for it in t.catalog if not it.field_dependent)
+
+    where = f"at q = {first.q} and q = {other.q}"
+    labels = rigid(first)
+    check(labels == rigid(other), f"rigid labels differ {where}")
+    for a, _ in labels:
+        for b, _ in labels:
+            check(first.hom_indec(a, b) == other.hom_indec(a, b),
+                  f"Hom({a},{b}) differs {where}")
 
 
 def _fraction_inverse(rows):

@@ -20,8 +20,7 @@ from .checks import CheckFailed
 from .classtable import ClassTable, IsoClass, TableSet, parse_class_label
 from .crystal import Crystal, certify_exceptional
 from .exseq import CertificateEngine, braid_move_hall, braid_move_module
-from .generic import (GenericContext, generic_multiply, generic_ringel_pair,
-                      generic_rprime, kashiwara_pair_elements)
+from .generic import GenericContext, generic_multiply, kashiwara_pair_elements
 from .hallalg import HallElement, multiply, rescale, ringel_pair, rprime
 from .quivers import Quiver, QuiverError, dim_total
 
@@ -81,7 +80,8 @@ def _load_table(config: RunConfig, quiver: Quiver, q: int) -> ClassTable:
 
 def _tables(config: RunConfig, quiver: Quiver) -> TableSet:
     """The command's tables, one per prime, loaded from the cache on first use."""
-    return TableSet(lambda q: _load_table(config, quiver, q))
+    return TableSet(quiver, _bound_tuple(quiver, config),
+                    lambda q: _load_table(config, quiver, q))
 
 
 def _save_table(config: RunConfig, quiver: Quiver, table: ClassTable):
@@ -292,8 +292,9 @@ def _operand(node, layer, role: str) -> HallElement:
 def _evaluate(node, layer):
     """Evaluate a parsed expression over a ClassTable or a GenericContext.
 
-    The generic layer goes through the ``generic_*`` entry points, so every
-    product there is spot-checked against the fixed-q one."""
+    Each operation has one routine for both layers; on the generic layer
+    products go through :func:`generic_multiply`, which spot-checks them
+    against the fixed-q product."""
     generic = isinstance(layer, GenericContext)
     product = generic_multiply if generic else multiply
     kind = node[0]
@@ -317,8 +318,6 @@ def _evaluate(node, layer):
         if vertex is None:
             raise CLIError(f"unknown vertex {node[1]!r}")
         x = _operand(node[2], layer, "an argument of rprime")
-        if generic:
-            return generic_rprime(layer, layer.simple_class(vertex), x)
         return rprime(layer.simple_class(vertex), x)
     if kind in ("pairR", "pairK"):
         if kind == "pairK" and not generic:
@@ -327,7 +326,7 @@ def _evaluate(node, layer):
         y = _operand(node[2], layer, f"an argument of {kind}")
         if kind == "pairK":
             return kashiwara_pair_elements(x, y)
-        return generic_ringel_pair(x, y) if generic else ringel_pair(x, y)
+        return ringel_pair(x, y)
     if kind == "braid":
         if generic:
             raise CLIError("braid moves are evaluated at fixed q; see fixed results")

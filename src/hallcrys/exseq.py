@@ -21,8 +21,8 @@ from itertools import product as iproduct
 from . import linalg
 from .checks import check
 from .classtable import ClassTable, IsoClass, TableSet, ZERO_CLASS
-from .generic import (ExprTree, PRIME_POOL, expr_evaluate_fixed, monomial_words,
-                      opposite, symmetry_sum)
+from .generic import (ExprTree, check_primes, expr_evaluate_fixed, holdout_prime,
+                      monomial_words, opposite, symmetry_sum)
 from .hallalg import (HallElement, derivation, divided_power, multiply,
                       rescale, v_power)
 from .quivers import (Quiver, cartan_datum, dim_add, dim_scale, dim_sub, dim_total,
@@ -85,11 +85,6 @@ def m_value(table: ClassTable, a: IsoClass, b: IsoClass) -> int:
     den = 2 * table.epsilon(b)
     check(num % den == 0, f"m({a.label}, {b.label}) is not an integer")
     return num // den
-
-
-def n_value(table: ClassTable, a: IsoClass, b: IsoClass) -> int:
-    """n(a, b) = <b,a>/<a,a> = m(b, a)."""
-    return m_value(table, b, a)
 
 
 def sigma_case(table: ClassTable, a: IsoClass, b: IsoClass):
@@ -316,14 +311,11 @@ class CertificateEngine:
     """
 
     def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), tables=None):
-        if len(set(primes)) != len(primes):
-            raise ValueError(f"repeated primes in {tuple(primes)}")
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
-        self.primes = tuple(primes)
+        self.primes = check_primes(primes)
         # shared with other users of the same quiver and bound when given
-        self._tables = tables if tables is not None else TableSet(
-            lambda q: ClassTable(self.quiver, q, self.dim_bound))
+        self._tables = tables if tables is not None else TableSet(quiver, dim_bound)
         self._dp_tree = {}
 
     def table(self, q: int) -> ClassTable:
@@ -438,7 +430,7 @@ class CertificateEngine:
         fits and everything is verified by replay at the configured primes
         plus one held-out prime.
         """
-        holdout = next((p for p in PRIME_POOL if p not in self.primes), None)
+        holdout = holdout_prime(self.primes)
         if holdout is None:
             raise CertificateError(
                 f"no PRIME_POOL prime is left to hold out from {self.primes}")

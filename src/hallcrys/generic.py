@@ -31,6 +31,22 @@ from .scalars import (LaurentPoly, RatFunc, parse_laurent, quantum_binomial,
 PRIME_POOL = (2, 3, 5, 7, 11, 13, 17)
 
 
+def check_primes(primes) -> tuple:
+    """The configured primes as a tuple: at least two (one for validation),
+    none repeated."""
+    primes = tuple(primes)
+    if len(primes) < 2:
+        raise ValueError("need at least two primes (one for validation)")
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"repeated primes in {primes}")
+    return primes
+
+
+def holdout_prime(used):
+    """The first PRIME_POOL prime not in ``used``, or None when none is left."""
+    return next((p for p in PRIME_POOL if p not in used), None)
+
+
 class InterpolationUnstable(RuntimeError):
     pass
 
@@ -42,9 +58,6 @@ class HallPolynomial:
     primes_used: tuple
     validation_prime: int
     fit: str                   # "g", or "F" for the Riedtmann numerator
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else 0
 
     def eval_int(self, q: int) -> int:
         val = _evaluate(self.coeffs, q)
@@ -71,38 +84,30 @@ def _lagrange_fit(points):
 
 
 class GenericContext:
-    """Shared fixed-q tables over several primes plus interpolation caches.
+    """Fixed-q tables over several primes plus interpolation caches.
 
     The scalar layer of :class:`hallalg.HallElement` over Q(v); class
     bookkeeping (labels, dimensions, classes per dimension) is the first
-    prime's, which the constructor checks against the others.
+    prime's table.  Tables come from a :class:`TableSet`, built on first use
+    and each checked there against the first for the same rigid labels and
+    Hom dimensions, held-out primes included.
     """
 
     q = None                     # q = v^2 stays an indeterminate
 
     def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), tables=None):
-        if len(primes) < 2:
-            raise ValueError("need at least two primes (one for validation)")
-        if len(set(primes)) != len(primes):
-            raise ValueError(f"repeated primes in {tuple(primes)}")
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
-        self.primes = tuple(primes)
+        self.primes = check_primes(primes)
         # shared with other users of the same quiver and bound when given
-        self._tables = tables if tables is not None else TableSet(
-            lambda q: ClassTable(self.quiver, q, self.dim_bound))
+        self._tables = tables if tables is not None else TableSet(quiver, dim_bound)
         self._hall_polys = {}
         self._aut_polys = {}
         self.datum = cartan_datum(quiver)
         self.generic_ok = quiver.is_dynkin()
-        # the layer's class bookkeeping is the first prime's table; the rigid
-        # labels it uses must not depend on the prime
+        # the layer's class bookkeeping is the first prime's table
         self._base = self.table(self.primes[0])
         self.by_label = self._base.by_label
-        base = {it.label for it in self._base.catalog if not it.field_dependent}
-        for p in self.primes[1:]:
-            other = {it.label for it in self.table(p).catalog if not it.field_dependent}
-            check(base == other, "rigid labels must not depend on the prime")
 
     def table(self, q: int) -> ClassTable:
         return self._tables[q]
@@ -184,7 +189,7 @@ class GenericContext:
             scan(p)
         while True:
             g_fit, f_fit = _lagrange_fit(g_points), _lagrange_fit(f_points)
-            nxt = self._next_prime(used)
+            nxt = holdout_prime(used)
             if nxt is None:
                 raise InterpolationUnstable(
                     f"hall polynomial for {key} unstable after primes {used}")
@@ -223,40 +228,15 @@ class GenericContext:
         top = max(g.coeffs, default=0) // 2
         return tuple(g.coeffs.get(2 * k, Fraction(0)) for k in range(top + 1))
 
-    def _next_prime(self, used):
-        for p in PRIME_POOL:
-            if p not in used:
-                return p
-        return None
-
     # -- generic automorphism orders ---------------------------------------
 
     def aut_poly(self, cls: IsoClass) -> LaurentPoly:
-        """|Aut| as a polynomial in q = v^2 (Dynkin classes are rigid)."""
+        """|Aut| as a polynomial in q = v^2: the table's closed form at
+        q = v^2 (Dynkin classes are rigid)."""
         self.require_generic()
-        if cls in self._aut_polys:
-            return self._aut_polys[cls]
-        t0 = self._base
-        mult = cls.multiplicities()
-        labels = sorted(mult)
-        cross = 0
-        for la in labels:
-            for lb in labels:
-                if la != lb:
-                    cross += mult[la] * mult[lb] * t0.hom_indec(la, lb)
-        # cross-prime stability of the Hom dimensions entering the closed form
-        t1 = self.table(self.primes[1])
-        for la in labels:
-            for lb in labels:
-                check(t0.hom_indec(la, lb) == t1.hom_indec(la, lb),
-                      f"Hom({la},{lb}) must not depend on the prime")
-        out = LaurentPoly({2 * cross: 1})
-        for la in labels:
-            s = mult[la]
-            for t in range(s):
-                out = out * (LaurentPoly({2 * s: 1}) - LaurentPoly({2 * t: 1}))
-        self._aut_polys[cls] = out
-        return out
+        if cls not in self._aut_polys:
+            self._aut_polys[cls] = self._base.aut_order(cls, LaurentPoly.v_power(2))
+        return self._aut_polys[cls]
 
 
 def generic_multiply(x: HallElement, y: HallElement) -> HallElement:
@@ -318,9 +298,6 @@ class ExprTree:
             return ExprTree.one(quiver)
         return ExprTree(quiver, {((v, n),): LaurentPoly.one()})
 
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         d = dict(self.terms)
         for w, c in other.terms.items():
@@ -346,17 +323,6 @@ class ExprTree:
 
     def is_laurent_integral(self) -> bool:
         return all(c.is_laurent_integral() for c in self.terms.values())
-
-    def weight(self):
-        ws = set()
-        for word in self.terms:
-            w = [0] * self.quiver.n
-            for v, n in word:
-                w[v] += n
-            ws.add(tuple(w))
-        if len(ws) > 1:
-            raise ValueError(f"tree of mixed weight {sorted(ws)}")
-        return next(iter(ws)) if ws else (0,) * self.quiver.n
 
     def to_json(self):
         out = []
@@ -506,7 +472,7 @@ def kashiwara_pair_expanded(pairs, y: HallElement) -> RatFunc:
 # expansion of a generic element in divided-power monomials
 
 
-def monomial_words(quiver: Quiver, weight, max_letters=None):
+def monomial_words(quiver: Quiver, weight):
     """All divided-power words of the given weight, lexicographically."""
     out = []
 

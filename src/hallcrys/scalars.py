@@ -51,10 +51,6 @@ class LaurentPoly:
         return LaurentPoly({0: 1})
 
     @staticmethod
-    def monomial(exp: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
-
-    @staticmethod
     def v_power(exp: int) -> "LaurentPoly":
         return LaurentPoly({exp: 1})
 
@@ -117,9 +113,6 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly({0: other})
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -233,11 +226,6 @@ class RatFunc:
     def is_laurent(self) -> bool:
         return self.den == LaurentPoly.one()
 
-    def as_laurent(self) -> LaurentPoly:
-        if not self.is_laurent():
-            raise ValueError(f"{self} is not a Laurent polynomial")
-        return self.num
-
     def __eq__(self, other):
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
@@ -272,9 +260,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
@@ -290,25 +275,6 @@ class RatFunc:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_ratfunc(other)
-        return other / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc.one() / self ** (-n)
-        out = RatFunc.one()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
-
-    def substitute_power(self, a: int) -> "RatFunc":
-        return RatFunc(self.num.substitute_power(a), self.den.substitute_power(a))
 
     def __str__(self):
         if self.is_laurent():
@@ -455,9 +421,6 @@ class QSqrtScalar:
             other = QSqrtScalar(other, 0, self.q)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QSqrtScalar(self.rational_part * other, self.root_part * other, self.q)
@@ -480,21 +443,6 @@ class QSqrtScalar:
             return self * inv
         self._check(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return QSqrtScalar(other, 0, self.q) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QSqrtScalar.one(self.q)
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
 
     def __str__(self):
         return f"{self.rational_part} + {self.root_part}*sqrt({self.q})"

@@ -1,6 +1,6 @@
 import pytest
 
-from hallcrys.classtable import ClassTable
+from hallcrys.classtable import ClassTable, TableSet
 from hallcrys.exseq import CertificateEngine
 from hallcrys.generic import GenericContext
 from hallcrys.quivers import quiver_a2, quiver_a3, quiver_kronecker
@@ -22,10 +22,13 @@ def kron():
 
 
 class _Registry:
-    """Shared tables / generic contexts / certificate engines per session."""
+    """Shared tables / generic contexts / certificate engines per session; a
+    context and an engine of the same quiver, bound and primes share one
+    TableSet."""
 
     def __init__(self):
         self._tables = {}
+        self._table_sets = {}
         self._ctxs = {}
         self._engines = {}
 
@@ -40,15 +43,23 @@ class _Registry:
         bound = bound or (3,) * quiver.n
         key = (quiver, bound, primes)
         if key not in self._ctxs:
-            self._ctxs[key] = GenericContext(quiver, bound, primes)
+            self._ctxs[key] = GenericContext(quiver, bound, primes,
+                                             tables=self._table_set(key))
         return self._ctxs[key]
 
     def engine(self, quiver, bound=None, primes=(2, 3, 5)):
         bound = bound or (3,) * quiver.n
         key = (quiver, bound, primes)
         if key not in self._engines:
-            self._engines[key] = CertificateEngine(quiver, bound, primes)
+            self._engines[key] = CertificateEngine(quiver, bound, primes,
+                                                   tables=self._table_set(key))
         return self._engines[key]
+
+    def _table_set(self, key):
+        if key not in self._table_sets:
+            quiver, bound, _ = key
+            self._table_sets[key] = TableSet(quiver, bound)
+        return self._table_sets[key]
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
-from hallcrys.classtable import ClassTable, IsoClass, ZERO_CLASS, parse_class_label
+from hallcrys.checks import CheckFailed
+from hallcrys.classtable import (ClassTable, IsoClass, TableSet, ZERO_CLASS,
+                                  parse_class_label)
 from hallcrys.modules import BudgetExceeded, hom_dim
 from hallcrys.quivers import euler_bilinear, quiver_a1
 
@@ -244,3 +246,13 @@ def test_rp_extension_budget(kron):
     t = ClassTable(kron, 3, (3, 3), ext_budget=2)
     with pytest.raises(BudgetExceeded):
         t.extension_middle_counts(IsoClass.of("S1"), IsoClass.of("S2"))
+
+
+def test_table_set_checks_rigid_labels(a2):
+    # the table at q = 3 is built to a smaller bound, so r1.1 and S2 are
+    # missing from its rigid labels; the first table is never checked
+    tables = TableSet(a2, (1, 1), lambda q: ClassTable(a2, q, (1, 1) if q == 2 else (1, 0)))
+    assert tables[2].q == 2
+    with pytest.raises(CheckFailed, match="rigid labels differ at q = 2 and q = 3"):
+        tables[3]
+    assert list(tables) == [2]

@@ -335,6 +335,24 @@ class TestCertifyCache:
         assert reports[0] == reports[1]
 
 
+    def test_doctored_hom_at_second_prime_falsified(self, a2_file, tmp_path, capsys):
+        # a cached table is checked against the first prime's like a fresh one
+        from hallcrys import cli
+        cache = tmp_path / "cache"
+        argv = ["certify", "--label", "S1", "--dim-bound", "2", "--target",
+                "integrality", "--quiver", a2_file, "--cache", str(cache)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        path = next(cache.glob("*_q3_*.json"))
+        data = json.loads(path.read_text())
+        data["hom"]["S1|S1"] = 2
+        path.write_text(json.dumps(data))
+        assert cli.main(argv) == 2
+        report = json.loads(capsys.readouterr().out)
+        message = "Hom(S1,S1) differs at q = 2 and q = 3"
+        assert report["falsifications"] == [f"integrality of S1: {message}"]
+
+
 class TestGoldenReports:
     """Reports are byte-identical, apart from ``generated_at``, to the files
     under tests/data/golden/, which were written by an earlier version."""

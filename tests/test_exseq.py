@@ -7,7 +7,7 @@ from hallcrys.exseq import (BraidError, CertificateEngine, CertificateError,
                             Rank2Context, braid_case_used, braid_move_hall,
                             braid_move_module, braid_orbit,
                             complete_exceptional_sequences,
-                            is_exceptional_sequence, m_value, n_value)
+                            is_exceptional_sequence, m_value)
 from hallcrys.generic import PRIME_POOL, expr_evaluate_fixed
 from hallcrys.hallalg import derivation, rescale
 from hallcrys.modules import BudgetExceeded

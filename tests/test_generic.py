@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from hallcrys.classtable import IsoClass
+from hallcrys.checks import CheckFailed
+from hallcrys.classtable import ClassTable, IsoClass, TableSet
 from hallcrys.exseq import CertificateEngine
 from hallcrys.generic import (ExprTree, GenericContext, expr_evaluate,
                               expr_evaluate_fixed, generic_multiply,
@@ -287,11 +288,45 @@ def test_interpolation_pool_exhaustion(a2, monkeypatch):
         ctx.hall_polynomial(P, IsoClass.of("S1"), IsoClass.of("S2"))
 
 
+def _tables_with_doctored_hom(quiver, bound, bad_q):
+    """A TableSet whose table at bad_q has dim Hom(S1, S2) raised by one."""
+    def build(q):
+        table = ClassTable(quiver, q, bound)
+        if q == bad_q:
+            table._hom_cache["S1", "S2"] = table.hom_indec("S1", "S2") + 1
+        return table
+    return TableSet(quiver, bound, build)
+
+
+class TestHeldOutPrimeTables:
+    """Tables first built at the held-out prime are checked against the first
+    prime's rigid labels and Hom dimensions like every other table."""
+
+    def test_hall_polynomial_validation_prime(self, a2):
+        tables = _tables_with_doctored_hom(a2, (2, 2), 5)
+        ctx = GenericContext(a2, (2, 2), (2, 3), tables=tables)
+        with pytest.raises(CheckFailed, match=r"Hom\(S1,S2\) differs at q = 2 and q = 5"):
+            ctx.hall_polynomial(P, IsoClass.of("S1"), IsoClass.of("S2"))
+        assert sorted(tables) == [2, 3]
+
+    def test_ladder_holdout_prime(self, kron):
+        tables = _tables_with_doctored_hom(kron, (3, 3), 5)
+        engine = CertificateEngine(kron, (3, 3), (2, 3), tables=tables)
+        with pytest.raises(CheckFailed, match=r"Hom\(S1,S2\) differs at q = 2 and q = 5"):
+            engine.dp_tree(IsoClass.of("r2.3"), 1)
+
+
 @pytest.mark.parametrize("primes", [(2, 2), (3, 2, 3)])
 def test_repeated_primes_rejected(a2, primes):
     for build in (GenericContext, CertificateEngine):
         with pytest.raises(ValueError, match="repeated primes"):
             build(a2, (2, 2), primes=primes)
+
+
+def test_single_prime_rejected(a2):
+    for build in (GenericContext, CertificateEngine):
+        with pytest.raises(ValueError, match="at least two primes"):
+            build(a2, (2, 2), primes=(2,))
 
 
 def test_crystal_requires_dynkin(kron):
