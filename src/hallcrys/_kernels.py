@@ -1,8 +1,10 @@
 """Mod-p kernels: row reduction, the point encoding of E_d, orbit closure.
 
-``rref_mod`` is the hot kernel: one Gauss–Jordan elimination over rows of
-Python ints; at the small shapes Hall-number scans use, that beats numpy row
-operations.  ``decode_points``/``encode_points`` map points of E_d (tuples
+``rref_mod`` is one Gauss–Jordan elimination over rows of Python ints; for a
+single small matrix that beats numpy row operations.  ``rank_mod_stack``
+ranks a whole stack of equal-shape matrices in one numpy column sweep; it is
+what Krull–Schmidt labelling runs, one call per probe dimension vector and
+batch of modules.  ``decode_points``/``encode_points`` map points of E_d (tuples
 of arrow matrices) to integer codes and back, and ``orbit_fill`` is the
 breadth-first flood fill behind the orbit oracle of
 :class:`~hallcrys.classtable.ClassTable`, with each generator applied to a
@@ -48,6 +50,39 @@ def rref_mod(a: np.ndarray, p: int):
 
 def rank_mod(a: np.ndarray, p: int) -> int:
     return rref_mod(a, p)[1]
+
+
+def rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
+    """The ranks mod p of a ``(B, r, c)`` stack, as an int64 array of length B.
+
+    One column sweep for the whole stack: at each column every matrix picks
+    its first unused row with a nonzero entry there, scales it to a unit
+    pivot through a table of inverses mod p, and clears the column from its
+    other unused rows, all in one broadcast."""
+    a = np.asarray(a, dtype=np.int64) % p
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1).copy()      # same rank, fewer columns to sweep
+    batch, nrows, ncols = a.shape
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    rank = np.zeros(batch, dtype=np.int64)
+    free = np.ones((batch, nrows), dtype=bool)
+    every = np.arange(batch)
+    for col in range(ncols):
+        column = a[:, :, col]
+        cand = free & (column != 0)
+        piv = cand.argmax(axis=1)
+        found = cand[every, piv]
+        if not found.any():
+            continue
+        rank += found
+        free[every[found], piv[found]] = False
+        if col + 1 == ncols or not free.any():
+            break
+        # no pivot in this matrix: its scale is inverse[0] = 0, so nothing moves
+        lead = a[every, piv, col + 1:] * inverse[column[every, piv]][:, None] % p
+        factor = np.where(free, column, 0)
+        a[:, :, col + 1:] = (a[:, :, col + 1:] - factor[:, :, None] * lead[:, None, :]) % p
+    return rank
 
 
 def decode_points(codes, cells, p) -> list:

@@ -13,8 +13,11 @@ of dimension dim beta in V_lambda labels every closed tuple's submodule and
 quotient, and so fills g^lambda_{alpha beta} for all classes alpha, beta of
 those dimensions at once.  Each Grassmannian is enumerated once per table,
 together with a complement and the coordinate and quotient projections of
-every subspace.  :meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by
-extension-class counting) stays as an independent oracle.
+every subspace.  Labels are looked up by the arrow blocks the scan computes,
+with no module object built; the modules a scan meets for the first time
+are labelled together once the scan ends, one Krull-Schmidt batch per side.
+:meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by extension-class
+counting) stays as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,16 +27,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from ._kernels import decode_points, encode_points, orbit_fill
+from ._kernels import decode_points, encode_points, orbit_fill, rank_mod_stack
 from .checks import CheckFailed, check
 from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim,
-                      hom_dim, hom_system, indecomposable_catalog)
+                      hom_dim, hom_system, hom_system_stack, indecomposable_catalog)
 from .quivers import Quiver, euler_bilinear
 from .scalars import QSqrtScalar, eval_at_sqrt_q
 
@@ -375,48 +377,68 @@ class ClassTable:
     # -- Krull-Schmidt labeling ------------------------------------------
 
     def label_module(self, M: Representation) -> IsoClass:
-        """Iso-class of an arbitrary representation by Hom-count decomposition.
+        """Iso-class of an arbitrary representation over the table's field: its
+        cached label, or a batch of one for :meth:`_label_modules`."""
+        if M.q != self.q:
+            raise ValueError("mismatched base field")
+        if M.is_zero():
+            return ZERO_CLASS
+        key = _label_key(M.dims, M.maps)
+        if key not in self._label_cache:
+            self._label_modules(M.dims, {key: M.maps})
+        return self._label_cache[key]
+
+    def _label_modules(self, dims, modules: dict):
+        """Label a batch of nonzero modules of dimension vector ``dims`` over
+        the table's field, given as label-cache key -> arrow matrices, by
+        Hom-count decomposition, and cache their labels.
 
         dim Hom(I, M) = sum_K mult_K * dim Hom(I, K) over the catalog; the
         catalog Hom matrix is invertible (block-triangular w.r.t. the
         preprojective < regular < preinjective order), so multiplicities are
-        determined; they must come out as nonnegative integers.  The inverse
-        is cached per label set as an integer matrix over one common
-        denominator, so each multiplicity is an integer dot product with the
-        Hom counts followed by an exact division.
+        determined; they must come out as nonnegative integers.  The probes I
+        are grouped by dimension vector, and each group's Hom counts against
+        every module come from one stacked intertwiner system and one stacked
+        rank.  The inverse is cached per label set as an integer matrix over
+        one common denominator, so the multiplicities are one integer matrix
+        product with the Hom counts followed by an exact division.
         """
-        if M.is_zero():
-            return ZERO_CLASS
-        key = (M.dims, tuple(m.tobytes() for m in M.maps))
-        if key in self._label_cache:
-            return self._label_cache[key]
-        items = [it for it in self.catalog
-                 if all(d <= b for d, b in zip(it.dim, M.dims))]
+        items = [it for it in self.catalog if all(d <= b for d, b in zip(it.dim, dims))]
         if not items:
-            raise ValueError(f"no catalog entries under dim {M.dims}")
-        labels = tuple(it.label for it in items)
-        inv, den = self._hom_matrix_inverse(labels)
-        h = [hom_dim(it.rep, M) for it in items]
-        parts = []
-        dim = [0] * self.quiver.n
-        for it, row in zip(items, inv):
-            num = sum(map(mul, row, h))
-            if num % den or num < 0:
-                raise CheckFailed(
-                    f"non-integral multiplicity {Fraction(num, den)} of {it.label}")
-            m = num // den
-            parts.extend([it.label] * m)
-            for v in range(self.quiver.n):
-                dim[v] += m * it.dim[v]
-        if tuple(dim) != M.dims:
+            raise ValueError(f"no catalog entries under dim {dims}")
+        inv, den = self._hom_matrix_inverse(tuple(it.label for it in items))
+        arrows = range(len(self.quiver.arrows))
+        batch = len(modules)
+        stack = [np.stack([maps[k] for maps in modules.values()])[None] for k in arrows]
+        groups = {}
+        for i, it in enumerate(items):
+            groups.setdefault(it.dim, []).append(i)
+        h = np.zeros((len(items), batch), dtype=np.int64)
+        for probe_dims, rows in groups.items():
+            probes = [np.stack([items[i].rep.maps[k] for i in rows])[:, None] for k in arrows]
+            D = hom_system_stack(self.quiver, self.q, probe_dims, probes, dims, stack)
+            nconds, nvars = D.shape[-2:]
+            ranks = rank_mod_stack(D.reshape(len(rows) * batch, nconds, nvars), self.q)
+            h[rows] = nvars - ranks.reshape(len(rows), batch)
+        num = inv @ h
+        integral = (num % den == 0) & (num >= 0)
+        mult = num // den
+        fits = (mult.T @ np.array([it.dim for it in items]) == dims).all(axis=1)
+        bad = np.flatnonzero(~(integral.all(axis=0) & fits))
+        if bad.size:
+            b = bad[0]
+            if not integral[:, b].all():
+                i = int(np.argmin(integral[:, b]))
+                raise CheckFailed(f"non-integral multiplicity {Fraction(int(num[i, b]), den)}"
+                                  f" of {items[i].label}")
             raise CheckFailed("Hom-count decomposition does not match dimensions")
-        cls = IsoClass(tuple(sorted(parts)))
-        self._label_cache[key] = cls
-        return cls
+        for key, col in zip(modules, mult.T.tolist()):
+            self._label_cache[key] = IsoClass(tuple(sorted(
+                label for it, m in zip(items, col) for label in [it.label] * m)))
 
     def _hom_matrix_inverse(self, labels):
         """(inv, den): the inverse of the catalog Hom matrix on ``labels`` is
-        inv / den, with inv a list of int rows and den > 0 the least common
+        inv / den, with inv an int64 array and den > 0 the least common
         denominator of its entries."""
         if labels in self._solver_cache:
             return self._solver_cache[labels]
@@ -426,7 +448,11 @@ class ClassTable:
              for i in range(n)]
         inv = _fraction_inverse(D)
         den = lcm(*(x.denominator for row in inv for x in row))
-        out = ([[x.numerator * (den // x.denominator) for x in row] for row in inv], den)
+        rows = [[x.numerator * (den // x.denominator) for x in row] for row in inv]
+        # a Hom count is below 2**31, so inv @ counts stays exact in int64
+        check(max(sum(map(abs, row)) for row in rows) < 2**31,
+              f"catalog Hom inverse on {n} labels is too large for int64")
+        out = (np.array(rows, dtype=np.int64).reshape(n, n), den)
         self._solver_cache[labels] = out
         return out
 
@@ -457,12 +483,21 @@ class ClassTable:
 
     def _scan_submodules(self, lam: IsoClass, bd) -> dict:
         """Count the submodules of V_lambda of dimension bd by the pair
-        (class of the quotient, class of the submodule)."""
+        (class of the quotient, class of the submodule).
+
+        Each closed tuple's quotient and submodule are looked up in the label
+        cache by the cache keys of their blocks, with no representation
+        built.  A tuple with a module not yet labelled waits until the sweep
+        ends; then the scan's distinct misses are labelled in one batch per
+        side and the waiting tuples are tallied."""
         q = self.q
         rep = self.representative(lam)
         arrows = self.quiver.arrows
-        quot_dims = [d - b for d, b in zip(rep.dims, bd)]
-        tally = {}
+        side_dims = (tuple(d - b for d, b in zip(rep.dims, bd)), tuple(bd))
+        zero = [not any(dims) for dims in side_dims]
+        cache = self._label_cache
+        misses = ({}, {})           # per side: cache key -> blocks of an unlabelled module
+        tally, waiting = {}, {}
         grass = [self._grassmannian(rep.dims[v], bd[v]) for v in range(self.quiver.n)]
         for combo in product(*grass):
             sub_maps = []
@@ -481,10 +516,21 @@ class ClassTable:
                 sub_maps.append(block[:wt.k, :ws.k])
                 quot_maps.append(block[wt.k:, ws.k:])
             else:
-                sub = Representation(self.quiver, q, bd, sub_maps)
-                quot = Representation(self.quiver, q, quot_dims, quot_maps)
-                pair = (self.label_module(quot), self.label_module(sub))
-                tally[pair] = tally.get(pair, 0) + 1
+                keys = (_label_key(side_dims[0], quot_maps), _label_key(side_dims[1], sub_maps))
+                pair = tuple(ZERO_CLASS if z else cache.get(key) for z, key in zip(zero, keys))
+                if pair[0] is None or pair[1] is None:
+                    for side, maps in enumerate((quot_maps, sub_maps)):
+                        if pair[side] is None:
+                            misses[side].setdefault(keys[side], maps)
+                    waiting[keys] = waiting.get(keys, 0) + 1
+                else:
+                    tally[pair] = tally.get(pair, 0) + 1
+        for dims, side_misses in zip(side_dims, misses):
+            if side_misses:
+                self._label_modules(dims, side_misses)
+        for keys, count in waiting.items():
+            pair = tuple(ZERO_CLASS if z else cache[key] for z, key in zip(zero, keys))
+            tally[pair] = tally.get(pair, 0) + count
         return tally
 
     def _grassmannian(self, d: int, k: int) -> list:
@@ -579,13 +625,14 @@ class ClassTable:
         return num // den
 
     def extension_middle_counts(self, alpha: IsoClass, beta: IsoClass):
-        """Count Ext(V_alpha, V_beta) classes by iso-class of the middle term."""
+        """Count Ext(V_alpha, V_beta) classes by iso-class of the middle term;
+        the middle terms are looked up in the label cache by their arrow
+        matrices, and the misses labelled in one batch."""
         q = self.q
         A = self.representative(alpha)
         B = self.representative(beta)
         # cocycles: tuples c_k in Hom(A_{s(k)}, B_{t(k)}); coboundaries: the
         # image of the Hom system f -> (B_k f_s - f_t A_k)
-        cell_shapes = [(B.dims[t], A.dims[s]) for s, t in self.quiver.arrows]
         d = hom_system(A, B)
         ncells, nvars = d.shape
         if nvars and ncells:
@@ -596,31 +643,36 @@ class ClassTable:
         e = comp.shape[1]
         if self.q**e > self.ext_budget:
             raise BudgetExceeded(f"|Ext| = {q}^{e} exceeds the extension budget")
+        coeffs = np.array(list(product(range(q), repeat=e)), dtype=np.int64).reshape(q**e, e)
+        middles = self._middle_terms(A, B, coeffs @ comp.T % q)
+        dims = tuple(a + b for a, b in zip(A.dims, B.dims))
+        if not any(dims):
+            return {ZERO_CLASS: len(middles)}
+        keys = [_label_key(dims, maps) for maps in middles]
+        misses = {key: maps for key, maps in zip(keys, middles) if key not in self._label_cache}
+        if misses:
+            self._label_modules(dims, misses)
         counts = {}
-        for coeffs in product(range(q), repeat=e):
-            vec = np.zeros(ncells, dtype=np.int64)
-            for c, col in zip(coeffs, comp.T):
-                vec = (vec + c * col) % q
-            middle = self._middle_term(A, B, vec, cell_shapes)
-            cls = self.label_module(middle)
+        for key in keys:
+            cls = self._label_cache[key]
             counts[cls] = counts.get(cls, 0) + 1
         return counts
 
-    def _middle_term(self, A, B, vec, cell_shapes):
-        q = self.q
-        dims = tuple(A.dims[v] + B.dims[v] for v in range(self.quiver.n))
-        maps = []
+    def _middle_terms(self, A, B, cocycles) -> list:
+        """The arrow matrices of the middle term of each cocycle (a row of
+        ``cocycles``, cells in arrow order): [[A_k, 0], [c_k, B_k]]."""
+        n = cocycles.shape[0]
+        stacks = []
         off = 0
         for k, (s, t) in enumerate(self.quiver.arrows):
-            r, c = cell_shapes[k]
-            cmat = vec[off:off + r * c].reshape(r, c)
+            r, c = B.dims[t], A.dims[s]
+            m = np.zeros((n, A.dims[t] + r, A.dims[s] + B.dims[s]), dtype=np.int64)
+            m[:, :A.dims[t], :c] = A.maps[k]
+            m[:, A.dims[t]:, :c] = cocycles[:, off:off + r * c].reshape(n, r, c)
+            m[:, A.dims[t]:, c:] = B.maps[k]
             off += r * c
-            m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-            m[:A.dims[t], :A.dims[s]] = A.maps[k]
-            m[A.dims[t]:, :A.dims[s]] = cmat
-            m[A.dims[t]:, A.dims[s]:] = B.maps[k]
-            maps.append(m)
-        return Representation(self.quiver, q, dims, maps)
+            stacks.append(m)
+        return [[m[i] for m in stacks] for i in range(n)]
 
 
 class TableSet(dict):
@@ -632,6 +684,8 @@ class TableSet(dict):
     label) rests on rigid labels and the Hom dimensions among them not
     depending on q, so every table built after the first is checked against
     the first: the same rigid (label, dim) list and the same Hom matrix on it.
+    A prime whose table fails the check keeps its CheckFailed, which every
+    later lookup raises again without building the table anew.
     """
 
     def __init__(self, quiver: Quiver, dim_bound, build=None):
@@ -639,11 +693,18 @@ class TableSet(dict):
         self.quiver = quiver
         self.dim_bound = tuple(dim_bound)
         self.build = build or (lambda q: ClassTable(quiver, q, self.dim_bound))
+        self.failures = {}
 
     def __missing__(self, q: int) -> ClassTable:
+        if q in self.failures:
+            raise self.failures[q]
         table = self.build(q)
         if self:
-            _check_same_rigid(next(iter(self.values())), table)
+            try:
+                _check_same_rigid(next(iter(self.values())), table)
+            except CheckFailed as exc:
+                self.failures[q] = exc
+                raise
         self[q] = table
         return table
 
@@ -661,6 +722,12 @@ def _check_same_rigid(first: ClassTable, other: ClassTable):
         for b, _ in labels:
             check(first.hom_indec(a, b) == other.hom_indec(a, b),
                   f"Hom({a},{b}) differs {where}")
+
+
+def _label_key(dims, maps) -> tuple:
+    """The label-cache key of a module: its dimension vector and the bytes of
+    its arrow matrices (int64, entries reduced mod q)."""
+    return dims, tuple(m.tobytes() for m in maps)
 
 
 def _fraction_inverse(rows):

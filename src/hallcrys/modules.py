@@ -99,33 +99,45 @@ def dual(M: Representation) -> Representation:
 
 
 def hom_system(M: Representation, N: Representation) -> np.ndarray:
-    """Matrix whose right kernel is Hom(M, N): conditions N_r f_s = f_t M_r.
+    """Matrix whose right kernel is Hom(M, N): one pair of
+    :func:`hom_system_stack`."""
+    return hom_system_stack(M.quiver, M.q, M.dims, M.maps, N.dims, N.maps)
 
-    The blocks of arrow r are the Kronecker products N_r (x) I and
-    I (x) M_r^T, built by broadcasting: at these small shapes that costs
-    less than half of numpy's Kronecker-product routine."""
-    quiver = M.quiver
-    nvar = [N.dims[v] * M.dims[v] for v in range(quiver.n)]
+
+def hom_system_stack(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> np.ndarray:
+    """The systems N_r f_s = f_t M_r whose right kernels are Hom(M, N), for
+    stacks of M and N of dimension vectors ``m_dims`` and ``n_dims``.
+
+    ``m_maps[r]`` and ``n_maps[r]`` are arrow r's matrices with any leading
+    batch axes, which broadcast against each other; the result has the
+    broadcast batch axes followed by (conditions, unknowns).  The blocks of
+    arrow r are the Kronecker products N_r (x) I and I (x) M_r^T, built by
+    broadcasting: at these small shapes that costs less than half of numpy's
+    Kronecker-product routine."""
+    nvar = [n_dims[v] * m_dims[v] for v in range(quiver.n)]
     offs = np.cumsum([0] + nvar)
-    rows = sum(N.dims[t] * M.dims[s] for s, t in quiver.arrows)
-    D = np.zeros((rows, offs[-1]), dtype=np.int64)
+    rows = sum(n_dims[t] * m_dims[s] for s, t in quiver.arrows)
+    batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in (*m_maps, *n_maps)))
+    D = np.zeros(batch + (rows, offs[-1]), dtype=np.int64)
     r0 = 0
     for k, (s, t) in enumerate(quiver.arrows):
-        ms, nt = M.dims[s], N.dims[t]
+        ms, nt = m_dims[s], n_dims[t]
         blk = nt * ms
         if blk:
             if nvar[s]:
                 eye = np.eye(ms, dtype=np.int64)
-                D[r0:r0 + blk, offs[s]:offs[s + 1]] = (
-                    N.maps[k][:, None, :, None] * eye[None, :, None, :]
-                ).reshape(blk, nvar[s])
+                n_k = np.asarray(n_maps[k])
+                D[..., r0:r0 + blk, offs[s]:offs[s + 1]] = (
+                    n_k[..., :, None, :, None] * eye[:, None, :]
+                ).reshape(n_k.shape[:-2] + (blk, nvar[s]))
             if nvar[t]:
                 eye = np.eye(nt, dtype=np.int64)
-                D[r0:r0 + blk, offs[t]:offs[t + 1]] -= (
-                    eye[:, None, :, None] * M.maps[k].T[None, :, None, :]
-                ).reshape(blk, nvar[t])
+                m_k = np.asarray(m_maps[k])
+                D[..., r0:r0 + blk, offs[t]:offs[t + 1]] -= (
+                    eye[:, None, :, None] * np.swapaxes(m_k, -1, -2)[..., None, :, None, :]
+                ).reshape(m_k.shape[:-2] + (blk, nvar[t]))
         r0 += blk
-    return D % M.q
+    return D % q
 
 
 def hom_dim(M: Representation, N: Representation) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from hallcrys.checks import CheckFailed
 from hallcrys.classtable import (ClassTable, IsoClass, TableSet, ZERO_CLASS,
-                                  parse_class_label)
+                                  _label_key, parse_class_label)
 from hallcrys.modules import BudgetExceeded, hom_dim
 from hallcrys.quivers import euler_bilinear, quiver_a1
 
@@ -155,6 +155,57 @@ class TestLabeling:
         m1 = Representation(kron, 2, (1, 1), [np.array([[1]]), np.array([[1]])])
         assert t.label_module(m0) != t.label_module(m1)
 
+    def test_label_rejects_other_field(self, kron):
+        import numpy as np
+        from hallcrys.modules import Representation
+        t = ClassTable(kron, 5, (3, 3))
+        eye = np.eye(1, dtype=np.int64)
+        # companion of x + 3 over F_5: the same bytes as an F_3 module
+        assert t.label_module(Representation(kron, 5, (1, 1), [eye, [[2]]])) == IsoClass.of("R[3]m1")
+        for c in (2, 1):        # a cached key, then a miss
+            with pytest.raises(ValueError, match="mismatched base field"):
+                t.label_module(Representation(kron, 3, (1, 1), [eye, [[c]]]))
+
+    @pytest.mark.parametrize("name, q, bound, dims", [
+        ("kron", 2, (3, 3), [(1, 1), (2, 2), (3, 2), (3, 3)]),
+        ("kron", 3, (3, 3), [(2, 1), (2, 2), (3, 3)]),
+        ("a3", 2, (2, 2, 2), [(1, 1, 1), (2, 1, 1), (2, 2, 2)]),
+        ("a3", 3, (2, 2, 2), [(1, 2, 1), (2, 2, 2)]),
+    ])
+    def test_batch_labels_match_single(self, request, name, q, bound, dims):
+        """Labels of a random stack from one batch equal one-at-a-time labels
+        on a fresh table."""
+        import numpy as np
+        from hallcrys.modules import Representation
+        quiver = request.getfixturevalue(name)
+        rng = np.random.default_rng(q)
+        batch, single = ClassTable(quiver, q, bound), ClassTable(quiver, q, bound)
+        seen = set()
+        for d in dims:
+            modules = [Representation(quiver, q, d, [rng.integers(0, q, (d[t], d[s]))
+                                                     for s, t in quiver.arrows])
+                       for _ in range(40)]
+            keys = [_label_key(M.dims, M.maps) for M in modules]
+            batch._label_modules(d, {key: M.maps for key, M in zip(keys, modules)})
+            labels = [batch._label_cache[key] for key in keys]
+            assert labels == [single.label_module(M) for M in modules]
+            seen.update(labels)
+        assert len(seen) > 2 * len(dims)
+
+    def test_doctored_inverse_fails_in_batch(self, kron):
+        t = ClassTable(kron, 2, (3, 3))
+        S1, S2 = IsoClass.of("S1"), IsoClass.of("S2")
+        for labels in (("S1",), ("S2",)):
+            inv, den = t._hom_matrix_inverse(labels)
+            t._solver_cache[labels] = (inv, 7 * den)
+        with pytest.raises(CheckFailed, match="non-integral multiplicity 1/7 of S"):
+            t.hall_number(IsoClass.of("S1", "S2"), S1, S2)
+        labels = tuple(it.label for it in t.catalog if it.dim in ((0, 1), (1, 0), (1, 1)))
+        inv, den = t._hom_matrix_inverse(labels)
+        t._solver_cache[labels] = (inv, 7 * den)
+        with pytest.raises(CheckFailed, match="non-integral multiplicity"):
+            t.extension_middle_counts(S1, S2)
+
 
 class TestHallNumbers:
     def test_spec_examples(self, reg, a2):
@@ -255,4 +306,21 @@ def test_table_set_checks_rigid_labels(a2):
     assert tables[2].q == 2
     with pytest.raises(CheckFailed, match="rigid labels differ at q = 2 and q = 3"):
         tables[3]
+    assert list(tables) == [2]
+
+
+def test_table_set_keeps_failed_check(a2):
+    # a prime whose table failed the check is neither built nor stored again
+    built = []
+
+    def build(q):
+        built.append(q)
+        return ClassTable(a2, q, (1, 1) if q == 2 else (1, 0))
+
+    tables = TableSet(a2, (1, 1), build)
+    tables[2]
+    for _ in range(3):
+        with pytest.raises(CheckFailed, match="rigid labels differ at q = 2 and q = 3"):
+            tables[3]
+    assert built == [2, 3]
     assert list(tables) == [2]

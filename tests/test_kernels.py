@@ -3,7 +3,7 @@ import pytest
 
 from hallcrys import linalg
 from hallcrys._kernels import (decode_points, encode_points, orbit_fill, rank_mod,
-                               rref_mod)
+                               rank_mod_stack, rref_mod)
 from hallcrys.modules import Representation
 from hallcrys.quivers import quiver_a2, quiver_a3, quiver_kronecker
 
@@ -74,6 +74,32 @@ def test_rref_definition(p):
             assert rank == (brute_rank(a, p) if n else 0)
         # untouched input
         assert rref_mod(a, p)[0].tolist() == r.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_rank_mod_stack_matches_rank_mod(p):
+    """rank_mod_stack against rank_mod matrix by matrix, with empty shapes,
+    empty stacks and rank-deficient rows."""
+    rng = np.random.default_rng(200 + p)
+    shapes = [(0, 2, 3), (3, 0, 4), (3, 4, 0), (2, 0, 0), (1, 2, 4), (1, 6, 3)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 9, 3)) for _ in range(60)]
+    deficient = 0
+    for k, (b, n, m) in enumerate(shapes):
+        a = rng.integers(-p, 2 * p, (b, n, m))
+        if n > 2 and k % 2:
+            a[:, -1] = 3 * a[:, 0] - a[:, 1]            # a dependent row
+            a[:, 1] = 0                                 # and a zero row
+            deficient += 1
+        ranks = rank_mod_stack(a, p)
+        assert ranks.dtype == np.int64 and ranks.shape == (b,)
+        assert ranks.tolist() == [rank_mod(x, p) for x in a]
+        deficient += any(r < min(n, m) for r in ranks.tolist())
+    assert deficient
+    # untouched input
+    a = rng.integers(0, p, (4, 3, 5))
+    copy = a.copy()
+    rank_mod_stack(a, p)
+    assert np.array_equal(a, copy)
 
 
 def test_nullspace_and_solve():

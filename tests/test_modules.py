@@ -6,7 +6,8 @@ import pytest
 from hallcrys import linalg
 from hallcrys.modules import (CatalogUnavailable, Representation, _path_basis,
                               direct_sum, dual, ext_dim, ext_dims, hom_basis,
-                              hom_dim, hom_system, indecomposable_catalog,
+                              hom_dim, hom_system, hom_system_stack,
+                              indecomposable_catalog,
                               is_morphism, projective, projective_presentation,
                               reflect_minus, reflect_plus, NotASink, NotASource)
 from hallcrys.quivers import Quiver, euler_bilinear
@@ -144,8 +145,9 @@ def kron_hom_system(M, N):
     return D % M.q
 
 
-def random_rep(rng, quiver, q):
-    dims = tuple(int(d) for d in rng.integers(0, 4, quiver.n))
+def random_rep(rng, quiver, q, dims=None):
+    if dims is None:
+        dims = tuple(int(d) for d in rng.integers(0, 4, quiver.n))
     return Representation(quiver, q, dims, [rng.integers(0, q, (dims[t], dims[s]))
                                             for s, t in quiver.arrows])
 
@@ -176,6 +178,34 @@ def test_hom_system_matches_kron_reference(a2, a3, kron, q):
             assert count == q ** hom_dim(M, N)
             brute += 1
     assert empty_blocks and brute
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_hom_system_stack_matches_pairs(a2, a3, kron, q):
+    """The stacked systems are the np.kron reference systems pair by pair,
+    for a stack against a stack, one module against a stack, and a probe
+    stack crossed with a module stack through broadcasting."""
+    rng = np.random.default_rng(40 + q)
+    for quiver in (a2, a3, kron):
+        for _ in range(15):
+            m_dims, n_dims = (tuple(int(d) for d in rng.integers(0, 4, quiver.n))
+                              for _ in range(2))
+            Ms = [random_rep(rng, quiver, q, m_dims) for _ in range(3)]
+            Ns = [random_rep(rng, quiver, q, n_dims) for _ in range(4)]
+            m_st = [np.stack([M.maps[k] for M in Ms]) for k in range(len(quiver.arrows))]
+            n_st = [np.stack([N.maps[k] for N in Ns]) for k in range(len(quiver.arrows))]
+            D = hom_system_stack(quiver, q, m_dims, [m[:3] for m in m_st],
+                                 n_dims, [n[:3] for n in n_st])
+            assert D.dtype == np.int64
+            for i in range(3):
+                assert np.array_equal(D[i], kron_hom_system(Ms[i], Ns[i]))
+            D = hom_system_stack(quiver, q, m_dims, [m[:1] for m in m_st], n_dims, n_st)
+            for j in range(4):
+                assert np.array_equal(D[j], kron_hom_system(Ms[0], Ns[j]))
+            D = hom_system_stack(quiver, q, m_dims, [m[:, None] for m in m_st],
+                                 n_dims, [n[None] for n in n_st])
+            for i, j in product(range(3), range(4)):
+                assert np.array_equal(D[i, j], kron_hom_system(Ms[i], Ns[j]))
 
 
 class TestProjectives:
