@@ -2,9 +2,10 @@
 
 ``rref_mod`` is one Gauss–Jordan elimination over rows of Python ints; for a
 single small matrix that beats numpy row operations.  ``rank_mod_stack``
-ranks a whole stack of equal-shape matrices in one numpy column sweep; it is
-what Krull–Schmidt labelling runs, one call per probe dimension vector and
-batch of modules.  ``decode_points``/``encode_points`` map points of E_d (tuples
+ranks a whole stack of equal-shape matrices in one numpy column sweep; it
+serves Krull–Schmidt labelling (one call per probe dimension vector and batch
+of modules) and the Ext route of ``modules.ext_dims`` (two calls per block of
+dimension vectors).  ``decode_points``/``encode_points`` map points of E_d (tuples
 of arrow matrices) to integer codes and back, and ``orbit_fill`` is the
 breadth-first flood fill behind the orbit oracle of
 :class:`~hallcrys.classtable.ClassTable`, with each generator applied to a
@@ -58,8 +59,12 @@ def rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
     One column sweep for the whole stack: at each column every matrix picks
     its first unused row with a nonzero entry there, scales it to a unit
     pivot through a table of inverses mod p, and clears the column from its
-    other unused rows, all in one broadcast."""
+    other unused rows, all in one broadcast.  A stack of one matrix goes
+    through :func:`rref_mod` instead: for one small matrix the sweep's numpy
+    calls cost several times the Python-int elimination."""
     a = np.asarray(a, dtype=np.int64) % p
+    if a.shape[0] == 1:
+        return np.array([rref_mod(a[0], p)[1]], dtype=np.int64)
     if a.shape[2] > a.shape[1]:
         a = a.transpose(0, 2, 1).copy()      # same rank, fewer columns to sweep
     batch, nrows, ncols = a.shape

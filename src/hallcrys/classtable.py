@@ -22,7 +22,7 @@ counting) stays as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -44,6 +44,16 @@ from .scalars import QSqrtScalar, eval_at_sqrt_q
 class IsoClass:
     """A field-stable iso-class label: multiset of indecomposable labels."""
     parts: tuple
+    _hash: int = field(init=False, repr=False, compare=False)    # hash((parts,)), once
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.parts,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):       # string hashes differ between processes
+        return IsoClass, (self.parts,)
 
     @staticmethod
     def of(*labels):

@@ -10,11 +10,12 @@ construction once: sigma^+_i = D sigma^-_i D, and I_v = D P_v(Q^op).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
 from . import linalg
+from ._kernels import rank_mod_stack
 from .checks import check
 from .quivers import Quiver, dim_total
 
@@ -98,9 +99,20 @@ def dual(M: Representation) -> Representation:
 # Hom via the intertwiner system
 
 
+def _same_ring(M: Representation, N: Representation) -> None:
+    """Raise unless M and N share the field and the quiver, arrow order
+    included (``Quiver.__eq__`` ignores it, but arrow k indexes the maps)."""
+    if M.q != N.q:
+        raise ValueError("mismatched base field")
+    Q, R = M.quiver, N.quiver
+    if Q is not R and (Q.vertices != R.vertices or Q.arrows != R.arrows):
+        raise ValueError("mismatched quiver")
+
+
 def hom_system(M: Representation, N: Representation) -> np.ndarray:
     """Matrix whose right kernel is Hom(M, N): one pair of
     :func:`hom_system_stack`."""
+    _same_ring(M, N)
     return hom_system_stack(M.quiver, M.q, M.dims, M.maps, N.dims, N.maps)
 
 
@@ -111,89 +123,56 @@ def hom_system_stack(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> 
     ``m_maps[r]`` and ``n_maps[r]`` are arrow r's matrices with any leading
     batch axes, which broadcast against each other; the result has the
     broadcast batch axes followed by (conditions, unknowns).  The blocks of
-    arrow r are the Kronecker products N_r (x) I and I (x) M_r^T, built by
-    broadcasting: at these small shapes that costs less than half of numpy's
-    Kronecker-product routine."""
+    arrow r are the Kronecker products N_r (x) I and I (x) M_r^T, written as
+    one strided copy of N_r and one block of M_r^T per diagonal entry of I;
+    at these small shapes that is cheaper than building either product."""
     nvar = [n_dims[v] * m_dims[v] for v in range(quiver.n)]
-    offs = np.cumsum([0] + nvar)
+    offs = list(accumulate([0] + nvar))
     rows = sum(n_dims[t] * m_dims[s] for s, t in quiver.arrows)
     batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in (*m_maps, *n_maps)))
     D = np.zeros(batch + (rows, offs[-1]), dtype=np.int64)
     r0 = 0
     for k, (s, t) in enumerate(quiver.arrows):
-        ms, nt = m_dims[s], n_dims[t]
+        ms, mt, nt = m_dims[s], m_dims[t], n_dims[t]
         blk = nt * ms
-        if blk:
-            if nvar[s]:
-                eye = np.eye(ms, dtype=np.int64)
-                n_k = np.asarray(n_maps[k])
-                D[..., r0:r0 + blk, offs[s]:offs[s + 1]] = (
-                    n_k[..., :, None, :, None] * eye[:, None, :]
-                ).reshape(n_k.shape[:-2] + (blk, nvar[s]))
-            if nvar[t]:
-                eye = np.eye(nt, dtype=np.int64)
-                m_k = np.asarray(m_maps[k])
-                D[..., r0:r0 + blk, offs[t]:offs[t + 1]] -= (
-                    eye[:, None, :, None] * np.swapaxes(m_k, -1, -2)[..., None, :, None, :]
-                ).reshape(m_k.shape[:-2] + (blk, nvar[t]))
+        for i in range(ms if nvar[s] else 0):
+            D[..., r0 + i:r0 + blk:ms, offs[s] + i:offs[s + 1]:ms] = n_maps[k]
+        for j in range(nt if nvar[t] else 0):
+            D[..., r0 + j * ms:r0 + (j + 1) * ms, offs[t] + j * mt:offs[t] + (j + 1) * mt] -= \
+                np.swapaxes(m_maps[k], -1, -2)
         r0 += blk
     return D % q
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    if M.q != N.q:
-        raise ValueError("mismatched base field")
     D = hom_system(M, N)
-    if D.shape[1] == 0:
-        return 0
-    return D.shape[1] - linalg.rank_mod(D, M.q) if D.shape[0] else D.shape[1]
+    return D.shape[1] - (linalg.rank_mod(D, M.q) if D.size else 0)
 
 
 def hom_basis(M: Representation, N: Representation):
     """Basis of Hom(M,N) as lists of per-vertex matrices (N_v x M_v)."""
-    D = hom_system(M, N)
-    if D.shape[1] == 0:
-        return []
-    if D.shape[0] == 0:
-        ns = np.eye(D.shape[1], dtype=np.int64)
-    else:
-        ns = linalg.nullspace_mod(D, M.q)
-    out = []
-    offs = np.cumsum([0] + [N.dims[v] * M.dims[v] for v in range(M.quiver.n)])
-    for col in range(ns.shape[1]):
-        vec = ns[:, col]
-        mats = []
-        for v in range(M.quiver.n):
-            mats.append(vec[offs[v]:offs[v + 1]].reshape(N.dims[v], M.dims[v]))
-        out.append(mats)
-    return out
+    ns = linalg.nullspace_mod(hom_system(M, N), M.q)
+    offs = list(accumulate([0] + [N.dims[v] * M.dims[v] for v in range(M.quiver.n)]))
+    blocks = [ns[offs[v]:offs[v + 1]].T.reshape(ns.shape[1], N.dims[v], M.dims[v])
+              for v in range(M.quiver.n)]
+    return [list(g) for g in zip(*blocks)]
 
 
 # ----------------------------------------------------------------------
 # Ext via the explicit projective presentation of the path algebra
 
 
-def paths_from(quiver: Quiver, v: int):
-    """All paths starting at v as (arrow index tuple, endpoint)."""
-    out = [((), v)]
+def _path_basis(quiver: Quiver, v: int):
+    """The paths starting at v (tuples of arrow indices) grouped by endpoint,
+    each group sorted: the basis of P_v at every vertex, in the order
+    :func:`projective` indexes it."""
+    by_vertex = [[] for _ in range(quiver.n)]
     frontier = [((), v)]
     while frontier:
-        nxt = []
         for word, w in frontier:
-            for k in quiver.arrows_out_of(w):
-                item = (word + (k,), quiver.arrows[k][1])
-                nxt.append(item)
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def _path_basis(quiver: Quiver, v: int):
-    """Paths starting at v grouped by endpoint, each group sorted: the basis
-    of P_v at every vertex, in the order :func:`projective` indexes it."""
-    by_vertex = [[] for _ in range(quiver.n)]
-    for word, w in paths_from(quiver, v):
-        by_vertex[w].append(word)
+            by_vertex[w].append(word)
+        frontier = [(word + (k,), quiver.arrows[k][1])
+                    for word, w in frontier for k in quiver.arrows_out_of(w)]
     for words in by_vertex:
         words.sort()
     return by_vertex
@@ -201,7 +180,11 @@ def _path_basis(quiver: Quiver, v: int):
 
 def projective(quiver: Quiver, q: int, v: int) -> Representation:
     """The indecomposable projective P_v, with path basis."""
-    by_vertex = _path_basis(quiver, v)
+    return _projective(quiver, q, _path_basis(quiver, v))
+
+
+def _projective(quiver: Quiver, q: int, by_vertex) -> Representation:
+    """The projective with path basis ``by_vertex`` (:func:`_path_basis`)."""
     index = {word: pos for words in by_vertex for pos, word in enumerate(words)}
     dims = tuple(len(words) for words in by_vertex)
     maps = []
@@ -247,46 +230,45 @@ def projective_presentation(M: Representation):
     the (t(k), c') copies by -M_k[c', c] times the identity.  Returns
     (P1, P0, phi) with phi a list of per-vertex matrices P1_w -> P0_w.
     """
-    quiver, q = M.quiver, M.q
-    proj = [projective(quiver, q, v) for v in range(quiver.n)]
-    p0_parts = [(v, c) for v in range(quiver.n) for c in range(M.dims[v])]
-    p1_parts = [(k, c) for k in range(len(quiver.arrows))
-                for c in range(M.dims[quiver.arrows[k][0]])]
-    P0 = direct_sum([proj[v] for v, _ in p0_parts]) if p0_parts else Representation.zero(quiver, q)
-    P1 = (direct_sum([proj[quiver.arrows[k][1]] for k, _ in p1_parts])
-          if p1_parts else Representation.zero(quiver, q))
+    proj, pre = _projectives(M.quiver, M.q)
+    P0 = [proj[v] for v in range(M.quiver.n) for _ in range(M.dims[v])]
+    P0 = direct_sum(P0) if P0 else Representation.zero(M.quiver, M.q)
+    return _p1(M.dims, proj), P0, _phi(M.dims, M.maps, proj, pre)
 
-    def offsets(parts, of):
-        offs = []
-        acc = [0] * quiver.n
-        for part in parts:
-            offs.append(tuple(acc))
-            d = of(part)
-            acc = [a + d_w for a, d_w in zip(acc, d)]
-        return offs
 
-    off0 = offsets(p0_parts, lambda part: proj[part[0]].dims)
-    off1 = offsets(p1_parts, lambda part: proj[quiver.arrows[part[0]][1]].dims)
-
+def _projectives(quiver: Quiver, q: int):
+    """The projectives P_v and the precomposition maps P_{t(k)} -> P_{s(k)}."""
     bases = [_path_basis(quiver, v) for v in range(quiver.n)]
-    pre = [_precompose_matrix(quiver, k, bases) for k in range(len(quiver.arrows))]
-    phi = [np.zeros((P0.dims[w], P1.dims[w]), dtype=np.int64) for w in range(quiver.n)]
-    for cidx, (k, c) in enumerate(p1_parts):
-        s, t = quiver.arrows[k]
-        pt = proj[t]
-        for w in range(quiver.n):
-            cblock = slice(off1[cidx][w], off1[cidx][w] + pt.dims[w])
-            for ridx, (v, cc) in enumerate(p0_parts):
-                pv = proj[v]
-                rblock = slice(off0[ridx][w], off0[ridx][w] + pv.dims[w])
-                if v == s and cc == c:
-                    phi[w][rblock, cblock] += pre[k][w]
-                if v == t:
-                    coeff = int(M.maps[k][cc, c])
-                    if coeff:
-                        phi[w][rblock, cblock] -= coeff * np.eye(pt.dims[w], dtype=np.int64)
-    phi = [m % q for m in phi]
-    return P1, P0, phi
+    return ([_projective(quiver, q, b) for b in bases],
+            [_precompose_matrix(quiver, k, bases) for k in range(len(quiver.arrows))])
+
+
+def _p1(dims, proj) -> Representation:
+    P1 = [proj[t] for s, t in proj[0].quiver.arrows for _ in range(dims[s])]
+    return direct_sum(P1) if P1 else Representation.zero(proj[0].quiver, proj[0].q)
+
+
+def _phi(dims, maps, proj, pre) -> list:
+    """phi of :func:`projective_presentation` for modules of dimension vector
+    ``dims`` with arrow matrices ``maps`` (leading batch axes broadcast), one
+    matrix per vertex w: copy c of P_{t(k)} goes to copy c of P_{s(k)} by
+    path precomposition with k, and the (t(k), k) block is -M_k (x) I."""
+    quiver, q = proj[0].quiver, proj[0].q
+    batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in maps))
+    phi = []
+    for w in range(quiver.n):
+        r_off = list(accumulate([0] + [dims[v] * proj[v].dims[w] for v in range(quiver.n)]))
+        c_off = list(accumulate([0] + [dims[s] * proj[t].dims[w] for s, t in quiver.arrows]))
+        m = np.zeros(batch + (r_off[-1], c_off[-1]), dtype=np.int64)
+        for k, (s, t) in enumerate(quiver.arrows):
+            ps, pt = proj[s].dims[w], proj[t].dims[w]
+            for c in range(dims[s]):
+                m[..., r_off[s] + c * ps:r_off[s] + (c + 1) * ps,
+                  c_off[k] + c * pt:c_off[k] + (c + 1) * pt] = pre[k][w]
+            for i in range(pt):
+                m[..., r_off[t] + i:r_off[t + 1]:pt, c_off[k] + i:c_off[k + 1]:pt] -= maps[k]
+        phi.append(m % q)
+    return phi
 
 
 def is_morphism(M: Representation, N: Representation, f) -> bool:
@@ -306,46 +288,79 @@ def ext_dim(M: Representation, N: Representation) -> int:
     Built from explicit projective objects and path composition, never from
     the intertwiner system ``hom_system(M, N)`` of :func:`hom_dim`, so the
     Euler identity hom - ext = <dim M, dim N> is a genuine downstream
-    cross-check.  P0, P1 and Hom(P0, N) depend on M only through dim M; only
-    phi carries M's arrow matrices.  One pair of :func:`ext_dims`.
+    cross-check.  One pair of :func:`ext_dims`.
     """
     return ext_dims([M], [N])[0][0]
 
 
 def ext_dims(Ms, Ns) -> list:
     """The matrix [dim Ext^1(M, N) for N in Ns] for M in Ms, by the route of
-    :func:`ext_dim`: one presentation per M, and Hom(P1, N) and Hom(P0, N)
-    once per (dim M, N)."""
+    :func:`ext_dim`, in stacked kernels per block of Ms and Ns of one
+    dimension vector each.
+
+    P1 and P0 = sum_v P_v^{M_v} depend on M only through dim M; only phi
+    carries M's arrow matrices.  Per block, one stacked system and rank give
+    dim Hom(P1, N), and one stacked rank the images g o phi, g running over
+    the Hom(P_v, N) bases, solved for once per vertex and N.  The Yoneda
+    forms (Hom(P_v, N) = N_v) would skip the solving, but would turn phi^*
+    into the intertwiner system of (M, N) and the Euler identity into a
+    tautology.
+    """
     Ms, Ns = list(Ms), list(Ns)
-    if any(M.q != N.q for M in Ms for N in Ns):
-        raise ValueError("mismatched base field")
+    for X in (Ms + Ns if Ms and Ns else ()):
+        _same_ring(Ms[0], X)
     out = [[0] * len(Ns) for _ in Ms]
-    groups = {}
+    m_groups, n_groups = {}, {}
     for i, M in enumerate(Ms):
-        if not M.is_zero():
-            groups.setdefault(M.dims, []).append(i)
-    for rows in groups.values():
-        quiver, q = Ms[rows[0]].quiver, Ms[rows[0]].q
-        presentations = [projective_presentation(Ms[i]) for i in rows]
-        P1, P0, _ = presentations[0]        # the same for the whole group
-        if P1.is_zero():
-            continue
-        for j, N in enumerate(Ns):
-            if N.is_zero():
-                continue
-            h1 = hom_dim(P1, N)
-            H0 = hom_basis(P0, N)
-            if not H0:
-                for i in rows:
-                    out[i][j] = h1
-                continue
-            # per vertex w, the basis maps as one (len(H0), N_w, P0_w) array
-            stacked = [np.stack([g[w] for g in H0]) for w in range(quiver.n)]
-            for i, (_, _, phi) in zip(rows, presentations):
-                # row b: the image g_b o phi, flattened vertex by vertex
-                im = np.concatenate([(stacked[w] @ phi[w]).reshape(len(H0), -1)
-                                     for w in range(quiver.n)], axis=1) % q
-                out[i][j] = h1 - (linalg.rank_mod(im, q) if im.size else 0)
+        if any(M.dims[s] for s, _ in M.quiver.arrows):     # else P1 = 0: M is projective
+            m_groups.setdefault(M.dims, []).append(i)
+    for j, N in enumerate(Ns):
+        if not N.is_zero():
+            n_groups.setdefault(N.dims, []).append(j)
+    if not (m_groups and n_groups):
+        return out
+    quiver, q = Ms[0].quiver, Ms[0].q
+    n, arrows = quiver.n, range(len(quiver.arrows))
+    proj, pre = _projectives(quiver, q)
+    n_maps = {d: [np.stack([Ns[j].maps[k] for j in cols]) for k in arrows]
+              for d, cols in n_groups.items()}
+    bases = {}      # (v, dim N) -> Hom(P_v, N) bases, per w (len(N group), h, N_w, P_v,w)
+    for m_dims, rows in m_groups.items():
+        P1 = _p1(m_dims, proj)
+        phi = _phi(m_dims, [np.stack([Ms[i].maps[k] for i in rows]) for k in arrows], proj, pre)
+        # phi_w's rows of the copies (v, c) of P_v, as (len(rows), M_v, P_v,w, P1_w)
+        r0 = [list(accumulate([0] + [m_dims[u] * proj[u].dims[w] for u in range(n)]))
+              for w in range(n)]
+        phi = {(v, w): phi[w][:, r0[w][v]:r0[w][v + 1]].reshape(
+                   len(rows), m_dims[v], proj[v].dims[w], P1.dims[w])
+               for v in range(n) if m_dims[v] for w in range(n)}
+        for n_dims, cols in n_groups.items():
+            wide = [w for w in range(n) if n_dims[w] * P1.dims[w]]
+            if not wide:
+                continue        # Hom(P1, N) has no unknowns
+            D = hom_system_stack(quiver, q, P1.dims, P1.maps, n_dims, n_maps[n_dims])
+            h1 = D.shape[-1] - rank_mod_stack(D, q)
+            # g o phi for every pair: a row block per v, a column block per w
+            im = []
+            for v in (v for v in range(n) if m_dims[v]):
+                if (v, n_dims) not in bases:
+                    found = [hom_basis(proj[v], Ns[j]) for j in cols]
+                    h = len(found[0])
+                    check(all(len(b) == h for b in found),
+                          "dim Hom(P_v, N) differs between modules N of one dimension vector")
+                    bases[v, n_dims] = [
+                        np.array([[g[w] for g in b] for b in found], dtype=np.int64)
+                        .reshape(len(cols), h, n_dims[w], proj[v].dims[w]) for w in range(n)]
+                H = bases[v, n_dims]
+                im.append(np.concatenate(
+                    [(H[w][:, None, None] @ phi[v, w][None, :, :, None]).reshape(
+                        len(cols), len(rows), m_dims[v] * H[w].shape[1], n_dims[w] * P1.dims[w])
+                     for w in wide], axis=3))
+            im = np.concatenate(im, axis=2)
+            ranks = rank_mod_stack(im.reshape((len(cols) * len(rows),) + im.shape[2:]), q)
+            for a, j in enumerate(cols):
+                for b, i in enumerate(rows):
+                    out[i][j] = int(h1[a] - ranks[a * len(rows) + b])
     return out
 
 

@@ -30,6 +30,23 @@ class TestClasses:
         assert cls.multiplicities() == {"S1": 2, "r1.1": 1}
         assert parse_class_label("0") == ZERO_CLASS
 
+    def test_isoclass_hash_equality_and_order(self):
+        """The stored hash is the dataclass hash, hash((parts,)), so set and
+        dict orders are unchanged; equality, order and repr see parts only."""
+        import pickle
+        classes = [IsoClass(("S1", "r1.1")), IsoClass.of("r1.1", "S1"), IsoClass(("S2",)),
+                   ZERO_CLASS, parse_class_label("S1+S1+r1.1")]
+        for c in classes:
+            assert hash(c) == hash((c.parts,))
+            back = pickle.loads(pickle.dumps(c))
+            assert back == c and hash(back) == hash(c)
+        assert classes[0] == classes[1] and len(set(classes)) == 4
+        assert sorted(classes) == sorted(classes, key=lambda c: c.parts)
+        assert repr(classes[2]) == "IsoClass(parts=('S2',))"
+        # a pickle carries the parts only: a process with another string hash
+        # seed recomputes the hash
+        assert all(b"_hash" not in pickle.dumps(c) for c in classes)
+
     def test_exceptionality(self, reg, a2):
         t = reg.table(a2, 2)
         assert t.is_exceptional(P)

@@ -123,6 +123,98 @@ class TestExtDims:
         assert ext_dims([S1], []) == [[]]
 
 
+def selftest_battery(table):
+    """The Euler battery's modules: one representative per class of total
+    dimension 1 to 4 within the table's bound, then the zero module."""
+    quiver = table.quiver
+    dims = [d for d in product(*(range(b + 1) for b in table.dim_bound)) if 0 < sum(d) <= 4]
+    return ([table.representative(c) for d in dims for c in table.classes_of_dim(d)]
+            + [Representation.zero(quiver, table.q)])
+
+
+class TestExtDimsBattery:
+    """ext_dims on the selftest battery input: Kronecker, bound (2, 2), q = 5."""
+
+    @pytest.fixture(scope="class")
+    def battery(self, reg, kron):
+        return selftest_battery(reg.table(kron, 5, (2, 2)))
+
+    def test_matches_reference(self, battery):
+        assert len(battery) == 74 and battery[-1].is_zero()
+        assert ext_dims(battery, battery) == [[ext_dim_reference(M, N) for N in battery]
+                                              for M in battery]
+
+    def test_one_stacked_sweep_per_block(self, battery, monkeypatch):
+        """No single-matrix rank_mod, and at most two rank_mod_stack calls per
+        (dim M, dim N) block."""
+        from hallcrys import _kernels, modules
+
+        def no_rank_mod(*args):
+            raise AssertionError("rank_mod called")
+
+        calls = []
+        stack = modules.rank_mod_stack
+        monkeypatch.setattr(_kernels, "rank_mod", no_rank_mod)
+        monkeypatch.setattr(linalg, "rank_mod", no_rank_mod)
+        monkeypatch.setattr(modules, "rank_mod_stack",
+                            lambda a, p: calls.append(a.shape) or stack(a, p))
+        ext_dims(battery, battery)
+        blocks = len({M.dims for M in battery if not M.is_zero()}) ** 2
+        assert 0 < len(calls) <= 2 * blocks
+        assert max(shape[0] for shape in calls) > 1
+
+    def test_never_reads_hom_system_of_m(self, battery, monkeypatch):
+        """Every Hom system ext_dims builds has a projective as its source:
+        none has the arrow matrices of an M in Ms, unless that M is itself
+        one of the projectives P_v or P1."""
+        from hallcrys import modules
+        sources = []
+        build = modules.hom_system_stack
+
+        def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
+            sources.append((tuple(m_dims), [np.array(m) for m in m_maps]))
+            return build(quiver, q, m_dims, m_maps, n_dims, n_maps)
+
+        monkeypatch.setattr(modules, "hom_system_stack", spy)
+        ext_dims(battery, battery)
+        quiver, q = battery[0].quiver, battery[0].q
+        projectives = [projective(quiver, q, v) for v in range(quiver.n)]
+        projectives += [projective_presentation(M)[0] for M in battery]
+
+        def same(dims, maps, rep):
+            return dims == rep.dims and all(np.array_equal(a, b) for a, b in zip(maps, rep.maps))
+
+        assert sources
+        for dims, maps in sources:
+            batch = np.broadcast_shapes(*(m.shape[:-2] for m in maps))
+            for idx in np.ndindex(batch):
+                one = [np.broadcast_to(m, batch + m.shape[-2:])[idx] for m in maps]
+                assert not any(same(dims, one, M) for M in battery) or \
+                    any(same(dims, one, P) for P in projectives), dims
+
+
+class TestMismatchedQuiver:
+    """Modules over different quivers, or over one quiver with its arrows in
+    another order (which ``Quiver.__eq__`` ignores), are refused."""
+
+    def test_hom_and_ext_entry_points(self, a3):
+        P1 = projective(a3, 2, 0)
+        reordered = Quiver(["1", "2", "3"], [["2", "3"], ["1", "2"]])
+        assert reordered == a3
+        for other in (projective(a3.reflect(0), 2, 2), projective(reordered, 2, 2)):
+            for call in (hom_dim, hom_basis, hom_system, ext_dim,
+                         lambda M, N: ext_dims([M], [M, N])):
+                for M, N in ((P1, other), (other, P1)):
+                    with pytest.raises(ValueError, match="mismatched quiver"):
+                        call(M, N)
+
+    def test_equal_quivers_are_accepted(self, a3):
+        P1 = projective(a3, 3, 0)
+        twin = projective(Quiver(["1", "2", "3"], [["1", "2"], ["2", "3"]]), 3, 2)
+        assert hom_dim(P1, twin) == 0 and ext_dim(P1, twin) == 0
+        assert hom_dim(twin, P1) == 1 and ext_dims([twin], [P1]) == [[0]]
+
+
 def kron_hom_system(M, N):
     """The intertwiner system written with np.kron: the reference for
     :func:`hom_system`."""
@@ -206,6 +298,55 @@ def test_hom_system_stack_matches_pairs(a2, a3, kron, q):
                                  n_dims, [n[None] for n in n_st])
             for i, j in product(range(3), range(4)):
                 assert np.array_equal(D[i, j], kron_hom_system(Ms[i], Ns[j]))
+
+
+def presentation_reference(M):
+    """phi of the standard presentation summand pair by summand pair: the
+    (k, c) copy of P_{t(k)} maps into the (s(k), c) copy of P_{s(k)} by
+    precomposition with k, and into each (t(k), c') copy of P_{t(k)} by
+    -M_k[c', c] times the identity.  The reference for
+    :func:`projective_presentation`."""
+    quiver, q = M.quiver, M.q
+    proj = [projective(quiver, q, v) for v in range(quiver.n)]
+    bases = [_path_basis(quiver, v) for v in range(quiver.n)]
+    p0 = [(v, c) for v in range(quiver.n) for c in range(M.dims[v])]
+    p1 = [(k, c) for k, (s, _) in enumerate(quiver.arrows) for c in range(M.dims[s])]
+
+    def offsets(parts, of):
+        offs, acc = [], [0] * quiver.n
+        for part in parts:
+            offs.append(tuple(acc))
+            acc = [a + d for a, d in zip(acc, of(part).dims)]
+        return offs, acc
+
+    off0, dims0 = offsets(p0, lambda part: proj[part[0]])
+    off1, dims1 = offsets(p1, lambda part: proj[quiver.arrows[part[0]][1]])
+    phi = [np.zeros((dims0[w], dims1[w]), dtype=np.int64) for w in range(quiver.n)]
+    for j, (k, c) in enumerate(p1):
+        s, t = quiver.arrows[k]
+        for w in range(quiver.n):
+            # precomposition with k sends the path y (from t) to k y (from s)
+            for col, word in enumerate(bases[t][w]):
+                for i, (v, cc) in enumerate(p0):
+                    if v == s and cc == c:
+                        phi[w][off0[i][w] + bases[s][w].index((k,) + word), off1[j][w] + col] += 1
+                    if v == t:
+                        phi[w][off0[i][w] + col, off1[j][w] + col] -= M.maps[k][cc, c]
+    return dims1, dims0, [m % q for m in phi]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_presentation_matches_reference(a2, a3, kron, q):
+    rng = np.random.default_rng(70 + q)
+    star = Quiver(["1", "2", "3", "4"], [["2", "1"], ["2", "3"], ["4", "2"]])
+    for quiver in (a2, a3, kron, star):
+        for _ in range(20):
+            M = random_rep(rng, quiver, q)
+            P1, P0, phi = projective_presentation(M)
+            dims1, dims0, ref = presentation_reference(M)
+            assert (P1.dims, P0.dims) == (tuple(dims1), tuple(dims0))
+            assert all(np.array_equal(a, b) for a, b in zip(phi, ref))
+            assert is_morphism(P1, P0, phi)
 
 
 class TestProjectives:
