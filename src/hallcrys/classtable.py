@@ -13,9 +13,11 @@ of dimension dim beta in V_lambda labels every closed tuple's submodule and
 quotient, and so fills g^lambda_{alpha beta} for all classes alpha, beta of
 those dimensions at once.  Each Grassmannian is enumerated once per table,
 together with a complement and the coordinate and quotient projections of
-every subspace.  Labels are looked up by the arrow blocks the scan computes,
-with no module object built; the modules a scan meets for the first time
-are labelled together once the scan ends, one Krull-Schmidt batch per side.
+every subspace.  A scan counts closed tuples by the arrow blocks it
+computes, with no module object built, and labels each side's distinct
+blocks in one batch once the sweep ends.  Krull-Schmidt labelling has one
+route, :meth:`ClassTable.label_modules`, which owns the label cache; the
+scans, the extension counts and :meth:`ClassTable.label_module` all use it.
 :meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by extension-class
 counting) stays as an independent oracle.
 """
@@ -34,8 +36,8 @@ import numpy as np
 from . import linalg
 from ._kernels import decode_points, encode_points, orbit_fill, rank_mod_stack
 from .checks import CheckFailed, check
-from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim,
-                      hom_dim, hom_system, hom_system_stack, indecomposable_catalog)
+from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim, hom_dim,
+                      hom_system, hom_system_stack, indecomposable_catalog, require_ring)
 from .quivers import Quiver, euler_bilinear
 from .scalars import QSqrtScalar, eval_at_sqrt_q
 
@@ -116,7 +118,8 @@ class ClassTable:
         self._hom_cache = {}
         self._ext_cache = {}
         self._rep_cache = {}
-        self._label_cache = {}
+        zero = Representation.zero(quiver, q)
+        self._label_cache = {_label_key(zero.dims, zero.maps): ZERO_CLASS}
         self._solver_cache = {}
         self._hall_cache = {}
         self._grass_cache = {}
@@ -387,22 +390,19 @@ class ClassTable:
     # -- Krull-Schmidt labeling ------------------------------------------
 
     def label_module(self, M: Representation) -> IsoClass:
-        """Iso-class of an arbitrary representation over the table's field: its
-        cached label, or a batch of one for :meth:`_label_modules`."""
-        if M.q != self.q:
-            raise ValueError("mismatched base field")
-        if M.is_zero():
-            return ZERO_CLASS
-        key = _label_key(M.dims, M.maps)
-        if key not in self._label_cache:
-            self._label_modules(M.dims, {key: M.maps})
-        return self._label_cache[key]
+        """Iso-class of a representation over the table's quiver and field: a
+        batch of one for :meth:`label_modules`."""
+        require_ring(M, self.quiver, self.q)
+        return self.label_modules(M.dims, [M.maps])[0]
 
-    def _label_modules(self, dims, modules: dict):
-        """Label a batch of nonzero modules of dimension vector ``dims`` over
-        the table's field, given as label-cache key -> arrow matrices, by
-        Hom-count decomposition, and cache their labels.
+    def label_modules(self, dims, batch) -> list:
+        """The iso-classes of a batch of modules of dimension vector ``dims``
+        over the table's quiver and field, each given by its arrow matrices
+        (int64, entries reduced mod q), in input order.
 
+        The only reader and writer of the label cache, keyed by
+        :func:`_label_key` and seeded with the zero module.  The distinct
+        misses are labelled together by Hom-count decomposition:
         dim Hom(I, M) = sum_K mult_K * dim Hom(I, K) over the catalog; the
         catalog Hom matrix is invertible (block-triangular w.r.t. the
         preprojective < regular < preinjective order), so multiplicities are
@@ -413,23 +413,28 @@ class ClassTable:
         one common denominator, so the multiplicities are one integer matrix
         product with the Hom counts followed by an exact division.
         """
+        cache = self._label_cache
+        keys = [_label_key(dims, maps) for maps in batch]
+        modules = {key: maps for key, maps in zip(keys, batch) if key not in cache}
+        if not modules:
+            return [cache[key] for key in keys]
         items = [it for it in self.catalog if all(d <= b for d, b in zip(it.dim, dims))]
         if not items:
             raise ValueError(f"no catalog entries under dim {dims}")
         inv, den = self._hom_matrix_inverse(tuple(it.label for it in items))
         arrows = range(len(self.quiver.arrows))
-        batch = len(modules)
+        width = len(modules)
         stack = [np.stack([maps[k] for maps in modules.values()])[None] for k in arrows]
         groups = {}
         for i, it in enumerate(items):
             groups.setdefault(it.dim, []).append(i)
-        h = np.zeros((len(items), batch), dtype=np.int64)
+        h = np.zeros((len(items), width), dtype=np.int64)
         for probe_dims, rows in groups.items():
             probes = [np.stack([items[i].rep.maps[k] for i in rows])[:, None] for k in arrows]
             D = hom_system_stack(self.quiver, self.q, probe_dims, probes, dims, stack)
             nconds, nvars = D.shape[-2:]
-            ranks = rank_mod_stack(D.reshape(len(rows) * batch, nconds, nvars), self.q)
-            h[rows] = nvars - ranks.reshape(len(rows), batch)
+            ranks = rank_mod_stack(D.reshape(len(rows) * width, nconds, nvars), self.q)
+            h[rows] = nvars - ranks.reshape(len(rows), width)
         num = inv @ h
         integral = (num % den == 0) & (num >= 0)
         mult = num // den
@@ -443,8 +448,9 @@ class ClassTable:
                                   f" of {items[i].label}")
             raise CheckFailed("Hom-count decomposition does not match dimensions")
         for key, col in zip(modules, mult.T.tolist()):
-            self._label_cache[key] = IsoClass(tuple(sorted(
+            cache[key] = IsoClass(tuple(sorted(
                 label for it, m in zip(items, col) for label in [it.label] * m)))
+        return [cache[key] for key in keys]
 
     def _hom_matrix_inverse(self, labels):
         """(inv, den): the inverse of the catalog Hom matrix on ``labels`` is
@@ -495,19 +501,15 @@ class ClassTable:
         """Count the submodules of V_lambda of dimension bd by the pair
         (class of the quotient, class of the submodule).
 
-        Each closed tuple's quotient and submodule are looked up in the label
-        cache by the cache keys of their blocks, with no representation
-        built.  A tuple with a module not yet labelled waits until the sweep
-        ends; then the scan's distinct misses are labelled in one batch per
-        side and the waiting tuples are tallied."""
+        The sweep counts closed tuples by the label-cache keys of their
+        quotient and submodule blocks, with no representation built; then
+        each side's distinct blocks are labelled in one batch."""
         q = self.q
         rep = self.representative(lam)
         arrows = self.quiver.arrows
         side_dims = (tuple(d - b for d, b in zip(rep.dims, bd)), tuple(bd))
-        zero = [not any(dims) for dims in side_dims]
-        cache = self._label_cache
-        misses = ({}, {})           # per side: cache key -> blocks of an unlabelled module
-        tally, waiting = {}, {}
+        blocks = ({}, {})           # per side: cache key -> the blocks of one module
+        counts = {}
         grass = [self._grassmannian(rep.dims[v], bd[v]) for v in range(self.quiver.n)]
         for combo in product(*grass):
             sub_maps = []
@@ -527,19 +529,14 @@ class ClassTable:
                 quot_maps.append(block[wt.k:, ws.k:])
             else:
                 keys = (_label_key(side_dims[0], quot_maps), _label_key(side_dims[1], sub_maps))
-                pair = tuple(ZERO_CLASS if z else cache.get(key) for z, key in zip(zero, keys))
-                if pair[0] is None or pair[1] is None:
-                    for side, maps in enumerate((quot_maps, sub_maps)):
-                        if pair[side] is None:
-                            misses[side].setdefault(keys[side], maps)
-                    waiting[keys] = waiting.get(keys, 0) + 1
-                else:
-                    tally[pair] = tally.get(pair, 0) + 1
-        for dims, side_misses in zip(side_dims, misses):
-            if side_misses:
-                self._label_modules(dims, side_misses)
-        for keys, count in waiting.items():
-            pair = tuple(ZERO_CLASS if z else cache[key] for z, key in zip(zero, keys))
+                counts[keys] = counts.get(keys, 0) + 1
+                blocks[0].setdefault(keys[0], quot_maps)
+                blocks[1].setdefault(keys[1], sub_maps)
+        labels = [dict(zip(side, self.label_modules(dims, list(side.values()))))
+                  for dims, side in zip(side_dims, blocks)]
+        tally = {}
+        for (quot, sub), count in counts.items():
+            pair = (labels[0][quot], labels[1][sub])
             tally[pair] = tally.get(pair, 0) + count
         return tally
 
@@ -561,13 +558,14 @@ class ClassTable:
 
     # -- cache -------------------------------------------------------------
 
+    def _cache_header(self) -> dict:
+        return {"schema": 1, "quiver": self.quiver.to_json(), "q": self.q,
+                "dim_bound": list(self.dim_bound)}
+
     def dump_cache(self) -> dict:
         """Computed Hall numbers and pair tables, JSON-ready."""
         return {
-            "schema": 1,
-            "quiver": self.quiver.to_json(),
-            "q": self.q,
-            "dim_bound": list(self.dim_bound),
+            **self._cache_header(),
             "hom": {f"{a}|{b}": v for (a, b), v in sorted(self._hom_cache.items())},
             "ext": {f"{a}|{b}": v for (a, b), v in sorted(self._ext_cache.items())},
             "hall": {f"{l.label}|{a.label}|{b.label}": g
@@ -580,11 +578,16 @@ class ClassTable:
     def load_cache(self, data: dict) -> int:
         """Merge tables written by :meth:`dump_cache`; returns the number of
         malformed entries skipped (bad key shape, unknown label, dimensions
-        that do not add up, or a value that is not a nonnegative integer)."""
+        that do not add up, or a value that is not a nonnegative integer).
+
+        A payload for another schema, quiver (arrow order included), prime or
+        bound is rejected whole with a ValueError."""
         if not isinstance(data, dict):
-            return 1
-        if data.get("q") != self.q or data.get("dim_bound") != list(self.dim_bound):
-            return 0
+            raise ValueError("not a table cache")
+        wrong = [name for name, value in self._cache_header().items()
+                 if data.get(name) != value]
+        if wrong:
+            raise ValueError(f"table cache for another {', '.join(wrong)}")
         skipped = 0
         for section, store in (("hom", self._hom_cache), ("ext", self._ext_cache),
                                ("hall", self._hall_cache)):
@@ -635,9 +638,8 @@ class ClassTable:
         return num // den
 
     def extension_middle_counts(self, alpha: IsoClass, beta: IsoClass):
-        """Count Ext(V_alpha, V_beta) classes by iso-class of the middle term;
-        the middle terms are looked up in the label cache by their arrow
-        matrices, and the misses labelled in one batch."""
+        """Count Ext(V_alpha, V_beta) classes by iso-class of the middle term,
+        the middle terms labelled in one batch."""
         q = self.q
         A = self.representative(alpha)
         B = self.representative(beta)
@@ -656,15 +658,8 @@ class ClassTable:
         coeffs = np.array(list(product(range(q), repeat=e)), dtype=np.int64).reshape(q**e, e)
         middles = self._middle_terms(A, B, coeffs @ comp.T % q)
         dims = tuple(a + b for a, b in zip(A.dims, B.dims))
-        if not any(dims):
-            return {ZERO_CLASS: len(middles)}
-        keys = [_label_key(dims, maps) for maps in middles]
-        misses = {key: maps for key, maps in zip(keys, middles) if key not in self._label_cache}
-        if misses:
-            self._label_modules(dims, misses)
         counts = {}
-        for key in keys:
-            cls = self._label_cache[key]
+        for cls in self.label_modules(dims, middles):
             counts[cls] = counts.get(cls, 0) + 1
         return counts
 

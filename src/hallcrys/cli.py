@@ -69,7 +69,7 @@ def _load_table(config: RunConfig, quiver: Quiver, q: int) -> ClassTable:
         try:
             with open(path) as fh:
                 skipped = table.load_cache(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:      # unreadable, or for another table
             print(f"hallcrys: cache file {path} ignored: {exc}", file=sys.stderr)
         else:
             if skipped:
@@ -84,31 +84,26 @@ def _tables(config: RunConfig, quiver: Quiver) -> TableSet:
                     lambda q: _load_table(config, quiver, q))
 
 
-def _save_table(config: RunConfig, quiver: Quiver, table: ClassTable):
-    path = _cache_path(config, quiver, table.q)
-    if not path:
+def _save_tables(config: RunConfig, quiver: Quiver, tables: TableSet):
+    if not config.cache_dir:
         return
     os.makedirs(config.cache_dir, exist_ok=True)
-    payload = json.dumps(table.dump_cache(), sort_keys=True, indent=1)
-    fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
-    # mkstemp creates the file 0600; give it the mode open() would, so a
+    # mkstemp creates files 0600; give them the mode open() would, so a
     # cache directory shared through HALLCRYS_CACHE_DIR stays readable
     umask = os.umask(0)
     os.umask(umask)
-    try:
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _save_tables(config: RunConfig, quiver: Quiver, tables: TableSet):
     for table in tables.values():
-        _save_table(config, quiver, table)
+        payload = json.dumps(table.dump_cache(), sort_keys=True, indent=1)
+        fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
+        try:
+            os.fchmod(fd, 0o666 & ~umask)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload)
+            os.replace(tmp, _cache_path(config, quiver, table.q))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def _all_dims(quiver: Quiver, bound: int):
@@ -147,8 +142,9 @@ def cmd_enumerate(config: RunConfig) -> dict:
     quiver = Quiver.load(config.quiver_path)
     falsifications = []
     per_prime = {}
+    tables = _tables(config, quiver)
     for q in config.primes:
-        table = _load_table(config, quiver, q)
+        table = tables[q]
         entries = []
         for dim in _all_dims(quiver, config.dim_bound):
             try:
@@ -170,7 +166,7 @@ def cmd_enumerate(config: RunConfig) -> dict:
                     "field_dependent": table.field_dependent(cls),
                 })
         per_prime[str(q)] = entries
-        _save_table(config, quiver, table)
+    _save_tables(config, quiver, tables)
     return _report("enumerate", {"quiver": quiver.to_json(),
                                  "dim_bound": config.dim_bound},
                    per_prime, config.primes, falsifications)
@@ -441,10 +437,13 @@ def cmd_selftest(config: RunConfig) -> dict:
     falsifications = []
     checks = []
 
-    def check(name, ok):
-        checks.append({"check": name, "pass": bool(ok)})
+    def check(name, ok, skipped=0):
+        checks.append({"check": name, "pass": bool(ok), "skipped": skipped})
         if not ok:
             falsifications.append(name)
+        if skipped:
+            print(f"hallcrys: selftest check {name!r} skipped {skipped} comparisons "
+                  f"past a budget or the dimension bound", file=sys.stderr)
 
     tables = _tables(config, quiver)
     for q in config.primes:
@@ -468,7 +467,7 @@ def cmd_selftest(config: RunConfig) -> dict:
                        for i in range(quiver.n) for j in range(quiver.n) if i != j)
         check(f"quantum serre q={q}", serre_ok)
         # dual-route Hall numbers and automorphism orders on small triples
-        dual_ok = True
+        dual_ok, skipped = True, 0
         small = [c for c in classes if dim_total(table.class_dim(c)) <= 2]
         for lam in small:
             ld = table.class_dim(lam)
@@ -483,21 +482,21 @@ def cmd_selftest(config: RunConfig) -> dict:
                                 table.hall_number_rp(lam, alpha, beta):
                             dual_ok = False
                     except BudgetExceeded:
-                        pass
-        check(f"hall-number dual routes q={q}", dual_ok)
-        aut_ok = True
+                        skipped += 1
+        check(f"hall-number dual routes q={q}", dual_ok, skipped)
+        aut_ok, skipped = True, 0
         for cls in small:
             try:
                 if table.aut_order(cls) != table.aut_order_orbit(cls):
                     aut_ok = False
             except BudgetExceeded:
-                pass
-        check(f"aut order closed form vs orbit q={q}", aut_ok)
+                skipped += 1
+        check(f"aut order closed form vs orbit q={q}", aut_ok, skipped)
         # Hall-level braid moves reproduce the module-level ones
         indecs = [IsoClass((it.label,)) for it in table.catalog
                   if not it.field_dependent and dim_total(it.dim) <= 3]
         indecs = [c for c in indecs if table.is_exceptional(c)]
-        braid_ok = True
+        braid_ok, skipped = True, 0
         for a in indecs:
             for b in indecs:
                 if not table.exceptional_pair_check(a, b):
@@ -508,10 +507,11 @@ def cmd_selftest(config: RunConfig) -> dict:
                         new_obj = moved[1] if d > 0 else moved[0]
                         hall_side = braid_move_hall(table, a, b, d)
                     except (BudgetExceeded, BraidError):
-                        continue     # move leaves the configured bound
+                        skipped += 1     # the move leaves the configured bound
+                        continue
                     if hall_side != rescale(table, new_obj):
                         braid_ok = False
-        check(f"braid move hall/module consistency q={q}", braid_ok)
+        check(f"braid move hall/module consistency q={q}", braid_ok, skipped)
     # one integrality certificate replay per exceptional simple
     engine = CertificateEngine(quiver, _bound_tuple(quiver, config), config.primes,
                                tables=tables)

@@ -99,20 +99,20 @@ def dual(M: Representation) -> Representation:
 # Hom via the intertwiner system
 
 
-def _same_ring(M: Representation, N: Representation) -> None:
-    """Raise unless M and N share the field and the quiver, arrow order
-    included (``Quiver.__eq__`` ignores it, but arrow k indexes the maps)."""
-    if M.q != N.q:
+def require_ring(M: Representation, quiver: Quiver, q: int) -> None:
+    """Raise unless M is over F_q and over ``quiver``, arrow order included
+    (``Quiver.__eq__`` ignores it, but arrow k indexes the maps)."""
+    if M.q != q:
         raise ValueError("mismatched base field")
-    Q, R = M.quiver, N.quiver
-    if Q is not R and (Q.vertices != R.vertices or Q.arrows != R.arrows):
+    if M.quiver is not quiver and (M.quiver.vertices != quiver.vertices
+                                   or M.quiver.arrows != quiver.arrows):
         raise ValueError("mismatched quiver")
 
 
 def hom_system(M: Representation, N: Representation) -> np.ndarray:
     """Matrix whose right kernel is Hom(M, N): one pair of
     :func:`hom_system_stack`."""
-    _same_ring(M, N)
+    require_ring(N, M.quiver, M.q)
     return hom_system_stack(M.quiver, M.q, M.dims, M.maps, N.dims, N.maps)
 
 
@@ -308,7 +308,7 @@ def ext_dims(Ms, Ns) -> list:
     """
     Ms, Ns = list(Ms), list(Ns)
     for X in (Ms + Ns if Ms and Ns else ()):
-        _same_ring(Ms[0], X)
+        require_ring(X, Ms[0].quiver, Ms[0].q)
     out = [[0] * len(Ns) for _ in Ms]
     m_groups, n_groups = {}, {}
     for i, M in enumerate(Ms):

@@ -5,7 +5,7 @@ import pytest
 
 from hallcrys.checks import CheckFailed
 from hallcrys.classtable import (ClassTable, IsoClass, TableSet, ZERO_CLASS,
-                                  _label_key, parse_class_label)
+                                  parse_class_label)
 from hallcrys.modules import BudgetExceeded, hom_dim
 from hallcrys.quivers import euler_bilinear, quiver_a1
 
@@ -202,12 +202,74 @@ class TestLabeling:
             modules = [Representation(quiver, q, d, [rng.integers(0, q, (d[t], d[s]))
                                                      for s, t in quiver.arrows])
                        for _ in range(40)]
-            keys = [_label_key(M.dims, M.maps) for M in modules]
-            batch._label_modules(d, {key: M.maps for key, M in zip(keys, modules)})
-            labels = [batch._label_cache[key] for key in keys]
+            labels = batch.label_modules(d, [M.maps for M in modules])
             assert labels == [single.label_module(M) for M in modules]
             seen.update(labels)
         assert len(seen) > 2 * len(dims)
+
+    def test_label_rejects_other_arrow_order(self, a3):
+        """A module over A3 with its arrows listed in the other order (equal
+        under Quiver.__eq__) is refused, not labelled by arrow index: here it
+        is S1 + r0.1.1, which A3's arrow order would read as S3 + r1.1.0."""
+        import numpy as np
+        from hallcrys.modules import Representation
+        from hallcrys.quivers import Quiver
+        t = ClassTable(a3, 3, (2, 2, 2))
+        swapped = Quiver(["1", "2", "3"], [["2", "3"], ["1", "2"]])
+        assert swapped == a3
+        M = Representation(swapped, 3, (1, 1, 1), [np.array([[1]]), np.array([[0]])])
+        with pytest.raises(ValueError, match="mismatched quiver"):
+            t.label_module(M)
+        same = Representation(a3, 3, (1, 1, 1), [np.array([[0]]), np.array([[1]])])
+        assert t.label_module(same) == IsoClass.of("S1", "r0.1.1")
+
+    def test_one_label_batch_per_side(self, kron, monkeypatch):
+        """A scan labels each side in one batch once its sweep ends, and the
+        extension counts label their middle terms in one batch."""
+        t = ClassTable(kron, 3, (3, 3))
+        calls = []
+        label_modules = ClassTable.label_modules
+
+        def spy(self, dims, batch):
+            calls.append(dims)
+            return label_modules(self, dims, batch)
+
+        monkeypatch.setattr(ClassTable, "label_modules", spy)
+        lam = IsoClass.of("S1", "S1", "S2", "S2")
+        alpha, beta = IsoClass.of("S1", "S2", "S2"), IsoClass.of("S1")
+        assert t.hall_number(lam, alpha, beta) == 3 + 1     # lines in F_3^2
+        assert calls == [(1, 2), (1, 0)] and len(t._label_cache) > 1
+        calls.clear()
+        size = len(t._label_cache)
+        counts = t.extension_middle_counts(IsoClass.of("S1", "S1"), IsoClass.of("S2"))
+        assert calls == [(2, 1)] and len(t._label_cache) > size
+        assert sum(counts.values()) == 3 ** 4
+
+    def test_zero_module_needs_no_decomposition(self, kron, monkeypatch):
+        """The zero module's label is in the cache from the start: labelling
+        it alone, as one side of a scan or as a middle term runs no Hom-count
+        decomposition (which would raise: no catalog entry fits under 0)."""
+        import numpy as np
+        import hallcrys.classtable as ct
+        from hallcrys.modules import Representation
+        t = ClassTable(kron, 2, (3, 3))
+        probed = []
+        stack = ct.hom_system_stack
+
+        def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
+            probed.append(n_dims)
+            return stack(quiver, q, m_dims, m_maps, n_dims, n_maps)
+
+        monkeypatch.setattr(ct, "hom_system_stack", spy)
+        assert t.label_module(Representation.zero(kron, 2)) == ZERO_CLASS
+        empty = np.zeros((0, 0), dtype=np.int64)
+        assert t.label_modules((0, 0), [[empty, empty]] * 2) == [ZERO_CLASS] * 2
+        assert t.extension_middle_counts(ZERO_CLASS, ZERO_CLASS) == {ZERO_CLASS: 1}
+        assert probed == []
+        lam = IsoClass.of("R[0]m1")
+        assert t.hall_number(lam, lam, ZERO_CLASS) == 1
+        assert t.hall_number(lam, ZERO_CLASS, lam) == 1
+        assert probed and (0, 0) not in probed
 
     def test_doctored_inverse_fails_in_batch(self, kron):
         t = ClassTable(kron, 2, (3, 3))
@@ -298,6 +360,32 @@ def test_cache_roundtrip(reg, a2):
     t2 = ClassTable(a2, 2, t.dim_bound)
     t2.load_cache(blob)
     assert t2._hall_cache[(P, S1, S2)] == 1
+
+
+def test_cache_for_another_quiver_rejected(a3):
+    """Hall numbers of 1 -> 2 -> 3 do not load into a table of 1 <- 2 -> 3,
+    whose labels are the same but whose Hall numbers differ."""
+    from hallcrys.quivers import Quiver
+    r, S1, S2 = IsoClass.of("r1.1.0"), IsoClass.of("S1"), IsoClass.of("S2")
+    t = ClassTable(a3, 2, (1, 1, 1))
+    assert t.hall_number(r, S1, S2) == 1
+    other = ClassTable(Quiver(["1", "2", "3"], [["2", "1"], ["2", "3"]]), 2, (1, 1, 1))
+    with pytest.raises(ValueError, match="table cache for another quiver"):
+        other.load_cache(t.dump_cache())
+    assert other._hall_cache == {}
+    assert other.hall_number(r, S1, S2) == 0
+
+
+def test_cache_for_another_prime_rejected(reg, a2):
+    t = reg.table(a2, 2)
+    t.hall_number(P, IsoClass.of("S1"), IsoClass.of("S2"))
+    blob = t.dump_cache()
+    with pytest.raises(ValueError, match="table cache for another q$"):
+        ClassTable(a2, 3, t.dim_bound).load_cache(blob)
+    with pytest.raises(ValueError, match="table cache for another dim_bound"):
+        ClassTable(a2, 2, (2, 2)).load_cache(blob)
+    with pytest.raises(ValueError, match="another schema"):
+        ClassTable(a2, 2, t.dim_bound).load_cache({**blob, "schema": 2})
 
 
 def test_classes_beyond_bound(reg, a2, kron):

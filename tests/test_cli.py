@@ -88,6 +88,23 @@ class TestEnumerate:
                 if e.get("field_dependent")]
         assert len(regs) == 4          # the q + 1 regular points at q = 3
 
+    def test_doctored_cache_falsified(self, a3_file, tmp_path, monkeypatch, capsys):
+        """Cached tables pass the cross-prime check like fresh ones."""
+        from hallcrys import cli
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        cache = tmp_path / "cache"
+        argv = ["enumerate", "--quiver", a3_file, "--dim-bound", "1",
+                "--primes", "2,3", "--cache", str(cache)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        path = next(cache.glob("*_q3_*.json"))
+        data = json.loads(path.read_text())
+        data["hom"]["S1|S1"] = 2
+        path.write_text(json.dumps(data))
+        assert cli.main(argv) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["falsifications"] == ["Hom(S1,S1) differs at q = 2 and q = 3"]
+
     # |Aut(S1+S2)| made seven times too large, so it no longer divides |G_d|
     DOCTORED = """
 import sys
@@ -259,6 +276,22 @@ class TestSelftestAndCache:
         assert all(c["pass"] for c in report["results"])
 
 
+    def test_selftest_reports_skipped(self, kron_file, monkeypatch, capsys):
+        """Comparisons skipped past --ext-budget are counted per check and
+        named on stderr; they do not fail the check."""
+        from hallcrys import cli
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        assert cli.main(["selftest", "--quiver", kron_file, "--dim-bound", "2",
+                         "--ext-budget", "4"]) == 0
+        out, err = capsys.readouterr()
+        checks = json.loads(out)["results"]
+        assert all(c["pass"] and type(c["skipped"]) is int for c in checks)
+        skipped = {c["check"]: c["skipped"] for c in checks if c["skipped"]}
+        assert sum(n for name, n in skipped.items() if "dual routes" in name) == 12
+        assert err.splitlines() == [f"hallcrys: selftest check {name!r} skipped {n} "
+                                    f"comparisons past a budget or the dimension bound"
+                                    for name, n in skipped.items()]
+
     def test_selftest_on_quiver_without_arrows(self, tmp_path):
         path = tmp_path / "a1.json"
         path.write_text(json.dumps({"vertices": ["1"], "arrows": []}))
@@ -334,6 +367,20 @@ class TestCertifyCache:
             report.pop("generated_at")
         assert reports[0] == reports[1]
 
+
+    def test_cache_for_another_prime_ignored(self, a2_file, tmp_path):
+        cache = tmp_path / "cache"
+        clean = run_cli(*self.ARGS, "--quiver", a2_file, "--cache", str(cache))
+        assert clean.returncode == 0, clean.stdout + clean.stderr
+        q2, q3 = (next(cache.glob(f"*_q{q}_*.json")) for q in (2, 3))
+        q3.write_text(q2.read_text())
+        proc = run_cli(*self.ARGS, "--quiver", a2_file, "--cache", str(cache))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"cache file {q3} ignored: table cache for another q" in proc.stderr
+        reports = [json.loads(p.stdout) for p in (clean, proc)]
+        for report in reports:
+            report.pop("generated_at")
+        assert reports[0] == reports[1]
 
     def test_doctored_hom_at_second_prime_falsified(self, a2_file, tmp_path, capsys):
         # a cached table is checked against the first prime's like a fresh one
