@@ -398,7 +398,9 @@ class ClassTable:
     def label_modules(self, dims, batch) -> list:
         """The iso-classes of a batch of modules of dimension vector ``dims``
         over the table's quiver and field, each given by its arrow matrices
-        (int64, entries reduced mod q), in input order.
+        (int64, entries reduced mod q), in input order.  ``batch`` may also
+        be a dict from :func:`_label_key` keys to arrow matrices, as a scan
+        collects them; the labels then follow the dict's order.
 
         The only reader and writer of the label cache, keyed by
         :func:`_label_key` and seeded with the zero module.  The distinct
@@ -414,7 +416,10 @@ class ClassTable:
         product with the Hom counts followed by an exact division.
         """
         cache = self._label_cache
-        keys = [_label_key(dims, maps) for maps in batch]
+        if isinstance(batch, dict):
+            keys, batch = list(batch), list(batch.values())
+        else:
+            keys = [_label_key(dims, maps) for maps in batch]
         modules = {key: maps for key, maps in zip(keys, batch) if key not in cache}
         if not modules:
             return [cache[key] for key in keys]
@@ -532,7 +537,7 @@ class ClassTable:
                 counts[keys] = counts.get(keys, 0) + 1
                 blocks[0].setdefault(keys[0], quot_maps)
                 blocks[1].setdefault(keys[1], sub_maps)
-        labels = [dict(zip(side, self.label_modules(dims, list(side.values()))))
+        labels = [dict(zip(side, self.label_modules(dims, side)))
                   for dims, side in zip(side_dims, blocks)]
         tally = {}
         for (quot, sub), count in counts.items():

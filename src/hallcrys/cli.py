@@ -398,7 +398,7 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
     crystal = None
     if target in ("crystal", "both") and quiver.is_dynkin():
         max_weight = max(sum(t0.class_dim(c)) for c in classes) if classes else 0
-        crystal = Crystal(ctx, max_weight)
+        crystal = Crystal(ctx, max_weight, bound)
         falsifications.extend(f"crystal: {f}" for f in crystal.falsifications)
     for cls in classes:
         entry = {"label": cls.label}

@@ -26,7 +26,7 @@ from .generic import (ExprTree, GenericContext, expand_divided, generic_ringel_p
 from .hallalg import (HallElement, divided_power_simple, identity_element, multiply,
                       rescale, ringel_pair, zero_element)
 from .quivers import euler_symmetric
-from .scalars import (LaurentPoly, RatFunc, a_membership, eval_at_sqrt_q,
+from .scalars import (LaurentPoly, RatFunc, _div, a_membership, eval_at_sqrt_q,
                       in_one_plus_vinv_A)
 
 
@@ -263,7 +263,7 @@ def reduction_at_infinity(x: HallElement) -> dict | None:
         if gap > 0:
             return None
         if gap == 0:
-            out[cls] = c.num.leading_coeff() / c.den.leading_coeff()
+            out[cls] = _div(c.num.leading_coeff(), c.den.leading_coeff())
     return out
 
 
@@ -296,12 +296,19 @@ class Crystal:
     reductions, and a candidate equal to an accepted one pairs to 1 with it.
     The Ringel pairing itself is not evaluated here; the tests use it as the
     oracle for these reduced pairings.
+
+    An optional ``box`` (one bound per vertex) keeps only the weights inside
+    it: Etilde_i is not applied where it would leave the box.  Etilde_i
+    raises the weight by e_i, so every vertex inside the box is reached
+    through weights inside it, and each of those buckets receives the same
+    candidates in the same order as in the full triangle.
     """
 
-    def __init__(self, ctx: GenericContext, weight_bound: int):
+    def __init__(self, ctx: GenericContext, weight_bound: int, box=None):
         ctx.require_generic()
         self.ctx = ctx
         self.weight_bound = weight_bound
+        self.box = tuple(box) if box is not None else (weight_bound,) * ctx.quiver.n
         self.by_weight = {}
         self.falsifications = []
         self._generate()
@@ -316,6 +323,8 @@ class Crystal:
             nxt = []
             for b in sorted(frontier, key=lambda vv: vv.word):
                 for i in range(ctx.quiver.n):
+                    if b.weight[i] >= self.box[i]:
+                        continue
                     y = etilde(ctx, i, b.rep)
                     check(not y.is_zero(), "Etilde never kills a crystal vector")
                     weight = tuple(w + (1 if v == i else 0)

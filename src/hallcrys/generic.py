@@ -2,22 +2,22 @@
 
 :class:`GenericContext` is the scalar layer of :class:`hallalg.HallElement`
 with coefficients rational functions in v (q = v^2): its structure constants
-are Hall polynomials, fitted by multi-prime interpolation (Dynkin quivers
-carry field-independent class labels).  Each polynomial g is fitted twice
-through the same scanned primes, once directly and once through its Riedtmann
-numerator g a_alpha a_beta q^hom / a_lambda; the first fit confirmed at a
-held-out prime wins, and a numerator fit is divided back exactly.  Products,
-derivations and the Ringel pairing are the ones of :mod:`hallalg`;
-:func:`generic_multiply` adds the fixed-q spot check that compares the two
-layers.  Also here: divided-power expression trees evaluated over either
-layer, the Lusztig symmetry formulas, and the Kashiwara pairing.
+are Hall polynomials, fitted by multi-prime Newton interpolation with exact
+division (Dynkin quivers carry field-independent class labels).  Each
+polynomial g is fitted twice through the same scanned primes, once directly
+and once through its Riedtmann numerator g a_alpha a_beta q^hom / a_lambda;
+the first fit confirmed at a held-out prime wins, and a numerator fit is
+divided back exactly.  Products, derivations and the Ringel pairing are the
+ones of :mod:`hallalg`; :func:`generic_multiply` adds the fixed-q spot check
+that compares the two layers.  Also here: divided-power expression trees
+evaluated over either layer, the Lusztig symmetry formulas, and the
+Kashiwara pairing.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .checks import CheckFailed, check
@@ -25,8 +25,8 @@ from .classtable import ClassTable, IsoClass, TableSet, ZERO_CLASS
 from .hallalg import (HallElement, add_term, derivation, divided_power_simple,
                       identity_element, multiply, ringel_pair, zero_element)
 from .quivers import Quiver, cartan_datum
-from .scalars import (LaurentPoly, RatFunc, parse_laurent, quantum_binomial,
-                      quantum_factorial, render_laurent)
+from .scalars import (LaurentPoly, RatFunc, _div, _frac, parse_laurent,
+                      quantum_binomial, quantum_factorial, render_laurent)
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13, 17)
 
@@ -54,7 +54,7 @@ class InterpolationUnstable(RuntimeError):
 @dataclass(frozen=True)
 class HallPolynomial:
     triple: tuple              # (lambda, alpha, beta) labels
-    coeffs: tuple              # ascending coefficients in q, Fractions
+    coeffs: tuple              # ascending in q: ints, Fractions where non-integral
     primes_used: tuple
     validation_prime: int
     fit: str                   # "g", or "F" for the Riedtmann numerator
@@ -74,13 +74,24 @@ def _evaluate(coeffs, q: int):
 
 
 def _lagrange_fit(points):
-    """Interpolating polynomial through (x, y) points, ascending coefficients:
-    the solution of the Vandermonde system."""
-    cols = [[Fraction(x) ** k for x, _ in points] for k in range(len(points))]
-    coeffs = linalg.solve(cols, [Fraction(y) for _, y in points], Fraction)
+    """Interpolating polynomial through (x, y) points with distinct integer
+    x, ascending coefficients: Newton's divided differences, expanded into
+    powers of x by Horner's rule.  Divisions are exact (:func:`_div`), so
+    integral coefficients stay ints."""
+    xs = [x for x, _ in points]
+    dd = [y for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            dd[i] = _div(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+    coeffs = [dd[-1]]
+    for x, d in zip(xs[-2::-1], dd[-2::-1]):
+        # coeffs * (q - x) + d
+        coeffs = ([d - x * coeffs[0]]
+                  + [a - x * b for a, b in zip(coeffs[:-1], coeffs[1:])]
+                  + [coeffs[-1]])
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(coeffs)
+    return tuple(_frac(c) for c in coeffs)
 
 
 class GenericContext:
@@ -226,7 +237,7 @@ class GenericContext:
             raise CheckFailed(f"Riedtmann fit of {key} is not "
                               f"a polynomial in q: {g}")
         top = max(g.coeffs, default=0) // 2
-        return tuple(g.coeffs.get(2 * k, Fraction(0)) for k in range(top + 1))
+        return tuple(g.coeffs.get(2 * k, 0) for k in range(top + 1))
 
     # -- generic automorphism orders ---------------------------------------
 

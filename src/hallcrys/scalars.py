@@ -3,13 +3,20 @@
 Three scalar domains, all exact (no floating point anywhere):
 
 * :class:`LaurentPoly` -- Laurent polynomials in v with rational coefficients,
-  as a finitely supported map exponent -> Fraction.
+  as a finitely supported map exponent -> coefficient.
 * :class:`RatFunc` -- quotients of Laurent polynomials kept in a canonical
   reduced form so that equality is plain structural comparison.  The subring
   of rational functions regular at v = infinity ("power series in 1/v") is
   detected by :func:`a_membership`.
 * :class:`QSqrtScalar` -- elements a + b*sqrt(q) of the quadratic field
   Q(sqrt(q)) for a fixed prime q, the target of specializing v at sqrt(q).
+
+Every stored coefficient is a plain ``int`` when it is integral and a
+``Fraction`` (denominator > 1) only when it is not: the paper's objects are
+almost all integral, and int arithmetic needs no gcd.  The two compare and
+hash alike and both carry ``numerator``/``denominator``, so canonical forms,
+equality and rendering do not depend on the split.  Division goes through
+:func:`_div`, never ``/`` on two ints (which would give a float).
 """
 
 from __future__ import annotations
@@ -18,12 +25,23 @@ from fractions import Fraction
 from typing import NamedTuple
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x):
+    """x as an exact scalar: an int when integral, otherwise a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _div(a, b):
+    """The exact quotient a / b: an int when b divides a, else a Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _frac(a / b)
 
 
 class LaurentPoly:
@@ -73,7 +91,7 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no valuation")
         return min(self.coeffs)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self):
         return self.coeffs[self.degree()]
 
     def __eq__(self, other):
@@ -93,9 +111,9 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = d.get(e, Fraction(0)) + c
+            s = d.get(e, 0) + c
             if s:
-                d[e] = s
+                d[e] = s if type(s) is int else _frac(s)
             else:
                 d.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -120,15 +138,15 @@ class LaurentPoly:
             if c == 0:
                 return LaurentPoly.zero()
             out = LaurentPoly.__new__(LaurentPoly)
-            out.coeffs = {e: a * c for e, a in self.coeffs.items()}
+            out.coeffs = {e: _frac(a * c) for e, a in self.coeffs.items()}
             return out
         d = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = d.get(e, Fraction(0)) + c1 * c2
+                s = d.get(e, 0) + c1 * c2
                 if s:
-                    d[e] = s
+                    d[e] = s if type(s) is int else _frac(s)
                 else:
                     d.pop(e, None)
         out = LaurentPoly.__new__(LaurentPoly)
@@ -297,7 +315,7 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         a, b = b, _poly_mod(a, b)
     if a.is_zero():
         return a
-    return a * (Fraction(1) / a.leading_coeff())
+    return a * _div(1, a.leading_coeff())
 
 
 def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
@@ -308,14 +326,14 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
     dcoeff = b.coeffs[dlead]
     while rem and max(rem) >= dlead:
         nlead = max(rem)
-        c = rem[nlead] / dcoeff
+        c = _div(rem[nlead], dcoeff)
         e = nlead - dlead
         quo[e] = c
         for oe, oc in b.coeffs.items():
             k = oe + e
-            s = rem.get(k, Fraction(0)) - oc * c
+            s = rem.get(k, 0) - oc * c
             if s:
-                rem[k] = s
+                rem[k] = s if type(s) is int else _frac(s)
             else:
                 rem.pop(k, None)
     return LaurentPoly(quo), LaurentPoly(rem)
@@ -329,9 +347,10 @@ def _ratfunc_canonical(num: LaurentPoly, den: LaurentPoly):
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.one()
     if len(den.coeffs) == 1:
-        e = den.valuation()
-        c = den.coeffs[e]
-        return num.shifted(-e) * (Fraction(1) / c), LaurentPoly.one()
+        (e, c), = den.coeffs.items()
+        if e == 0 and c == 1:
+            return num, den
+        return num.shifted(-e) * _div(1, c), LaurentPoly.one()
     nv, dv = num.valuation(), den.valuation()
     nhat = num.shifted(-nv)
     dhat = den.shifted(-dv)
@@ -341,10 +360,15 @@ def _ratfunc_canonical(num: LaurentPoly, den: LaurentPoly):
         dhat = dhat.divide_exact(g)
     lead = dhat.leading_coeff()
     if lead != 1:
-        inv = Fraction(1) / lead
+        inv = _div(1, lead)
         nhat = nhat * inv
         dhat = dhat * inv
     return nhat.shifted(nv - dv), dhat
+
+
+def _q_power(q: int, k: int):
+    """q**k exactly: an int for k >= 0, a Fraction for k < 0."""
+    return q**k if k >= 0 else Fraction(1, q**-k)
 
 
 def _coerce_ratfunc(x):
@@ -380,8 +404,8 @@ class QSqrtScalar:
         """The value of v^e at v = sqrt(q)."""
         half, odd = divmod(e, 2)
         if odd == 0:
-            return QSqrtScalar(Fraction(q) ** half, 0, q)
-        return QSqrtScalar(0, Fraction(q) ** half, q)
+            return QSqrtScalar(_q_power(q, half), 0, q)
+        return QSqrtScalar(0, _q_power(q, half), q)
 
     def is_zero(self) -> bool:
         return self.rational_part == 0 and self.root_part == 0
@@ -435,12 +459,11 @@ class QSqrtScalar:
         norm = a * a - b * b * self.q
         if norm == 0:
             raise ZeroDivisionError("zero element of Q(sqrt q)")
-        return QSqrtScalar(a / norm, -b / norm, self.q)
+        return QSqrtScalar(_div(a, norm), _div(-b, norm), self.q)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / _frac(other)
-            return self * inv
+            return self * _div(1, other)
         self._check(other)
         return self * other.inverse()
 
@@ -487,7 +510,7 @@ def quantum_binomial(n: int, r: int, a: int = 1) -> LaurentPoly:
 
 class AMembership(NamedTuple):
     in_A: bool
-    unit_part: Fraction | None
+    unit_part: int | Fraction | None
 
 
 def a_membership(f) -> AMembership:
@@ -495,18 +518,18 @@ def a_membership(f) -> AMembership:
 
     Membership holds exactly when f is regular at v = infinity; the unit part
     is then the value there (the constant term of the v^-1-adic expansion),
-    so ``f in 1 + v^-1 A`` is ``AMembership(True, Fraction(1))``.
+    so ``f in 1 + v^-1 A`` is ``AMembership(True, 1)``.
     """
     f = _coerce_ratfunc(f)
     if f.is_zero():
-        return AMembership(True, Fraction(0))
+        return AMembership(True, 0)
     ndeg = f.num.degree()
     ddeg = f.den.degree()
     if ndeg > ddeg:
         return AMembership(False, None)
     if ndeg < ddeg:
-        return AMembership(True, Fraction(0))
-    return AMembership(True, f.num.leading_coeff() / f.den.leading_coeff())
+        return AMembership(True, 0)
+    return AMembership(True, _div(f.num.leading_coeff(), f.den.leading_coeff()))
 
 
 def in_one_plus_vinv_A(f) -> bool:
@@ -525,14 +548,13 @@ def eval_at_sqrt_q(f, q: int) -> QSqrtScalar:
     non-generic specialization point).
     """
     if isinstance(f, LaurentPoly):
-        rat = Fraction(0)
-        root = Fraction(0)
+        rat = root = 0
         for e, c in f.coeffs.items():
             half, odd = divmod(e, 2)
             if odd == 0:
-                rat += c * Fraction(q) ** half
+                rat += c * _q_power(q, half)
             else:
-                root += c * Fraction(q) ** half
+                root += c * _q_power(q, half)
         return QSqrtScalar(rat, root, q)
     if isinstance(f, RatFunc):
         den = eval_at_sqrt_q(f.den, q)
@@ -548,7 +570,7 @@ def eval_at_sqrt_q(f, q: int) -> QSqrtScalar:
 # text rendering and parsing ("v^2 - 2 + v^-2")
 
 
-def _render_coeff(c: Fraction) -> str:
+def _render_coeff(c) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -612,10 +634,10 @@ def parse_laurent(text: str) -> LaurentPoly:
         if coeff_txt:
             coeff = Fraction(coeff_txt)
         elif has_v:
-            coeff = Fraction(1)
+            coeff = 1
         else:
             raise ValueError(f"malformed term in {text!r}")
-        terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
+        terms[exp] = terms.get(exp, 0) + sign * coeff
     return LaurentPoly(terms)
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -181,6 +182,22 @@ def a3_crystal_w5(reg, a3):
     return Crystal(reg.ctx(a3), 5)
 
 
+def test_box_crystal_matches_full_triangle(reg, a3, a3_crystal_w5):
+    """Inside the box (2,2,2) the box crystal has the full triangle's
+    buckets: the same words in the same order, with equal elements, and
+    nothing outside the box."""
+    box = Crystal(reg.ctx(a3), 5, (2, 2, 2))
+    assert box.falsifications == a3_crystal_w5.falsifications == []
+    assert all(max(w) <= 2 for w in box.by_weight)
+    inside = [w for w in product(range(3), repeat=3) if sum(w) <= 5]
+    assert sorted(box.by_weight) == sorted(w for w in inside
+                                           if a3_crystal_w5.vertices_of_weight(w))
+    for w in inside:
+        full, boxed = a3_crystal_w5.vertices_of_weight(w), box.vertices_of_weight(w)
+        assert [b.word for b in boxed] == [b.word for b in full], w
+        assert [b.rep for b in boxed] == [b.rep for b in full], w
+
+
 def test_riedtmann_fits_hold_at_unscanned_primes(reg, a3, a3_crystal_w5):
     # the Hall polynomials accepted on the Riedtmann numerator F, checked
     # against direct scans at two primes that took no part in their fit
@@ -227,6 +244,16 @@ class TestReductionAtInfinity:
         assert generic_ringel_pair(x, x) == RatFunc(parse_laurent("v^2"),
                                                     parse_laurent("v^4 - 2v^2 + 1"))
         assert norm_exponent(ctx, cls) == 1
+
+    def test_reductions_divide_exactly(self, reg, a2):
+        """Reductions are ints or Fractions, never floats such as 1.0 or 0.5
+        from dividing two ints."""
+        v = Crystal(reg.ctx(a2), 2).vertices_of_weight((1, 1))[0]
+        for scale, unit in [(1, 1), (3, 3), (Fraction(1, 2), Fraction(1, 2))]:
+            red = reduction_at_infinity(v.rep.scale(RatFunc(scale)))
+            assert list(red.values()) == [unit]
+            assert all(type(u) is type(unit) for u in red.values()), red
+        assert type(reduced_pair(v.reduction, v.reduction)) is int
 
     def test_scaled_vertex_leaves_the_lattice(self, reg, a2):
         ctx = reg.ctx(a2)

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from hallcrys import linalg
 from hallcrys.checks import CheckFailed
 from hallcrys.classtable import ClassTable, IsoClass, TableSet
 from hallcrys.exseq import CertificateEngine
-from hallcrys.generic import (ExprTree, GenericContext, expr_evaluate,
+from hallcrys.generic import (PRIME_POOL, ExprTree, GenericContext, _evaluate,
+                              _lagrange_fit, expr_evaluate,
                               expr_evaluate_fixed, generic_multiply,
                               generic_ringel_pair, generic_rprime, kashiwara_pair,
                               lusztig_symmetry_tree, lusztig_symmetry_generator,
@@ -94,6 +97,34 @@ class TestHallPolynomials:
             7 if cls == key[0] else 1))
         with pytest.raises(ValueError, match="not an integer"):
             ctx.hall_polynomial(*key)
+
+
+def vandermonde_fit(points):
+    """The interpolant's former route, kept as the oracle of _lagrange_fit:
+    the Vandermonde system solved in Fractions by Gauss-Jordan."""
+    cols = [[Fraction(x) ** k for x, _ in points] for k in range(len(points))]
+    coeffs = linalg.solve(cols, [Fraction(y) for _, y in points], Fraction)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_newton_fit_matches_vandermonde_solve(seed):
+    """Random integer values at distinct integer points, and the values of a
+    random integer polynomial at the primes, give the oracle's coefficients,
+    each an int unless it is not integral."""
+    rng = random.Random(seed)
+    for n in range(1, 7):
+        xs = rng.sample(range(-8, 20), n)
+        poly = [rng.randint(-9, 9) for _ in range(rng.randint(0, n - 1))] + [rng.randint(1, 9)]
+        at_primes = [(p, _evaluate(poly, p)) for p in PRIME_POOL[:n]]
+        for points in ([(x, rng.randint(-40, 40)) for x in xs], at_primes):
+            fit = _lagrange_fit(points)
+            assert fit == vandermonde_fit(points), points
+            assert all(type(c) is int or c.denominator > 1 for c in fit), fit
+            assert all(_evaluate(fit, x) == y for x, y in points)
+        assert _lagrange_fit(at_primes) == tuple(poly)
 
 
 class TestGenericProducts:
