@@ -86,7 +86,12 @@ def rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
         # no pivot in this matrix: its scale is inverse[0] = 0, so nothing moves
         lead = a[every, piv, col + 1:] * inverse[column[every, piv]][:, None] % p
         factor = np.where(free, column, 0)
-        a[:, :, col + 1:] = (a[:, :, col + 1:] - factor[:, :, None] * lead[:, None, :]) % p
+        # one stack-sized temporary per column step, reused by each operation
+        # and freed before the next step allocates its own
+        step = factor[:, :, None] * lead[:, None, :]
+        np.subtract(a[:, :, col + 1:], step, out=step)
+        a[:, :, col + 1:] = np.remainder(step, p, out=step)
+        del step
     return rank
 
 

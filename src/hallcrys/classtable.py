@@ -9,15 +9,18 @@ checked at every prime; orbit enumeration under the base-change group gives
 an independent second route within the point budget.
 
 Hall numbers come from Grassmannian scans: one scan of the subspace tuples
-of dimension dim beta in V_lambda labels every closed tuple's submodule and
-quotient, and so fills g^lambda_{alpha beta} for all classes alpha, beta of
-those dimensions at once.  Each Grassmannian is enumerated once per table,
+of dimension dim beta in V_lambda, for every class lambda of one dimension
+vector together, labels every closed tuple's submodule and quotient, and so
+fills g^lambda_{alpha beta} for all classes lambda, alpha, beta of those
+dimensions at once.  Each Grassmannian is enumerated once per table,
 together with a complement and the coordinate and quotient projections of
-every subspace.  A scan counts closed tuples by the arrow blocks it
-computes, with no module object built, and labels each side's distinct
-blocks in one batch once the sweep ends.  Krull-Schmidt labelling has one
-route, :meth:`ClassTable.label_modules`, which owns the label cache; the
-scans, the extension counts and :meth:`ClassTable.label_module` all use it.
+every subspace.  A scan computes each arrow's blocks for all the classes by
+one stacked product, counts closed tuples by the interned label-cache keys
+of their blocks, with no module object built, and labels each side's
+distinct blocks in one batch once the sweep ends.  Krull-Schmidt labelling
+has one route, :meth:`ClassTable.label_modules`, which owns the label cache
+and decomposes its misses in chunks of bounded size; the scans, the
+extension counts and :meth:`ClassTable.label_module` all use it.
 :meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by extension-class
 counting) stays as an independent oracle.
 """
@@ -82,6 +85,13 @@ class IsoClass:
 
 
 ZERO_CLASS = IsoClass(())
+
+
+# modules labelled together by one stacked Hom-count decomposition; its
+# stacked systems grow with their number, and at 64 stay near 1 MiB on the
+# Kronecker quiver at q = 5, where one scan side can hold tens of thousands
+# of distinct blocks
+_LABEL_CHUNK = 64
 
 
 class _Subspace(NamedTuple):
@@ -399,12 +409,14 @@ class ClassTable:
         """The iso-classes of a batch of modules of dimension vector ``dims``
         over the table's quiver and field, each given by its arrow matrices
         (int64, entries reduced mod q), in input order.  ``batch`` may also
-        be a dict from :func:`_label_key` keys to arrow matrices, as a scan
-        collects them; the labels then follow the dict's order.
+        be a dict whose keys are :func:`_label_key` keys, as a scan interns
+        them; the labels then follow the dict's order, and the matrices are
+        read back from the keys.
 
         The only reader and writer of the label cache, keyed by
         :func:`_label_key` and seeded with the zero module.  The distinct
-        misses are labelled together by Hom-count decomposition:
+        misses are labelled together, in chunks of at most ``_LABEL_CHUNK``
+        modules, by Hom-count decomposition:
         dim Hom(I, M) = sum_K mult_K * dim Hom(I, K) over the catalog; the
         catalog Hom matrix is invertible (block-triangular w.r.t. the
         preprojective < regular < preinjective order), so multiplicities are
@@ -417,44 +429,50 @@ class ClassTable:
         """
         cache = self._label_cache
         if isinstance(batch, dict):
-            keys, batch = list(batch), list(batch.values())
+            keys = list(batch)
         else:
             keys = [_label_key(dims, maps) for maps in batch]
-        modules = {key: maps for key, maps in zip(keys, batch) if key not in cache}
-        if not modules:
+        misses = [key for key in dict.fromkeys(keys) if key not in cache]
+        if not misses:
             return [cache[key] for key in keys]
         items = [it for it in self.catalog if all(d <= b for d, b in zip(it.dim, dims))]
         if not items:
             raise ValueError(f"no catalog entries under dim {dims}")
         inv, den = self._hom_matrix_inverse(tuple(it.label for it in items))
-        arrows = range(len(self.quiver.arrows))
-        width = len(modules)
-        stack = [np.stack([maps[k] for maps in modules.values()])[None] for k in arrows]
         groups = {}
         for i, it in enumerate(items):
             groups.setdefault(it.dim, []).append(i)
-        h = np.zeros((len(items), width), dtype=np.int64)
-        for probe_dims, rows in groups.items():
-            probes = [np.stack([items[i].rep.maps[k] for i in rows])[:, None] for k in arrows]
-            D = hom_system_stack(self.quiver, self.q, probe_dims, probes, dims, stack)
-            nconds, nvars = D.shape[-2:]
-            ranks = rank_mod_stack(D.reshape(len(rows) * width, nconds, nvars), self.q)
-            h[rows] = nvars - ranks.reshape(len(rows), width)
-        num = inv @ h
-        integral = (num % den == 0) & (num >= 0)
-        mult = num // den
-        fits = (mult.T @ np.array([it.dim for it in items]) == dims).all(axis=1)
-        bad = np.flatnonzero(~(integral.all(axis=0) & fits))
-        if bad.size:
-            b = bad[0]
-            if not integral[:, b].all():
-                i = int(np.argmin(integral[:, b]))
-                raise CheckFailed(f"non-integral multiplicity {Fraction(int(num[i, b]), den)}"
-                                  f" of {items[i].label}")
-            raise CheckFailed("Hom-count decomposition does not match dimensions")
-        for key, col in zip(modules, mult.T.tolist()):
-            cache[key] = IsoClass(tuple(sorted(
-                label for it, m in zip(items, col) for label in [it.label] * m)))
+        arrows = range(len(self.quiver.arrows))
+        probes = {probe_dims: [np.stack([items[i].rep.maps[k] for i in rows])[:, None]
+                               for k in arrows]
+                  for probe_dims, rows in groups.items()}
+        dim_matrix = np.array([it.dim for it in items])
+        for start in range(0, len(misses), _LABEL_CHUNK):
+            chunk = misses[start:start + _LABEL_CHUNK]
+            width = len(chunk)
+            stack = [m[None] for m in _key_stacks(self.quiver.arrows, dims, chunk)]
+            h = np.zeros((len(items), width), dtype=np.int64)
+            for probe_dims, rows in groups.items():
+                D = hom_system_stack(self.quiver, self.q, probe_dims, probes[probe_dims],
+                                     dims, stack)
+                nconds, nvars = D.shape[-2:]
+                ranks = rank_mod_stack(D.reshape(len(rows) * width, nconds, nvars), self.q)
+                h[rows] = nvars - ranks.reshape(len(rows), width)
+            num = inv @ h
+            integral = (num % den == 0) & (num >= 0)
+            mult = num // den
+            fits = (mult.T @ dim_matrix == dims).all(axis=1)
+            bad = np.flatnonzero(~(integral.all(axis=0) & fits))
+            if bad.size:
+                b = bad[0]
+                if not integral[:, b].all():
+                    i = int(np.argmin(integral[:, b]))
+                    raise CheckFailed(f"non-integral multiplicity {Fraction(int(num[i, b]), den)}"
+                                      f" of {items[i].label}")
+                raise CheckFailed("Hom-count decomposition does not match dimensions")
+            for key, col in zip(chunk, mult.T.tolist()):
+                cache[key] = IsoClass(tuple(sorted(
+                    label for it, m in zip(items, col) for label in [it.label] * m)))
         return [cache[key] for key in keys]
 
     def _hom_matrix_inverse(self, labels):
@@ -483,10 +501,13 @@ class ClassTable:
         """g^lambda_{alpha beta}: submodules B of V_lambda with B = beta and
         V_lambda / B = alpha, counted by direct Grassmannian scan.
 
-        One scan of the submodules of dimension dim beta in V_lambda fills
-        g^lambda_{alpha' beta'} for every pair of classes of dimensions
-        (dim alpha, dim beta), zeros included, so each (lambda, dim beta)
-        is scanned at most once."""
+        One scan of the submodules of dimension dim beta in V_lambda', for
+        every class lambda' of dimension dim lambda together, fills
+        g^lambda'_{alpha' beta'} for every class lambda' and every pair of
+        classes of dimensions (dim alpha, dim beta), zeros included, so each
+        (dim lambda, dim beta) is scanned at most once.  A scan writes only
+        the keys still absent: an entry already there, such as one merged by
+        :meth:`load_cache`, is kept for the downstream checks to judge."""
         key = (lam, alpha, beta)
         if key in self._hall_cache:
             return self._hall_cache[key]
@@ -495,55 +516,64 @@ class ClassTable:
         bd = self.class_dim(beta)
         if tuple(a + b for a, b in zip(ad, bd)) != ld:
             raise ValueError("dim alpha + dim beta != dim lambda")
-        for a in self.classes_of_dim(ad):
-            for b in self.classes_of_dim(bd):
-                self._hall_cache[(lam, a, b)] = 0
-        for (a, b), count in self._scan_submodules(lam, bd).items():
-            self._hall_cache[(lam, a, b)] = count
+        lams = self.classes_of_dim(ld)
+        if lam not in lams:
+            raise ValueError(f"{lam} is not a class of dimension {ld}")
+        zeros = dict.fromkeys(product(self.classes_of_dim(ad), self.classes_of_dim(bd)), 0)
+        for other, tally in self._scan_submodules(lams, bd).items():
+            for (a, b), count in {**zeros, **tally}.items():
+                self._hall_cache.setdefault((other, a, b), count)
         return self._hall_cache.setdefault(key, 0)
 
-    def _scan_submodules(self, lam: IsoClass, bd) -> dict:
-        """Count the submodules of V_lambda of dimension bd by the pair
-        (class of the quotient, class of the submodule).
+    def _scan_submodules(self, lams, bd) -> dict:
+        """For each class lambda of ``lams`` (all of one dimension vector),
+        count the submodules of V_lambda of dimension bd by the pair (class
+        of the quotient, class of the submodule).
 
-        The sweep counts closed tuples by the label-cache keys of their
-        quotient and submodule blocks, with no representation built; then
-        each side's distinct blocks are labelled in one batch."""
+        One sweep of the Grassmannian product serves every lambda: each
+        arrow's blocks for all of them come from one stacked product, and
+        closure is tested per class.  A closed tuple is counted by the
+        interned label-cache keys of its quotient and submodule blocks, with
+        no representation built and no block kept; once the sweep ends, each
+        side's distinct keys are labelled in one batch."""
         q = self.q
-        rep = self.representative(lam)
         arrows = self.quiver.arrows
-        side_dims = (tuple(d - b for d, b in zip(rep.dims, bd)), tuple(bd))
-        blocks = ({}, {})           # per side: cache key -> the blocks of one module
-        counts = {}
-        grass = [self._grassmannian(rep.dims[v], bd[v]) for v in range(self.quiver.n)]
+        reps = [self.representative(lam) for lam in lams]
+        dims = reps[0].dims
+        stacks = [np.stack([rep.maps[k] for rep in reps]) for k in range(len(arrows))]
+        side_dims = (tuple(d - b for d, b in zip(dims, bd)), tuple(bd))
+        quot_ids, sub_ids = {}, {}  # per side: label-cache key -> small int
+        counts = {}                 # (index in lams, quotient id, submodule id) -> count
+        grass = [self._grassmannian(dims[v], bd[v]) for v in range(self.quiver.n)]
         for combo in product(*grass):
-            sub_maps = []
-            quot_maps = []
+            closed = np.ones(len(lams), dtype=bool)
+            subs, quots = [], []
             for k, (s, t) in enumerate(arrows):
                 ws, wt = combo[s], combo[t]
-                # columns of image: the submodule's image, then the complement's
-                image = (rep.maps[k] @ ws.frame) % q
-                # the image in the target frame's coordinates [W_t | C_t]: the
-                # tuple is closed when W_s lands in W_t, i.e. the block C_t <- W_s
-                # is zero; then the map is block triangular, the sub block
-                # mapping W_s to W_t and the quotient block C_s to C_t
-                block = (wt.frame_inv @ image) % q
-                if block[wt.k:, :ws.k].any():
+                # the arrow in the frames [W_s | C_s] -> [W_t | C_t]: the tuple
+                # is closed when W_s lands in W_t, i.e. the block C_t <- W_s is
+                # zero; then the sub block maps W_s to W_t and the quotient
+                # block C_s to C_t
+                block = (wt.frame_inv @ stacks[k] @ ws.frame) % q
+                closed &= ~block[:, wt.k:, :ws.k].any(axis=(1, 2))
+                if not closed.any():
                     break
-                sub_maps.append(block[:wt.k, :ws.k])
-                quot_maps.append(block[wt.k:, ws.k:])
+                subs.append(block[:, :wt.k, :ws.k])
+                quots.append(block[:, wt.k:, ws.k:])
             else:
-                keys = (_label_key(side_dims[0], quot_maps), _label_key(side_dims[1], sub_maps))
-                counts[keys] = counts.get(keys, 0) + 1
-                blocks[0].setdefault(keys[0], quot_maps)
-                blocks[1].setdefault(keys[1], sub_maps)
-        labels = [dict(zip(side, self.label_modules(dims, side)))
-                  for dims, side in zip(side_dims, blocks)]
-        tally = {}
-        for (quot, sub), count in counts.items():
+                for i in np.flatnonzero(closed).tolist():
+                    quot = quot_ids.setdefault(_label_key(side_dims[0], [m[i] for m in quots]),
+                                               len(quot_ids))
+                    sub = sub_ids.setdefault(_label_key(side_dims[1], [m[i] for m in subs]),
+                                             len(sub_ids))
+                    counts[i, quot, sub] = counts.get((i, quot, sub), 0) + 1
+        labels = [self.label_modules(d, ids) for d, ids in zip(side_dims, (quot_ids, sub_ids))]
+        tallies = {lam: {} for lam in lams}
+        for (i, quot, sub), count in counts.items():
+            tally = tallies[lams[i]]
             pair = (labels[0][quot], labels[1][sub])
             tally[pair] = tally.get(pair, 0) + count
-        return tally
+        return tallies
 
     def _grassmannian(self, d: int, k: int) -> list:
         """The k-subspaces of F_q^d, each as a :class:`_Subspace`."""
@@ -738,6 +768,14 @@ def _label_key(dims, maps) -> tuple:
     """The label-cache key of a module: its dimension vector and the bytes of
     its arrow matrices (int64, entries reduced mod q)."""
     return dims, tuple(m.tobytes() for m in maps)
+
+
+def _key_stacks(arrows, dims, keys) -> list:
+    """Per arrow, the (len(keys), d_t, d_s) stack of the arrow matrices of
+    modules of dimension vector ``dims``, read back from their
+    :func:`_label_key` keys over a quiver with these arrows."""
+    return [np.frombuffer(b"".join(key[1][k] for key in keys), dtype=np.int64)
+            .reshape(len(keys), dims[t], dims[s]) for k, (s, t) in enumerate(arrows)]
 
 
 def _fraction_inverse(rows):

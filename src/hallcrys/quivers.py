@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .linalg import gauss_jordan
@@ -153,6 +154,12 @@ class Quiver:
         return True
 
     def is_dynkin(self) -> bool:
+        return self._dynkin
+
+    @cached_property
+    def _dynkin(self) -> bool:
+        # once per quiver: ClassTable.classes_of_dim asks for every
+        # dimension vector outside its bound
         return self.tits_form_positive_definite()
 
     # -- serialization ---------------------------------------------------

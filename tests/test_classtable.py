@@ -300,6 +300,9 @@ class TestHallNumbers:
         t = reg.table(a2, 2)
         with pytest.raises(ValueError):
             t.hall_number(P, P, P)
+        # parts out of order: no class of the group's list, so not a silent 0
+        with pytest.raises(ValueError, match="not a class of dimension"):
+            t.hall_number(IsoClass(("S2", "S1")), t.simple_class(0), t.simple_class(1))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_riedtmann_peng_agreement(self, reg, a2, kron, q):
@@ -398,6 +401,21 @@ def test_classes_beyond_bound(reg, a2, kron):
         tk.classes_of_dim((4, 4))
 
 
+def test_dynkin_test_runs_once_per_quiver(monkeypatch):
+    """classes_of_dim asks is_dynkin for every dimension outside the bound;
+    the Tits-form minors are evaluated once per quiver."""
+    from hallcrys.quivers import Quiver
+    calls = []
+    positive = Quiver.tits_form_positive_definite
+    monkeypatch.setattr(Quiver, "tits_form_positive_definite",
+                        lambda self: calls.append(self) or positive(self))
+    a3 = Quiver(["1", "2", "3"], [["1", "2"], ["2", "3"]])
+    t = ClassTable(a3, 2, (1, 1, 1))
+    dims = [d for d in product(range(4), repeat=3) if max(d) > 1]
+    assert all(t.classes_of_dim(d) for d in dims) and len(dims) > 50
+    assert calls == [a3]
+
+
 def test_rp_extension_budget(kron):
     t = ClassTable(kron, 3, (3, 3), ext_budget=2)
     with pytest.raises(BudgetExceeded):
@@ -429,3 +447,148 @@ def test_table_set_keeps_failed_check(a2):
             tables[3]
     assert built == [2, 3]
     assert list(tables) == [2]
+
+
+def _scan_per_lambda(t, lam, bd) -> dict:
+    """Oracle for ClassTable._scan_submodules: the sweep of one class lambda
+    at a time, counting the submodules of V_lambda of dimension bd by (class
+    of the quotient, class of the submodule), with each tuple's blocks taken
+    arrow by arrow from the 2-D representative."""
+    import numpy as np
+    from hallcrys.classtable import _label_key
+    q = t.q
+    rep = t.representative(lam)
+    arrows = t.quiver.arrows
+    side_dims = (tuple(d - b for d, b in zip(rep.dims, bd)), tuple(bd))
+    blocks = ({}, {})
+    counts = {}
+    grass = [t._grassmannian(rep.dims[v], bd[v]) for v in range(t.quiver.n)]
+    for combo in product(*grass):
+        sub_maps, quot_maps = [], []
+        for k, (src, tgt) in enumerate(arrows):
+            ws, wt = combo[src], combo[tgt]
+            block = (wt.frame_inv @ ((rep.maps[k] @ ws.frame) % q)) % q
+            if block[wt.k:, :ws.k].any():
+                break
+            sub_maps.append(np.array(block[:wt.k, :ws.k]))
+            quot_maps.append(np.array(block[wt.k:, ws.k:]))
+        else:
+            keys = (_label_key(side_dims[0], quot_maps), _label_key(side_dims[1], sub_maps))
+            counts[keys] = counts.get(keys, 0) + 1
+            blocks[0].setdefault(keys[0], quot_maps)
+            blocks[1].setdefault(keys[1], sub_maps)
+    labels = [dict(zip(side, t.label_modules(dims, side)))
+              for dims, side in zip(side_dims, blocks)]
+    tally = {}
+    for (quot, sub), count in counts.items():
+        pair = (labels[0][quot], labels[1][sub])
+        tally[pair] = tally.get(pair, 0) + count
+    return tally
+
+
+def _hall_number_per_lambda(t, lam, alpha, beta) -> int:
+    """Oracle for ClassTable.hall_number: one per-lambda scan per (lambda,
+    dim beta), which writes every pair of classes of (dim alpha, dim beta)."""
+    key = (lam, alpha, beta)
+    if key not in t._hall_cache:
+        ad, bd = t.class_dim(alpha), t.class_dim(beta)
+        for a in t.classes_of_dim(ad):
+            for b in t.classes_of_dim(bd):
+                t._hall_cache[(lam, a, b)] = 0
+        for (a, b), count in _scan_per_lambda(t, lam, bd).items():
+            t._hall_cache[(lam, a, b)] = count
+    return t._hall_cache.setdefault(key, 0)
+
+
+def _dims_under(bound):
+    return [d for d in product(*(range(b + 1) for b in bound)) if any(d)]
+
+
+class TestGroupedScan:
+    @pytest.mark.parametrize("name, q, bound", [
+        ("kron", 2, (3, 3)), ("kron", 3, (3, 3)),
+        ("a3", 2, (2, 2, 2)), ("a3", 3, (2, 2, 2)), ("a3", 5, (2, 2, 2))])
+    def test_matches_per_lambda_oracle(self, request, name, q, bound):
+        """The grouped scan of every (dim lambda, dim beta) under the bound
+        gives each lambda the per-lambda oracle's counts."""
+        quiver = request.getfixturevalue(name)
+        grouped, single = ClassTable(quiver, q, bound), ClassTable(quiver, q, bound)
+        for ld in _dims_under(bound):
+            lams = grouped.classes_of_dim(ld)
+            for bd in product(*(range(d + 1) for d in ld)):
+                scans = grouped._scan_submodules(lams, bd)
+                assert list(scans) == lams
+                for lam in lams:
+                    assert scans[lam] == _scan_per_lambda(single, lam, bd), (lam, bd)
+
+    @pytest.mark.parametrize("name, q, bound", [("kron", 2, (3, 3)), ("a3", 3, (2, 2, 2))])
+    def test_dump_matches_per_lambda_oracle(self, request, name, q, bound):
+        """Once every Hall number under the bound is computed, the grouped
+        table's dump equals the one filled scan by scan per lambda."""
+        quiver = request.getfixturevalue(name)
+        grouped, single = ClassTable(quiver, q, bound), ClassTable(quiver, q, bound)
+        for ld in _dims_under(bound):
+            for bd in product(*(range(d + 1) for d in ld)):
+                ad = tuple(x - y for x, y in zip(ld, bd))
+                for lam, alpha, beta in product(grouped.classes_of_dim(ld),
+                                                grouped.classes_of_dim(ad),
+                                                grouped.classes_of_dim(bd)):
+                    assert (grouped.hall_number(lam, alpha, beta)
+                            == _hall_number_per_lambda(single, lam, alpha, beta))
+        assert grouped.dump_cache() == single.dump_cache()
+
+    def test_one_scan_per_dimension_pair(self, kron, monkeypatch):
+        t = ClassTable(kron, 3, (3, 3))
+        scans = []
+        scan = ClassTable._scan_submodules
+
+        def spy(self, lams, bd):
+            scans.append((len(lams), bd))
+            return scan(self, lams, bd)
+
+        monkeypatch.setattr(ClassTable, "_scan_submodules", spy)
+        lams = t.classes_of_dim((2, 2))
+        pairs = t.classes_of_dim((1, 1))
+        total = sum(t.hall_number(lam, alpha, beta)
+                    for lam in lams for alpha in pairs for beta in pairs)
+        assert scans == [(len(lams), (1, 1))] and total > 0
+
+    def test_scan_keeps_present_entries(self, kron):
+        """A scan writes only absent keys: doctored entries loaded from a
+        cache, for another lambda of the group and for the requested lambda,
+        stay for the downstream checks to catch."""
+        cache = ClassTable(kron, 2, (2, 2)).dump_cache()
+        lam, other = IsoClass.of("S1", "S1", "S2", "S2"), IsoClass.of("R[0]m2")
+        r0, r1, mixed = IsoClass.of("R[0]m1"), IsoClass.of("R[1]m1"), IsoClass.of("S1", "S2")
+        cache["hall"] = {f"{other}|{r0}|{r0}": 5, f"{lam}|{r0}|{r1}": 9}
+        t = ClassTable(kron, 2, (2, 2))
+        assert t.load_cache(cache) == 0
+        assert t.hall_number(lam, mixed, mixed) > 0
+        assert t._hall_cache[(other, r0, r0)] == 5
+        assert t._hall_cache[(lam, r0, r1)] == 9
+        fresh = ClassTable(kron, 2, (2, 2))
+        assert fresh.hall_number(other, r0, r0) != 5 and fresh.hall_number(lam, r0, r1) != 9
+
+
+class TestLabelChunks:
+    def test_chunk_of_one_gives_same_labels(self, kron, monkeypatch):
+        """Labelling 300 random modules in chunks of one gives the labels of
+        the default chunks, and no stacked Hom system is wider than a chunk."""
+        import numpy as np
+        import hallcrys.classtable as ct
+        rng = np.random.default_rng(5)
+        d = (3, 2)
+        batch = [[rng.integers(0, 5, (d[t], d[s])) for s, t in kron.arrows]
+                 for _ in range(300)]
+        default = ClassTable(kron, 5, (3, 3)).label_modules(d, batch)
+        widths = []
+        stack = ct.hom_system_stack
+
+        def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
+            widths.append(n_maps[0].shape[1])
+            return stack(quiver, q, m_dims, m_maps, n_dims, n_maps)
+
+        monkeypatch.setattr(ct, "hom_system_stack", spy)
+        monkeypatch.setattr(ct, "_LABEL_CHUNK", 1)
+        assert ClassTable(kron, 5, (3, 3)).label_modules(d, batch) == default
+        assert set(widths) == {1} and len(set(default)) > 10
