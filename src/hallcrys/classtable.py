@@ -95,10 +95,10 @@ _LABEL_CHUNK = 64
 
 
 class _Subspace(NamedTuple):
-    """A k-subspace W of F_q^d as the frame [W | C], with C the complement
-    from :func:`linalg.complement_basis`, and the frame's inverse: the first k
-    rows of the inverse give coordinates in W, the others project onto the
-    quotient F_q^d / W in the basis C."""
+    """A k-subspace W of F_q^d as the frame [W | C] and its inverse, both
+    from the one elimination of :func:`linalg.complement_basis`: C is the
+    greedy complement, the first k rows of the inverse give coordinates in W,
+    and the others project onto the quotient F_q^d / W in the basis C."""
     k: int
     frame: np.ndarray
     frame_inv: np.ndarray
@@ -581,13 +581,8 @@ class ClassTable:
         if key not in self._grass_cache:
             out = []
             for basis in linalg.subspaces(d, k, self.q):
-                frame = np.concatenate([basis, linalg.complement_basis(basis, self.q)],
-                                       axis=1)
-                if d:
-                    inv = linalg.solve_mod(frame, np.eye(d, dtype=np.int64), self.q)
-                else:
-                    inv = np.zeros((0, 0), dtype=np.int64)
-                out.append(_Subspace(k, frame, inv))
+                comp, inv = linalg.complement_basis(basis, self.q)
+                out.append(_Subspace(k, np.concatenate([basis, comp], axis=1), inv))
             self._grass_cache[key] = out
         return self._grass_cache[key]
 
@@ -680,13 +675,7 @@ class ClassTable:
         B = self.representative(beta)
         # cocycles: tuples c_k in Hom(A_{s(k)}, B_{t(k)}); coboundaries: the
         # image of the Hom system f -> (B_k f_s - f_t A_k)
-        d = hom_system(A, B)
-        ncells, nvars = d.shape
-        if nvars and ncells:
-            img = linalg.column_reduce(d, q)
-        else:
-            img = np.zeros((ncells, 0), dtype=np.int64)
-        comp = linalg.complement_basis(img, q) if ncells else np.zeros((0, 0), dtype=np.int64)
+        comp = linalg.complement_basis(hom_system(A, B), q)[0]
         e = comp.shape[1]
         if self.q**e > self.ext_budget:
             raise BudgetExceeded(f"|Ext| = {q}^{e} exceeds the extension budget")

@@ -1,5 +1,9 @@
 """Exact linear algebra: over prime fields, built on the mod-p kernels, and
-one Gauss–Jordan elimination over exact fields such as Q and Q(v)."""
+one Gauss–Jordan elimination over exact fields such as Q and Q(v).
+
+A mod-p change of basis is one elimination: :func:`complement_basis` reads
+both the complement of a column space and the inverse of the frame it
+completes off a single rref of [a | I]."""
 
 from __future__ import annotations
 
@@ -57,12 +61,6 @@ def column_space_contains(basis: np.ndarray, vecs: np.ndarray, p: int) -> bool:
     return rank_mod(joint, p) == base_rank
 
 
-def column_reduce(basis: np.ndarray, p: int) -> np.ndarray:
-    """Canonical column basis (transposed rref) of the column space."""
-    r, rank, _ = rref_mod(basis.T, p)
-    return r[:rank].T.copy()
-
-
 def subspaces(n: int, k: int, p: int):
     """All k-dimensional subspaces of F_p^n, one canonical column basis each.
 
@@ -113,20 +111,22 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def complement_basis(basis: np.ndarray, p: int) -> np.ndarray:
-    """Columns extending ``basis`` to a basis of the ambient space.
+def complement_basis(a: np.ndarray, p: int):
+    """Columns extending the column space of ``a`` to the ambient space, and
+    the inverse of the frame they complete, from one rref of [a | I].
 
-    The chosen columns are the unit vectors e_i that are pivot columns of
-    rref([basis | I]): each e_i not in the span of ``basis`` and the earlier
-    e_j, i.e. the greedy choice in index order.
+    The complement ``comp`` is the unit vectors e_i that are pivot columns of
+    rref([a | I]): each e_i not in the span of ``a`` and the earlier e_j, i.e.
+    the greedy choice in index order.  The right block of that rref is the
+    row operations E, and E [a[:, pivots] | comp] = I, so the last
+    ``len(comp)`` rows of E project onto the quotient by the span of ``a`` in
+    the basis ``comp``.  Returns ``(comp, E)``.
     """
-    n, k = basis.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    joint = np.concatenate([basis, np.eye(n, dtype=np.int64)], axis=1)
-    _, _, piv = rref_mod(joint, p)
+    n, k = a.shape
+    joint = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
+    r, _, piv = rref_mod(joint, p)
     units = [int(c) - k for c in piv if c >= k]
-    return np.eye(n, dtype=np.int64)[:, units]
+    return np.eye(n, dtype=np.int64)[:, units], r[:, k:].copy()
 
 
 def invertible_mod(a: np.ndarray, p: int) -> bool:

@@ -401,17 +401,11 @@ def reflect_minus(M: Representation, i: int) -> Representation:
         off_of[k] = off
         h[off:off + M.dims[t], :] = M.maps[k]
         off += M.dims[t]
-    # cokernel projection pi with ker = im(h)
-    if total == 0:
-        coker_dim = 0
-        pi = np.zeros((0, 0), dtype=np.int64)
-    else:
-        imb = linalg.column_reduce(h, q) if M.dims[i] else np.zeros((total, 0), dtype=np.int64)
-        comp = linalg.complement_basis(imb, q)
-        coker_dim = comp.shape[1]
-        full = np.concatenate([imb, comp], axis=1)
-        inv = linalg.solve_mod(full, np.eye(total, dtype=np.int64), q)
-        pi = inv[imb.shape[1]:, :]
+    # cokernel projection pi: it vanishes on im(h) and sends the greedy
+    # complement of im(h) to the identity
+    comp, inv = linalg.complement_basis(h, q)
+    coker_dim = comp.shape[1]
+    pi = inv[total - coker_dim:]
     new_quiver = quiver.reflect(i)
     dims = list(M.dims)
     dims[i] = coker_dim

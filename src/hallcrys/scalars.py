@@ -61,16 +61,24 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def _of(coeffs: dict) -> "LaurentPoly":
+        """Wrap a map that is already normalised (int exponents, nonzero
+        exact scalars), without the checks of ``__init__``."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.coeffs = coeffs
+        return out
+
+    @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return LaurentPoly._of({})
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
+        return LaurentPoly._of({0: 1})
 
     @staticmethod
     def v_power(exp: int) -> "LaurentPoly":
-        return LaurentPoly({exp: 1})
+        return LaurentPoly._of({int(exp): 1})
 
     # -- structure ---------------------------------------------------
 
@@ -116,16 +124,12 @@ class LaurentPoly:
                 d[e] = s if type(s) is int else _frac(s)
             else:
                 d.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
-        return out
+        return LaurentPoly._of(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return out
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -137,9 +141,7 @@ class LaurentPoly:
             c = _frac(other)
             if c == 0:
                 return LaurentPoly.zero()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.coeffs = {e: _frac(a * c) for e, a in self.coeffs.items()}
-            return out
+            return LaurentPoly._of({e: _frac(a * c) for e, a in self.coeffs.items()})
         d = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -149,9 +151,7 @@ class LaurentPoly:
                     d[e] = s if type(s) is int else _frac(s)
                 else:
                     d.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
-        return out
+        return LaurentPoly._of(d)
 
     __rmul__ = __mul__
 
@@ -171,11 +171,11 @@ class LaurentPoly:
         """The substitution v -> v^a."""
         if a == 0:
             raise ValueError("substitution exponent must be nonzero")
-        return LaurentPoly({e * a: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e * a: c for e, c in self.coeffs.items()})
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def is_laurent_integral(self) -> bool:
         """True when every coefficient is an integer (a Z[v, v^-1] element)."""
@@ -336,7 +336,7 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
                 rem[k] = s if type(s) is int else _frac(s)
             else:
                 rem.pop(k, None)
-    return LaurentPoly(quo), LaurentPoly(rem)
+    return LaurentPoly._of(quo), LaurentPoly._of(rem)
 
 
 def _poly_mod(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

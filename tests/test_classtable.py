@@ -449,6 +449,28 @@ def test_table_set_keeps_failed_check(a2):
     assert list(tables) == [2]
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_grassmannian_matches_two_eliminations(reg, a2, q):
+    """Oracle for ClassTable._grassmannian: each frame [W | C], with C the
+    greedy complement, and its inverse by a second elimination (solve_mod),
+    for every (d, k) with d <= 4."""
+    import numpy as np
+    from hallcrys import linalg
+    t = reg.table(a2, q)
+    for d in range(5):
+        eye = np.eye(d, dtype=np.int64)
+        for k in range(d + 1):
+            bases = list(linalg.subspaces(d, k, q))
+            got = t._grassmannian(d, k)
+            assert len(got) == len(bases)
+            for sub, basis in zip(got, bases):
+                frame = np.concatenate([basis, linalg.complement_basis(basis, q)[0]], axis=1)
+                inv = linalg.solve_mod(frame, eye, q) if d else eye
+                assert sub.k == k
+                assert np.array_equal(sub.frame, frame)
+                assert sub.frame_inv.dtype == np.int64 and np.array_equal(sub.frame_inv, inv)
+
+
 def _scan_per_lambda(t, lam, bd) -> dict:
     """Oracle for ClassTable._scan_submodules: the sweep of one class lambda
     at a time, counting the submodules of V_lambda of dimension bd by (class

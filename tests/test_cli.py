@@ -33,6 +33,14 @@ def a3_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def d4_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("quivers") / "d4.json"
+    path.write_text(json.dumps({"vertices": ["1", "2", "3", "4"],
+                                "arrows": [["1", "4"], ["2", "4"], ["3", "4"]]}))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def kron_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("quivers") / "kron.json"
     path.write_text(json.dumps({"vertices": ["1", "2"],
@@ -416,6 +424,8 @@ class TestGoldenReports:
                             "--target", "both"),
         "a3_certify.json": ("a3", "certify", "--all-exceptional", "--dim-bound", "2",
                             "--target", "both"),
+        "d4_certify.json": ("d4", "certify", "--all-exceptional", "--dim-bound", "2",
+                            "--target", "both"),
     }
 
     @staticmethod
@@ -423,10 +433,11 @@ class TestGoldenReports:
         return re.sub(r'^ "generated_at": "[^"]*",\n', "", text, count=1, flags=re.M)
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_report_matches_golden(self, name, a2_file, a3_file, kron_file, monkeypatch):
+    def test_report_matches_golden(self, name, a2_file, a3_file, d4_file, kron_file,
+                                   monkeypatch):
         monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
         quiver, *args = self.CASES[name]
-        files = {"a2": a2_file, "a3": a3_file, "kron": kron_file}
+        files = {"a2": a2_file, "a3": a3_file, "d4": d4_file, "kron": kron_file}
         proc = run_cli(*args, "--quiver", files[quiver])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         with open(os.path.join(self.GOLDEN, name)) as fh:

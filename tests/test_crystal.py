@@ -13,6 +13,7 @@ from hallcrys.generic import (ExprTree, generic_multiply, generic_ringel_pair,
                               kashiwara_pair_elements)
 from hallcrys.hallalg import (chevalley, divided_power_simple, identity_element,
                               rescale)
+from hallcrys.quivers import Quiver, euler_bilinear
 from hallcrys.scalars import (RatFunc, a_membership, in_one_plus_vinv_A,
                               parse_laurent)
 
@@ -196,6 +197,43 @@ def test_box_crystal_matches_full_triangle(reg, a3, a3_crystal_w5):
         full, boxed = a3_crystal_w5.vertices_of_weight(w), box.vertices_of_weight(w)
         assert [b.word for b in boxed] == [b.word for b in full], w
         assert [b.rep for b in boxed] == [b.rep for b in full], w
+
+
+D4_BOX = (2, 2, 2, 2)
+
+
+@pytest.fixture(scope="module")
+def d4_box_crystal(reg):
+    """B(infinity) on D4 (three arrows into one vertex), grown inside the box
+    (2,2,2,2) to the box's total weight, as ``certify --dim-bound 2`` grows it."""
+    d4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
+    return Crystal(reg.ctx(d4, D4_BOX), sum(D4_BOX), D4_BOX)
+
+
+def kostant(roots, weight) -> int:
+    """Kostant's partition function: multisets of ``roots`` summing to ``weight``."""
+    if not any(weight):
+        return 1
+    if not roots:
+        return 0
+    total = 0
+    while all(w >= 0 for w in weight):
+        total += kostant(roots[1:], weight)
+        weight = tuple(w - r for w, r in zip(weight, roots[0]))
+    return total
+
+
+def test_d4_box_crystal_has_kostant_counts(d4_box_crystal):
+    """Every weight of the box has as many crystal vertices as U+ has
+    dimension there (Kostant's count over the 12 positive roots), 448 in all."""
+    quiver = d4_box_crystal.ctx.quiver
+    weights = list(product(*(range(b + 1) for b in D4_BOX)))
+    roots = [x for x in weights if any(x) and euler_bilinear(quiver, x, x) == 1]
+    assert len(roots) == 12
+    assert d4_box_crystal.falsifications == []
+    counts = {w: len(d4_box_crystal.vertices_of_weight(w)) for w in weights}
+    assert counts == {w: kostant(roots, w) for w in weights}
+    assert sum(counts.values()) == len(d4_box_crystal.all_vertices()) == 448
 
 
 def test_riedtmann_fits_hold_at_unscanned_primes(reg, a3, a3_crystal_w5):

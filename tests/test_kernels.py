@@ -129,7 +129,8 @@ def test_subspace_enumeration_counts():
 def test_subspaces_distinct():
     seen = set()
     for basis in linalg.subspaces(4, 2, 2):
-        key = linalg.column_reduce(basis, 2).tobytes()
+        r, rank, _ = rref_mod(basis.T, 2)
+        key = r[:rank].tobytes()
         assert key not in seen
         seen.add(key)
 
@@ -221,9 +222,10 @@ def test_point_encoding_matches_reference(q):
 def test_complement_basis():
     for p in (2, 3):
         basis = np.array([[1], [1], [0]], dtype=np.int64)
-        comp = linalg.complement_basis(basis, p)
+        comp, inv = linalg.complement_basis(basis, p)
         full = np.concatenate([basis, comp], axis=1)
         assert rank_mod(full, p) == 3
+        assert np.array_equal(inv @ full % p, np.eye(3, dtype=np.int64))
 
 
 def greedy_complement(basis, p):
@@ -241,14 +243,24 @@ def greedy_complement(basis, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_complement_basis_matches_greedy(p):
+    """The complement is the greedy one, and the inverse inverts the frame of
+    the pivot columns of ``a`` and the complement, on random inputs, some
+    rank-deficient, and on the empty shapes."""
     rng = np.random.default_rng(p)
+    inputs = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (4, 0), (0, 3))]
     for _ in range(60):
         n = int(rng.integers(0, 6))
         k = int(rng.integers(0, n + 2))
         basis = rng.integers(0, p, (n, k)).astype(np.int64)
         if k and rng.random() < 0.3:
             basis[:, -1] = (2 * basis[:, 0]) % p       # rank-deficient input
-        comp = linalg.complement_basis(basis, p)
+        inputs.append(basis)
+    for basis in inputs:
+        n = basis.shape[0]
+        comp, inv = linalg.complement_basis(basis, p)
         expected = greedy_complement(basis, p)
         assert comp.shape == expected.shape and comp.dtype == np.int64
         assert np.array_equal(comp, expected)
+        frame = np.concatenate([basis[:, rref_mod(basis, p)[2]], comp], axis=1)
+        assert inv.shape == (n, n) and inv.dtype == np.int64 and inv.base is None
+        assert np.array_equal(inv @ frame % p, np.eye(n, dtype=np.int64))

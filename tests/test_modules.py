@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hallcrys import linalg
+from hallcrys._kernels import rref_mod
 from hallcrys.modules import (CatalogUnavailable, Representation, _path_basis,
                               direct_sum, dual, ext_dim, ext_dims, hom_basis,
                               hom_dim, hom_system, hom_system_stack,
@@ -410,6 +411,46 @@ class TestReflectionFunctors:
         back = reflect_minus(r, 1)
         assert back.dims == P.dims
         assert hom_dim(back, P) == 1 and ext_dim(back, P) == 0
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_sigma_minus_matches_three_eliminations(self, a3, kron, q):
+        """reflect_minus equals the three-elimination route at every source,
+        on every catalog module of A3, D4 and the Kronecker quiver, and on
+        random modules with empty blocks."""
+        d4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
+        rng = np.random.default_rng(50 + q)
+        for quiver, bound in ((a3, (2, 2, 2)), (d4, (2, 2, 2, 2)), (kron, (3, 3))):
+            modules = [it.rep for it in indecomposable_catalog(quiver, q, bound)]
+            modules += [random_rep(rng, quiver, q) for _ in range(10)]
+            for M in modules:
+                for i in quiver.sources():
+                    assert_same_rep(reflect_minus(M, i), reflect_minus_three_eliminations(M, i))
+
+
+def reflect_minus_three_eliminations(M, i):
+    """Oracle for reflect_minus: the cokernel projection of h = the stacked
+    maps out of i, as the last rows of the inverse of the frame [B | C],
+    with B the transposed rref basis of im h, C its greedy complement and the
+    inverse from solve_mod."""
+    quiver, q = M.quiver, M.q
+    outgoing = quiver.arrows_out_of(i)
+    h = np.concatenate([M.maps[k] for k in outgoing], axis=0)
+    total = h.shape[0]
+    r, rank, _ = rref_mod(h.T, q)
+    image = r[:rank].T
+    comp = linalg.complement_basis(image, q)[0]
+    frame = np.concatenate([image, comp], axis=1)
+    pi = linalg.solve_mod(frame, np.eye(total, dtype=np.int64), q)[rank:] if total \
+        else np.zeros((0, 0), dtype=np.int64)
+    dims = list(M.dims)
+    dims[i] = comp.shape[1]
+    maps = list(M.maps)
+    off = 0
+    for k in outgoing:
+        t = quiver.arrows[k][1]
+        maps[k] = pi[:, off:off + M.dims[t]]
+        off += M.dims[t]
+    return Representation(quiver.reflect(i), q, dims, maps)
 
 
 def injective_reference(quiver, q, v):
