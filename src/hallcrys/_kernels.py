@@ -4,9 +4,10 @@
 single small matrix that beats numpy row operations.  ``rank_mod_stack``
 ranks a whole stack of equal-shape matrices in one numpy column sweep; it
 serves Krull–Schmidt labelling (one call per probe dimension vector and batch
-of modules) and the Ext route of ``modules.ext_dims`` (two calls per block of
-dimension vectors).  ``decode_points``/``encode_points`` map points of E_d (tuples
-of arrow matrices) to integer codes and back, and ``orbit_fill`` is the
+of modules), ``modules.hom_dims`` (one call per block of dimension vectors)
+and the Ext route of ``modules.ext_dims`` (two calls per block).
+``decode_points``/``encode_points`` map points of E_d (tuples of arrow
+matrices) to integer codes and back, and ``orbit_fill`` is the
 breadth-first flood fill behind the orbit oracle of
 :class:`~hallcrys.classtable.ClassTable`, with each generator applied to a
 whole frontier by batched matrix products.
@@ -59,9 +60,23 @@ def rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
     One column sweep for the whole stack: at each column every matrix picks
     its first unused row with a nonzero entry there, scales it to a unit
     pivot through a table of inverses mod p, and clears the column from its
-    other unused rows, all in one broadcast.  A stack of one matrix goes
-    through :func:`rref_mod` instead: for one small matrix the sweep's numpy
-    calls cost several times the Python-int elimination."""
+    other unused rows, all in one broadcast.
+
+    Only what a step reads is reduced mod p: the current column and the
+    pivot row.  The trailing block is updated by ``a -= factor * lead`` and
+    never reduced, so its entries stay congruent mod p and, from [0, p)
+    after the first reduction, lose at most (p - 1)**2 per step: every entry
+    stays within p + ncols * (p - 1)**2 of zero, ncols being the number of
+    columns swept (the smaller of r and c).  Numpy integer arithmetic wraps
+    without a warning, so a stack for which that bound reaches 2**63 raises
+    ValueError, read from p and the shape alone, before any arithmetic.
+
+    A stack of one matrix goes through :func:`rref_mod` instead: for one
+    small matrix the sweep's numpy calls cost several times the Python-int
+    elimination."""
+    swept = min(np.shape(a)[1:])
+    if p + swept * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"a sweep of {swept} columns mod {p} can overflow int64")
     a = np.asarray(a, dtype=np.int64) % p
     if a.shape[0] == 1:
         return np.array([rref_mod(a[0], p)[1]], dtype=np.int64)
@@ -73,7 +88,7 @@ def rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
     free = np.ones((batch, nrows), dtype=bool)
     every = np.arange(batch)
     for col in range(ncols):
-        column = a[:, :, col]
+        column = a[:, :, col] % p
         cand = free & (column != 0)
         piv = cand.argmax(axis=1)
         found = cand[every, piv]
@@ -84,14 +99,9 @@ def rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
         if col + 1 == ncols or not free.any():
             break
         # no pivot in this matrix: its scale is inverse[0] = 0, so nothing moves
-        lead = a[every, piv, col + 1:] * inverse[column[every, piv]][:, None] % p
+        lead = a[every, piv, col + 1:] % p * inverse[column[every, piv]][:, None] % p
         factor = np.where(free, column, 0)
-        # one stack-sized temporary per column step, reused by each operation
-        # and freed before the next step allocates its own
-        step = factor[:, :, None] * lead[:, None, :]
-        np.subtract(a[:, :, col + 1:], step, out=step)
-        a[:, :, col + 1:] = np.remainder(step, p, out=step)
-        del step
+        a[:, :, col + 1:] -= factor[:, :, None] * lead[:, None, :]
     return rank
 
 

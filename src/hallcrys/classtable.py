@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg
 from ._kernels import decode_points, encode_points, orbit_fill, rank_mod_stack
 from .checks import CheckFailed, check
-from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim, hom_dim,
+from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim, hom_dims,
                       hom_system, hom_system_stack, indecomposable_catalog, require_ring)
 from .quivers import Quiver, euler_bilinear
 from .scalars import QSqrtScalar, eval_at_sqrt_q
@@ -151,8 +151,24 @@ class ClassTable:
     def hom_indec(self, a: str, b: str) -> int:
         key = (a, b)
         if key not in self._hom_cache:
-            self._hom_cache[key] = hom_dim(self.by_label[a].rep, self.by_label[b].rep)
+            return self.hom_matrix([a], [b])[0][0]
         return self._hom_cache[key]
+
+    def hom_matrix(self, rows, cols) -> list:
+        """[[hom_indec(a, b) for b in cols] for a in rows].  The pairs missing
+        from the Hom cache are computed together by :func:`hom_dims` and
+        stored with ``setdefault``, so an entry loaded from a cache stays."""
+        cache = self._hom_cache
+        missing = [(a, b) for a in rows for b in cols if (a, b) not in cache]
+        if missing:
+            ms = list(dict.fromkeys(a for a, _ in missing))
+            ns = list(dict.fromkeys(b for _, b in missing))
+            counts = hom_dims([self.by_label[a].rep for a in ms],
+                              [self.by_label[b].rep for b in ns])
+            for a, row in zip(ms, counts):
+                for b, h in zip(ns, row):
+                    cache.setdefault((a, b), h)
+        return [[cache[a, b] for b in cols] for a in rows]
 
     def ext_indec(self, a: str, b: str) -> int:
         key = (a, b)
@@ -483,9 +499,7 @@ class ClassTable:
             return self._solver_cache[labels]
         n = len(labels)
         # rows indexed by probe I, columns by summand K: D[I][K] = hom(I, K)
-        D = [[self.hom_indec(labels[i], labels[j]) for j in range(n)]
-             for i in range(n)]
-        inv = _fraction_inverse(D)
+        inv = _fraction_inverse(self.hom_matrix(labels, labels))
         den = lcm(*(x.denominator for row in inv for x in row))
         rows = [[x.numerator * (den // x.denominator) for x in row] for row in inv]
         # a Hom count is below 2**31, so inv @ counts stays exact in int64
@@ -745,12 +759,13 @@ def _check_same_rigid(first: ClassTable, other: ClassTable):
         return sorted((it.label, it.dim) for it in t.catalog if not it.field_dependent)
 
     where = f"at q = {first.q} and q = {other.q}"
-    labels = rigid(first)
-    check(labels == rigid(other), f"rigid labels differ {where}")
-    for a, _ in labels:
-        for b, _ in labels:
-            check(first.hom_indec(a, b) == other.hom_indec(a, b),
-                  f"Hom({a},{b}) differs {where}")
+    entries = rigid(first)
+    check(entries == rigid(other), f"rigid labels differ {where}")
+    labels = [a for a, _ in entries]
+    for a, row, other_row in zip(labels, first.hom_matrix(labels, labels),
+                                 other.hom_matrix(labels, labels)):
+        for b, h, other_h in zip(labels, row, other_row):
+            check(h == other_h, f"Hom({a},{b}) differs {where}")
 
 
 def _label_key(dims, maps) -> tuple:

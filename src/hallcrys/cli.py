@@ -16,6 +16,8 @@ import tempfile
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .checks import CheckFailed
 from .classtable import ClassTable, IsoClass, TableSet, parse_class_label
 from .crystal import Crystal, certify_exceptional
@@ -432,7 +434,7 @@ def cmd_selftest(config: RunConfig) -> dict:
     from .exseq import BraidError
     from .hallalg import serre_defect
     from .modules import BudgetExceeded, ext_dims
-    from .quivers import euler_bilinear
+    from .quivers import euler_form
     quiver = Quiver.load(config.quiver_path)
     falsifications = []
     checks = []
@@ -453,14 +455,20 @@ def cmd_selftest(config: RunConfig) -> dict:
         for d in dims:
             classes.extend(table.classes_of_dim(d))
         reps = [table.representative(c) for c in classes]
-        cdims = [table.class_dim(c) for c in classes]
-        # Hom is additive over the table's Krull-Schmidt parts; Ext comes from
-        # the direct sums, so the identity still compares two routes
-        ext = ext_dims(reps, reps)
-        euler_ok = all(
-            table.hom(a, b) - ext[i][j] == euler_bilinear(quiver, cdims[i], cdims[j])
-            for i, a in enumerate(classes) for j, b in enumerate(classes))
-        check(f"euler identity q={q}", euler_ok)
+        # C H C^T - X = D E D^T over every pair of classes: Hom is additive
+        # over the table's Krull-Schmidt parts (C counts them, H is the Hom
+        # matrix of the indecomposables); Ext (X) comes from the direct sums,
+        # so the identity still compares two routes
+        labels = sorted({part for c in classes for part in c.parts})
+        m, n = len(classes), len(labels)
+        C = np.array([[mult.get(label, 0) for label in labels]
+                      for mult in (c.multiplicities() for c in classes)],
+                     dtype=np.int64).reshape(m, n)
+        H = np.array(table.hom_matrix(labels, labels), dtype=np.int64).reshape(n, n)
+        X = np.array(ext_dims(reps, reps), dtype=np.int64).reshape(m, m)
+        D = np.array([table.class_dim(c) for c in classes], dtype=np.int64)
+        E = np.array(euler_form(quiver), dtype=np.int64)
+        check(f"euler identity q={q}", np.array_equal(C @ H @ C.T - X, D @ E @ D.T))
         mass_ok = all(table.mass_check(d) for d in dims)
         check(f"mass formula q={q}", mass_ok)
         serre_ok = all(serre_defect(table, i, j).is_zero()

@@ -20,6 +20,11 @@ from .checks import check
 from .quivers import Quiver, dim_total
 
 
+# entries of one stacked system of hom_dims (1 MiB of int64); the rank sweep
+# holds about three arrays of that size
+_HOM_STACK = 2**17
+
+
 class BudgetExceeded(RuntimeError):
     pass
 
@@ -141,12 +146,56 @@ def hom_system_stack(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> 
             D[..., r0 + j * ms:r0 + (j + 1) * ms, offs[t] + j * mt:offs[t] + (j + 1) * mt] -= \
                 np.swapaxes(m_maps[k], -1, -2)
         r0 += blk
-    return D % q
+    D %= q
+    return D
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    D = hom_system(M, N)
-    return D.shape[1] - (linalg.rank_mod(D, M.q) if D.size else 0)
+    """dim Hom(M, N): one pair of :func:`hom_dims`."""
+    return hom_dims([M], [N])[0][0]
+
+
+def hom_dims(Ms, Ns) -> list:
+    """The matrix [dim Hom(M, N) for N in Ns] for M in Ms: per block of Ms and
+    Ns of one dimension vector each, one stacked intertwiner system
+    (:func:`hom_system_stack`) and one stacked rank, the Ms split into chunks
+    whose system holds at most ``_HOM_STACK`` entries.  A block whose system
+    has no conditions or no unknowns is not ranked."""
+    Ms, Ns = list(Ms), list(Ns)
+    out = [[0] * len(Ns) for _ in Ms]
+    if not (Ms and Ns):
+        return out
+    quiver, q = Ms[0].quiver, Ms[0].q
+    for X in Ms + Ns:
+        require_ring(X, quiver, q)
+    m_groups, n_groups = {}, {}
+    for i, M in enumerate(Ms):
+        m_groups.setdefault(M.dims, []).append(i)
+    for j, N in enumerate(Ns):
+        n_groups.setdefault(N.dims, []).append(j)
+    arrows = range(len(quiver.arrows))
+    n_maps = {d: [np.array([Ns[j].maps[k] for j in cols]) for k in arrows]
+              for d, cols in n_groups.items()}
+    for m_dims, rows in m_groups.items():
+        m_maps = [np.array([Ms[i].maps[k] for i in rows])[:, None] for k in arrows]
+        for n_dims, cols in n_groups.items():
+            nconds = sum(n_dims[t] * m_dims[s] for s, t in quiver.arrows)
+            nvars = sum(m * n for m, n in zip(m_dims, n_dims))
+            if not nconds * nvars:
+                for i in rows:
+                    for j in cols:
+                        out[i][j] = nvars
+                continue
+            step = max(1, _HOM_STACK // (len(cols) * nconds * nvars))
+            for start in range(0, len(rows), step):
+                chunk = rows[start:start + step]
+                D = hom_system_stack(quiver, q, m_dims, [m[start:start + step] for m in m_maps],
+                                     n_dims, n_maps[n_dims])
+                ranks = rank_mod_stack(D.reshape(len(chunk) * len(cols), nconds, nvars), q)
+                for i, row in zip(chunk, ranks.reshape(len(chunk), len(cols)).tolist()):
+                    for j, rank in zip(cols, row):
+                        out[i][j] = nvars - rank
+    return out
 
 
 def hom_basis(M: Representation, N: Representation):

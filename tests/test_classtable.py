@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
+from hallcrys import linalg
 from hallcrys.checks import CheckFailed
 from hallcrys.classtable import (ClassTable, IsoClass, TableSet, ZERO_CLASS,
-                                  parse_class_label)
-from hallcrys.modules import BudgetExceeded, hom_dim
-from hallcrys.quivers import euler_bilinear, quiver_a1
+                                  _check_same_rigid, parse_class_label)
+from hallcrys.modules import BudgetExceeded, hom_dim, hom_system
+from hallcrys.quivers import Quiver, euler_bilinear, quiver_a1
 
 
 P = IsoClass.of("r1.1")
@@ -447,6 +448,69 @@ def test_table_set_keeps_failed_check(a2):
             tables[3]
     assert built == [2, 3]
     assert list(tables) == [2]
+
+
+def hom_dim_reference(M, N):
+    """dim Hom(M, N) one pair at a time: the pair's intertwiner system and
+    one single-matrix rank.  The oracle for :meth:`ClassTable.hom_matrix`."""
+    D = hom_system(M, N)
+    return D.shape[1] - (linalg.rank_mod(D, M.q) if D.size else 0)
+
+
+class TestHomMatrix:
+    D4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_matches_oracle_and_pairwise_fill(self, a3, kron, q):
+        """On every catalog pair of A3 (2,2,2), D4 (2,2,2,2) and the Kronecker
+        quiver (3,3), hom_matrix equals the oracle, and the table's dump
+        equals that of a table filled pair by pair through hom_indec; a
+        rectangle of rows x cols adds exactly its own Hom keys."""
+        for quiver, bound in ((a3, (2, 2, 2)), (self.D4, (2, 2, 2, 2)), (kron, (3, 3))):
+            t = ClassTable(quiver, q, bound)
+            labels = [it.label for it in t.catalog]
+            rows, cols = labels[::2], labels[-1::-3]
+            before = set(t.dump_cache()["hom"])
+            assert t.hom_matrix(rows, cols) == [
+                [hom_dim_reference(t.by_label[a].rep, t.by_label[b].rep) for b in cols]
+                for a in rows]
+            added = set(t.dump_cache()["hom"]) - before
+            assert added == {f"{a}|{b}" for a in rows for b in cols} - before
+            pairwise = ClassTable(quiver, q, bound)
+            for a in rows:
+                for b in cols:
+                    pairwise.hom_indec(a, b)
+            assert t.dump_cache() == pairwise.dump_cache()
+            assert t.hom_matrix(labels, labels) == [
+                [hom_dim_reference(t.by_label[a].rep, t.by_label[b].rep) for b in labels]
+                for a in labels]
+
+    def test_keeps_a_loaded_entry(self, kron):
+        """A doctored entry loaded from a cache survives a hom_matrix fill."""
+        fresh = ClassTable(kron, 3, (2, 2))
+        labels = [it.label for it in fresh.catalog]
+        a, b = labels[1], labels[-1]
+        blob = fresh.dump_cache()
+        blob["hom"][f"{a}|{b}"] = 7
+        t = ClassTable(kron, 3, (2, 2))
+        assert t.load_cache(blob) == 0
+        got = t.hom_matrix(labels, labels)
+        want = fresh.hom_matrix(labels, labels)
+        i, j = labels.index(a), labels.index(b)
+        assert got[i][j] == 7 != want[i][j] and t.hom_indec(a, b) == 7
+        want[i][j] = 7
+        assert got == want
+
+    def test_cross_prime_check_names_first_pair(self, a2):
+        """With two doctored pairs, the check names the first in row-major
+        order of the sorted rigid labels."""
+        first, other = ClassTable(a2, 2, (1, 1)), ClassTable(a2, 3, (1, 1))
+        labels = sorted(it.label for it in first.catalog)
+        assert labels == ["S1", "S2", "r1.1"]
+        for pair in (("S2", "S1"), ("S1", "r1.1")):
+            other._hom_cache[pair] = other.hom_indec(*pair) + 1
+        with pytest.raises(CheckFailed, match=r"^Hom\(S1,r1\.1\) differs at q = 2 and q = 3$"):
+            _check_same_rigid(first, other)
 
 
 @pytest.mark.parametrize("q", [2, 3])

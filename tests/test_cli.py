@@ -565,3 +565,31 @@ def test_selftest_euler_check_is_live(kron_file, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["falsifications"] == ["euler identity q=2", "euler identity q=3"]
+
+
+def test_selftest_euler_check_sees_hom(kron_file, monkeypatch, capsys):
+    """One regular module's Hom count raised by one at q = 3 is reported as a
+    falsification of that prime's Euler check alone.  A regular module is
+    field-dependent, so the rigid cross-prime check of the TableSet cannot
+    see it."""
+    from hallcrys import cli
+    load = cli._load_table
+    doctored = []
+
+    def raise_one_hom(config, quiver, q):
+        table = load(config, quiver, q)
+        if q == 3:
+            it = next(it for it in table.catalog if it.dim == (2, 2))
+            assert it.field_dependent
+            table._hom_cache[it.label, it.label] = table.hom_indec(it.label, it.label) + 1
+            doctored.append(it.label)
+        return table
+
+    monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli, "_load_table", raise_one_hom)
+    code = cli.main(["selftest", "--quiver", kron_file, "--dim-bound", "2",
+                     "--primes", "2,3"])
+    report = json.loads(capsys.readouterr().out)
+    assert doctored
+    assert code == 2
+    assert report["falsifications"] == ["euler identity q=3"]

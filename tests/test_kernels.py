@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hallcrys import linalg
 from hallcrys._kernels import (decode_points, encode_points, orbit_fill, rank_mod,
@@ -100,6 +103,63 @@ def test_rank_mod_stack_matches_rank_mod(p):
     copy = a.copy()
     rank_mod_stack(a, p)
     assert np.array_equal(a, copy)
+
+
+@st.composite
+def rank_stacks(draw):
+    """(stack, p): a (B, r, c) stack whose matrices are products of an r x k
+    and a k x c factor over F_p, so of rank at most k (rank-deficient when
+    k < min(r, c)), with multiples of p added to every entry."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    b, r, c = draw(st.integers(0, 5)), draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    k = draw(st.integers(0, max(r, c)))
+    left = draw(arrays(np.int64, (b, r, k), elements=st.integers(0, p - 1)))
+    right = draw(arrays(np.int64, (b, k, c), elements=st.integers(0, p - 1)))
+    shift = draw(arrays(np.int64, (b, r, c), elements=st.integers(-2, 2)))
+    return left @ right + p * shift, p
+
+
+def worst_growth(p):
+    """Stacks with 40 columns whose entries are p - 1 off the diagonal: every
+    column step subtracts up to (p - 1)**2 from the trailing entries."""
+    full = np.full((3, 41, 40), p - 1, dtype=np.int64)
+    full[0] -= np.eye(41, 40, dtype=np.int64)
+    i, j = np.indices((41, 40))
+    full[1] *= (i * i + 3 * j + i * j) % 7 != 0
+    full[2] = np.triu(full[2])
+    return full, p
+
+
+@given(rank_stacks())
+@settings(deadline=None, max_examples=150)
+@example((np.zeros((3, 0, 5), dtype=np.int64), 5))             # no rows
+@example((np.ones((3, 4, 0), dtype=np.int64), 7))              # no columns
+@example((np.zeros((0, 3, 3), dtype=np.int64), 2))             # empty stack
+@example((np.arange(12, dtype=np.int64).reshape(1, 3, 4), 3))  # a stack of one
+@example((np.arange(54, dtype=np.int64).reshape(2, 3, 9), 5))  # wide
+@example((np.arange(54, dtype=np.int64).reshape(2, 9, 3), 5))  # tall
+@example(worst_growth(2))
+@example(worst_growth(101))
+def test_rank_mod_stack_matches_rref_mod(case):
+    """rank_mod_stack equals rref_mod's rank matrix by matrix, and leaves its
+    input untouched."""
+    a, p = case
+    copy = a.copy()
+    ranks = rank_mod_stack(a, p)
+    assert ranks.dtype == np.int64 and ranks.shape == (a.shape[0],)
+    assert ranks.tolist() == [rref_mod(x, p)[1] for x in a]
+    assert np.array_equal(a, copy)
+
+
+def test_rank_mod_stack_refuses_an_overflowing_sweep():
+    """A stack whose sweep could pass 2**63 is refused from p and its shape
+    alone, before any arithmetic: the stack is a zero-stride view, built
+    without elimination or storage (reducing it would need 4 PiB)."""
+    p = 1_048_573                     # prime; 2**24 * (p - 1)**2 > 2**63
+    for shape in ((2, 2**24, 2**24), (1, 2**24, 2**25), (2, 2**25, 2**24)):
+        stack = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.int64), shape)
+        with pytest.raises(ValueError, match="sweep of 16777216 columns .* overflow int64"):
+            rank_mod_stack(stack, p)
 
 
 def test_nullspace_and_solve():

@@ -7,7 +7,7 @@ from hallcrys import linalg
 from hallcrys._kernels import rref_mod
 from hallcrys.modules import (CatalogUnavailable, Representation, _path_basis,
                               direct_sum, dual, ext_dim, ext_dims, hom_basis,
-                              hom_dim, hom_system, hom_system_stack,
+                              hom_dim, hom_dims, hom_system, hom_system_stack,
                               indecomposable_catalog,
                               is_morphism, projective, projective_presentation,
                               reflect_minus, reflect_plus, NotASink, NotASource)
@@ -58,6 +58,66 @@ class TestHomExt:
                      lambda: ext_dims([Representation.zero(a2, 2)], [N])):
             with pytest.raises(ValueError, match="mismatched base field"):
                 call()
+
+
+def hom_dim_reference(M, N):
+    """dim Hom(M, N) one pair at a time: the pair's intertwiner system and
+    one single-matrix rank.  The oracle for :func:`hom_dims`."""
+    D = hom_system(M, N)
+    return D.shape[1] - (linalg.rank_mod(D, M.q) if D.size else 0)
+
+
+D4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
+
+
+class TestHomDims:
+    """The batched Hom matrix equals the per-pair oracle entry by entry."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_every_catalog_pair(self, a3, kron, q):
+        """Every pair of catalog modules of A3 (2,2,2), D4 (2,2,2,2) and the
+        Kronecker quiver (3,3), the zero module included, rows shuffled."""
+        rng = np.random.default_rng(q)
+        for quiver, bound in ((a3, (2, 2, 2)), (D4, (2, 2, 2, 2)), (kron, (3, 3))):
+            Ns = [it.rep for it in indecomposable_catalog(quiver, q, bound)]
+            Ns.append(Representation.zero(quiver, q))
+            Ms = list(Ns)
+            rng.shuffle(Ms)
+            shapes = {hom_system(M, N).shape for M in Ms for N in Ns}
+            assert any(nvars == 0 for _, nvars in shapes)                 # no unknowns
+            assert any(nconds == 0 < nvars for nconds, nvars in shapes)   # no conditions
+            assert hom_dims(Ms, Ns) == [[hom_dim_reference(M, N) for N in Ns] for M in Ms]
+
+    def test_chunks_of_one_row(self, kron, monkeypatch):
+        """With room for one system per chunk, every stacked system holds the
+        Hom systems of a single M, and the matrix is the same."""
+        from hallcrys import modules
+        reps = [it.rep for it in indecomposable_catalog(kron, 3, (3, 3))]
+        default = hom_dims(reps, reps)
+        rows = []
+        stack = modules.hom_system_stack
+
+        def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
+            rows.append(m_maps[0].shape[0])
+            return stack(quiver, q, m_dims, m_maps, n_dims, n_maps)
+
+        monkeypatch.setattr(modules, "hom_system_stack", spy)
+        monkeypatch.setattr(modules, "_HOM_STACK", 1)
+        assert hom_dims(reps, reps) == default
+        assert set(rows) == {1} and max(map(max, default)) > 1
+
+    def test_no_arrows_and_empty_lists(self):
+        quiver = Quiver(["1", "2"], [])
+        Ms = [Representation(quiver, 3, d) for d in ((2, 1), (0, 3), (1, 0))]
+        assert hom_dims(Ms, Ms) == [[5, 3, 2], [3, 9, 0], [2, 0, 1]]
+        assert hom_dims([], Ms) == []
+        assert hom_dims(Ms, []) == [[], [], []]
+
+    def test_mismatched_field(self, a2):
+        M = Representation.simple(a2, 2, 0)
+        N = Representation.simple(a2, 3, 0)
+        with pytest.raises(ValueError, match="mismatched base field"):
+            hom_dims([M], [M, N])
 
 
 def ext_dim_reference(M, N):
