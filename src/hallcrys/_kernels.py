@@ -3,9 +3,10 @@
 ``rref_mod`` is one Gauss–Jordan elimination over rows of Python ints; for a
 single small matrix that beats numpy row operations.  ``rank_mod_stack``
 ranks a whole stack of equal-shape matrices in one numpy column sweep; it
-serves Krull–Schmidt labelling (one call per probe dimension vector and batch
-of modules), ``modules.hom_dims`` (one call per block of dimension vectors)
-and the Ext route of ``modules.ext_dims`` (two calls per block).
+serves ``modules.hom_counts``, the one stacked Hom count (one call per
+bounded cut of its batch), which the Hom matrix, Krull–Schmidt labelling and
+Ext's Hom(P1, N) go through, and the images g o phi of ``modules.ext_dims``
+(one call per block of dimension vectors).
 ``decode_points``/``encode_points`` map points of E_d (tuples of arrow
 matrices) to integer codes and back, and ``orbit_fill`` is the
 breadth-first flood fill behind the orbit oracle of

@@ -19,8 +19,9 @@ one stacked product, counts closed tuples by the interned label-cache keys
 of their blocks, with no module object built, and labels each side's
 distinct blocks in one batch once the sweep ends.  Krull-Schmidt labelling
 has one route, :meth:`ClassTable.label_modules`, which owns the label cache
-and decomposes its misses in chunks of bounded size; the scans, the
-extension counts and :meth:`ClassTable.label_module` all use it.
+and decomposes all its misses together by Hom counts against the catalog;
+the scans, the extension counts and :meth:`ClassTable.label_module` all use
+it.
 :meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by extension-class
 counting) stays as an independent oracle.
 """
@@ -37,10 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from ._kernels import decode_points, encode_points, orbit_fill, rank_mod_stack
+from ._kernels import decode_points, encode_points, orbit_fill
 from .checks import CheckFailed, check
-from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim, hom_dims,
-                      hom_system, hom_system_stack, indecomposable_catalog, require_ring)
+from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim, hom_counts,
+                      hom_dims, hom_system, indecomposable_catalog, require_ring)
 from .quivers import Quiver, euler_bilinear
 from .scalars import QSqrtScalar, eval_at_sqrt_q
 
@@ -87,13 +88,6 @@ class IsoClass:
 ZERO_CLASS = IsoClass(())
 
 
-# modules labelled together by one stacked Hom-count decomposition; its
-# stacked systems grow with their number, and at 64 stay near 1 MiB on the
-# Kronecker quiver at q = 5, where one scan side can hold tens of thousands
-# of distinct blocks
-_LABEL_CHUNK = 64
-
-
 class _Subspace(NamedTuple):
     """A k-subspace W of F_q^d as the frame [W | C] and its inverse, both
     from the one elimination of :func:`linalg.complement_basis`: C is the
@@ -135,6 +129,16 @@ class ClassTable:
         self._grass_cache = {}
         self._classes_cache = {}
         self._aut_orbit_cache = {}
+        # End dimensions by one stacked diagonal per dimension vector, not by
+        # hom_matrix, so that only the (label, label) keys enter the Hom cache
+        by_dim = {}
+        for it in self.catalog:
+            by_dim.setdefault(it.dim, []).append(it)
+        for dim, items in by_dim.items():
+            maps = _rep_stacks(items, len(quiver.arrows))
+            ends = np.broadcast_to(hom_counts(quiver, q, dim, maps, dim, maps), len(items))
+            for it, h in zip(items, ends.tolist()):
+                self._hom_cache[it.label, it.label] = h
         for it in self.catalog:
             if not it.field_dependent:
                 # rigid catalog entries must be bricks without self-extensions
@@ -431,17 +435,16 @@ class ClassTable:
 
         The only reader and writer of the label cache, keyed by
         :func:`_label_key` and seeded with the zero module.  The distinct
-        misses are labelled together, in chunks of at most ``_LABEL_CHUNK``
-        modules, by Hom-count decomposition:
+        misses are labelled together by Hom-count decomposition:
         dim Hom(I, M) = sum_K mult_K * dim Hom(I, K) over the catalog; the
         catalog Hom matrix is invertible (block-triangular w.r.t. the
         preprojective < regular < preinjective order), so multiplicities are
         determined; they must come out as nonnegative integers.  The probes I
         are grouped by dimension vector, and each group's Hom counts against
-        every module come from one stacked intertwiner system and one stacked
-        rank.  The inverse is cached per label set as an integer matrix over
-        one common denominator, so the multiplicities are one integer matrix
-        product with the Hom counts followed by an exact division.
+        every miss come from one :func:`~hallcrys.modules.hom_counts`.  The
+        inverse is cached per label set as an integer matrix over one common
+        denominator, so the multiplicities are one integer matrix product
+        with the Hom counts followed by an exact division.
         """
         cache = self._label_cache
         if isinstance(batch, dict):
@@ -458,37 +461,27 @@ class ClassTable:
         groups = {}
         for i, it in enumerate(items):
             groups.setdefault(it.dim, []).append(i)
-        arrows = range(len(self.quiver.arrows))
-        probes = {probe_dims: [np.stack([items[i].rep.maps[k] for i in rows])[:, None]
-                               for k in arrows]
-                  for probe_dims, rows in groups.items()}
-        dim_matrix = np.array([it.dim for it in items])
-        for start in range(0, len(misses), _LABEL_CHUNK):
-            chunk = misses[start:start + _LABEL_CHUNK]
-            width = len(chunk)
-            stack = [m[None] for m in _key_stacks(self.quiver.arrows, dims, chunk)]
-            h = np.zeros((len(items), width), dtype=np.int64)
-            for probe_dims, rows in groups.items():
-                D = hom_system_stack(self.quiver, self.q, probe_dims, probes[probe_dims],
-                                     dims, stack)
-                nconds, nvars = D.shape[-2:]
-                ranks = rank_mod_stack(D.reshape(len(rows) * width, nconds, nvars), self.q)
-                h[rows] = nvars - ranks.reshape(len(rows), width)
-            num = inv @ h
-            integral = (num % den == 0) & (num >= 0)
-            mult = num // den
-            fits = (mult.T @ dim_matrix == dims).all(axis=1)
-            bad = np.flatnonzero(~(integral.all(axis=0) & fits))
-            if bad.size:
-                b = bad[0]
-                if not integral[:, b].all():
-                    i = int(np.argmin(integral[:, b]))
-                    raise CheckFailed(f"non-integral multiplicity {Fraction(int(num[i, b]), den)}"
-                                      f" of {items[i].label}")
-                raise CheckFailed("Hom-count decomposition does not match dimensions")
-            for key, col in zip(chunk, mult.T.tolist()):
-                cache[key] = IsoClass(tuple(sorted(
-                    label for it, m in zip(items, col) for label in [it.label] * m)))
+        # the misses on the leading batch axis, the probes of a group on the next
+        stack = [m[:, None] for m in _key_stacks(self.quiver.arrows, dims, misses)]
+        h = np.zeros((len(items), len(misses)), dtype=np.int64)
+        for probe_dims, rows in groups.items():
+            probes = _rep_stacks([items[i] for i in rows], len(self.quiver.arrows))
+            h[rows] = hom_counts(self.quiver, self.q, probe_dims, probes, dims, stack).T
+        num = inv @ h
+        integral = (num % den == 0) & (num >= 0)
+        mult = num // den
+        fits = (mult.T @ np.array([it.dim for it in items]) == dims).all(axis=1)
+        bad = np.flatnonzero(~(integral.all(axis=0) & fits))
+        if bad.size:
+            b = bad[0]
+            if not integral[:, b].all():
+                i = int(np.argmin(integral[:, b]))
+                raise CheckFailed(f"non-integral multiplicity {Fraction(int(num[i, b]), den)}"
+                                  f" of {items[i].label}")
+            raise CheckFailed("Hom-count decomposition does not match dimensions")
+        for key, col in zip(misses, mult.T.tolist()):
+            cache[key] = IsoClass(tuple(sorted(
+                label for it, m in zip(items, col) for label in [it.label] * m)))
         return [cache[key] for key in keys]
 
     def _hom_matrix_inverse(self, labels):
@@ -780,6 +773,12 @@ def _key_stacks(arrows, dims, keys) -> list:
     :func:`_label_key` keys over a quiver with these arrows."""
     return [np.frombuffer(b"".join(key[1][k] for key in keys), dtype=np.int64)
             .reshape(len(keys), dims[t], dims[s]) for k, (s, t) in enumerate(arrows)]
+
+
+def _rep_stacks(items, narrows) -> list:
+    """Per arrow, the stack of the arrow matrices of the catalog entries
+    ``items`` (all of one dimension vector)."""
+    return [np.stack([it.rep.maps[k] for it in items]) for k in range(narrows)]
 
 
 def _fraction_inverse(rows):

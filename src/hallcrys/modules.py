@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, product
+from math import prod
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .checks import check
 from .quivers import Quiver, dim_total
 
 
-# entries of one stacked system of hom_dims (1 MiB of int64); the rank sweep
-# holds about three arrays of that size
-_HOM_STACK = 2**17
+# entries of one stacked system of hom_counts (256 KiB of int64); the rank
+# sweep holds about three arrays of that size
+_HOM_STACK = 2**15
 
 
 class BudgetExceeded(RuntimeError):
@@ -155,12 +156,30 @@ def hom_dim(M: Representation, N: Representation) -> int:
     return hom_dims([M], [N])[0][0]
 
 
+def hom_counts(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> np.ndarray:
+    """dim Hom(M, N) over the broadcast batch axes of :func:`hom_system_stack`
+    (same arguments), as an int64 array.  The leading batch axis is cut so
+    that one stacked system holds at most ``_HOM_STACK`` entries; a system
+    with no conditions or no unknowns is not ranked."""
+    nconds = sum(n_dims[t] * m_dims[s] for s, t in quiver.arrows)
+    nvars = sum(m * n for m, n in zip(m_dims, n_dims))
+    batch = np.broadcast_shapes(*(np.shape(m)[:-2] for m in (*m_maps, *n_maps)))
+    if not (nconds * nvars and prod(batch)):
+        return np.full(batch, nvars, dtype=np.int64)
+    shape = batch or (1,)
+    m_maps, n_maps = ([np.broadcast_to(m, shape + np.shape(m)[-2:]) for m in maps]
+                      for maps in (m_maps, n_maps))
+    step = max(1, _HOM_STACK // (prod(shape[1:]) * nconds * nvars))
+    ranks = [rank_mod_stack(hom_system_stack(quiver, q, m_dims, [m[lo:lo + step] for m in m_maps],
+                                             n_dims, [m[lo:lo + step] for m in n_maps])
+                            .reshape(-1, nconds, nvars), q)
+             for lo in range(0, shape[0], step)]
+    return (nvars - np.concatenate(ranks)).reshape(batch)
+
+
 def hom_dims(Ms, Ns) -> list:
-    """The matrix [dim Hom(M, N) for N in Ns] for M in Ms: per block of Ms and
-    Ns of one dimension vector each, one stacked intertwiner system
-    (:func:`hom_system_stack`) and one stacked rank, the Ms split into chunks
-    whose system holds at most ``_HOM_STACK`` entries.  A block whose system
-    has no conditions or no unknowns is not ranked."""
+    """The matrix [dim Hom(M, N) for N in Ns] for M in Ms: one
+    :func:`hom_counts` per block of Ms and Ns of one dimension vector each."""
     Ms, Ns = list(Ms), list(Ns)
     out = [[0] * len(Ns) for _ in Ms]
     if not (Ms and Ns):
@@ -179,22 +198,10 @@ def hom_dims(Ms, Ns) -> list:
     for m_dims, rows in m_groups.items():
         m_maps = [np.array([Ms[i].maps[k] for i in rows])[:, None] for k in arrows]
         for n_dims, cols in n_groups.items():
-            nconds = sum(n_dims[t] * m_dims[s] for s, t in quiver.arrows)
-            nvars = sum(m * n for m, n in zip(m_dims, n_dims))
-            if not nconds * nvars:
-                for i in rows:
-                    for j in cols:
-                        out[i][j] = nvars
-                continue
-            step = max(1, _HOM_STACK // (len(cols) * nconds * nvars))
-            for start in range(0, len(rows), step):
-                chunk = rows[start:start + step]
-                D = hom_system_stack(quiver, q, m_dims, [m[start:start + step] for m in m_maps],
-                                     n_dims, n_maps[n_dims])
-                ranks = rank_mod_stack(D.reshape(len(chunk) * len(cols), nconds, nvars), q)
-                for i, row in zip(chunk, ranks.reshape(len(chunk), len(cols)).tolist()):
-                    for j, rank in zip(cols, row):
-                        out[i][j] = nvars - rank
+            counts = hom_counts(quiver, q, m_dims, m_maps, n_dims, n_maps[n_dims])
+            for i, row in zip(rows, np.broadcast_to(counts, (len(rows), len(cols))).tolist()):
+                for j, h in zip(cols, row):
+                    out[i][j] = h
     return out
 
 
@@ -348,7 +355,7 @@ def ext_dims(Ms, Ns) -> list:
     dimension vector each.
 
     P1 and P0 = sum_v P_v^{M_v} depend on M only through dim M; only phi
-    carries M's arrow matrices.  Per block, one stacked system and rank give
+    carries M's arrow matrices.  Per block, one :func:`hom_counts` gives
     dim Hom(P1, N), and one stacked rank the images g o phi, g running over
     the Hom(P_v, N) bases, solved for once per vertex and N.  The Yoneda
     forms (Hom(P_v, N) = N_v) would skip the solving, but would turn phi^*
@@ -387,8 +394,7 @@ def ext_dims(Ms, Ns) -> list:
             wide = [w for w in range(n) if n_dims[w] * P1.dims[w]]
             if not wide:
                 continue        # Hom(P1, N) has no unknowns
-            D = hom_system_stack(quiver, q, P1.dims, P1.maps, n_dims, n_maps[n_dims])
-            h1 = D.shape[-1] - rank_mod_stack(D, q)
+            h1 = hom_counts(quiver, q, P1.dims, P1.maps, n_dims, n_maps[n_dims])
             # g o phi for every pair: a row block per v, a column block per w
             im = []
             for v in (v for v in range(n) if m_dims[v]):
@@ -505,40 +511,32 @@ def _rigid_label(quiver: Quiver, dim) -> str:
 
 
 def _monic_irreducibles(q: int, d: int):
-    """Monic irreducible polynomials of degree d over F_q (d <= 3), as
-    ascending coefficient tuples without the leading 1."""
-    if d == 1:
-        return [(a,) for a in range(q)]
-    out = []
-    for coeffs in product(range(q), repeat=d):
-        # poly = x^d + c_{d-1} x^{d-1} + ... + c_0, coeffs ascending
-        has_root = False
-        for x in range(q):
-            val = pow(x, d, q)
-            for e, c in enumerate(coeffs):
-                val = (val + c * pow(x, e, q)) % q
-            if val == 0:
-                has_root = True
-                break
-        if not has_root:
-            out.append(tuple(coeffs))
-    return out  # degree 2,3: irreducible iff rootless
+    """Monic irreducible polynomials of degree d over F_q, as ascending
+    coefficient tuples without the leading 1: the monic polynomials that are
+    not a product of two monic polynomials of lower degree."""
+    reducible = {_monic_product(a, b, q)
+                 for e in range(1, d // 2 + 1)
+                 for a in product(range(q), repeat=e) for b in product(range(q), repeat=d - e)}
+    return [c for c in product(range(q), repeat=d) if c not in reducible]
+
+
+def _monic_product(a, b, q: int) -> tuple:
+    """The product over F_q of two monic polynomials given, like the result,
+    by ascending coefficients without the leading 1."""
+    f, g = (*a, 1), (*b, 1)
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = (out[i + j] + x * y) % q
+    return tuple(out[:-1])
 
 
 def _companion(coeffs, power: int, q: int) -> np.ndarray:
     """Companion matrix of p(x)^power for monic p given by ascending coeffs."""
-    d = len(coeffs)
-    # multiply out p^power over F_q
-    poly = [1]
-    base = list(coeffs) + [1]
+    poly = ()
     for _ in range(power):
-        new = [0] * (len(poly) + d)
-        for ii, a in enumerate(poly):
-            if a:
-                for jj, b in enumerate(base):
-                    new[ii + jj] = (new[ii + jj] + a * b) % q
-        poly = new
-    n = len(poly) - 1
+        poly = _monic_product(poly, coeffs, q)
+    n = len(poly)
     mat = np.zeros((n, n), dtype=np.int64)
     for r in range(1, n):
         mat[r, r - 1] = 1

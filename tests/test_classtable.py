@@ -110,6 +110,12 @@ class TestMassAndEnumeration:
                 assert t.mass_check(dim), (quiver, q, dim)
 
     @pytest.mark.parametrize("q", [2, 3])
+    def test_kronecker_mass_at_bound_four(self, kron, q):
+        """The degree-4 points of P^1 are the irreducible quartics: the
+        catalog passes the mass formula at (4, 4)."""
+        assert ClassTable(kron, q, (4, 4)).mass_check((4, 4))
+
+    @pytest.mark.parametrize("q", [2, 3])
     def test_enumerate_matches_catalog(self, reg, a2, a3, kron, q):
         for quiver, dim in [(a2, (1, 1)), (a2, (2, 2)), (kron, (1, 1)), (kron, (2, 1)),
                             (a2, (1, 0)), (a2, (0, 2)), (kron, (0, 1)), (kron, (2, 0)),
@@ -255,13 +261,13 @@ class TestLabeling:
         from hallcrys.modules import Representation
         t = ClassTable(kron, 2, (3, 3))
         probed = []
-        stack = ct.hom_system_stack
+        counts = ct.hom_counts
 
         def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
             probed.append(n_dims)
-            return stack(quiver, q, m_dims, m_maps, n_dims, n_maps)
+            return counts(quiver, q, m_dims, m_maps, n_dims, n_maps)
 
-        monkeypatch.setattr(ct, "hom_system_stack", spy)
+        monkeypatch.setattr(ct, "hom_counts", spy)
         assert t.label_module(Representation.zero(kron, 2)) == ZERO_CLASS
         empty = np.zeros((0, 0), dtype=np.int64)
         assert t.label_modules((0, 0), [[empty, empty]] * 2) == [ZERO_CLASS] * 2
@@ -485,6 +491,22 @@ class TestHomMatrix:
                 [hom_dim_reference(t.by_label[a].rep, t.by_label[b].rep) for b in labels]
                 for a in labels]
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_end_checks_store_the_diagonal(self, kron, q, monkeypatch):
+        """A fresh table's Hom cache holds exactly the catalog's diagonal,
+        filled by at most one stacked Hom count per dimension vector."""
+        import hallcrys.classtable as ct
+        calls = []
+        counts = ct.hom_counts
+        monkeypatch.setattr(ct, "hom_counts", lambda *args: calls.append(args[2]) or counts(*args))
+        for quiver, bound in ((kron, (4, 4)), (self.D4, (2, 2, 2, 2))):
+            calls.clear()
+            t = ClassTable(quiver, q, bound)
+            assert set(t.dump_cache()["hom"]) == {f"{it.label}|{it.label}" for it in t.catalog}
+            assert sorted(calls) == sorted({it.dim for it in t.catalog})
+            assert all(t.hom_indec(it.label, it.label) == hom_dim_reference(it.rep, it.rep)
+                       for it in t.catalog)
+
     def test_keeps_a_loaded_entry(self, kron):
         """A doctored entry loaded from a cache survives a hom_matrix fill."""
         fresh = ClassTable(kron, 3, (2, 2))
@@ -658,23 +680,26 @@ class TestGroupedScan:
 
 class TestLabelChunks:
     def test_chunk_of_one_gives_same_labels(self, kron, monkeypatch):
-        """Labelling 300 random modules in chunks of one gives the labels of
-        the default chunks, and no stacked Hom system is wider than a chunk."""
+        """Labelling 300 random modules with room for one system per stacked
+        Hom count gives the default labels, and every stacked Hom system then
+        has a leading batch axis of one."""
         import numpy as np
-        import hallcrys.classtable as ct
+        from hallcrys import modules
         rng = np.random.default_rng(5)
         d = (3, 2)
         batch = [[rng.integers(0, 5, (d[t], d[s])) for s, t in kron.arrows]
                  for _ in range(300)]
         default = ClassTable(kron, 5, (3, 3)).label_modules(d, batch)
-        widths = []
-        stack = ct.hom_system_stack
+        t = ClassTable(kron, 5, (3, 3))
+        leading = []
+        stack = modules.hom_system_stack
 
         def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
-            widths.append(n_maps[0].shape[1])
-            return stack(quiver, q, m_dims, m_maps, n_dims, n_maps)
+            D = stack(quiver, q, m_dims, m_maps, n_dims, n_maps)
+            leading.append(D.shape[0])
+            return D
 
-        monkeypatch.setattr(ct, "hom_system_stack", spy)
-        monkeypatch.setattr(ct, "_LABEL_CHUNK", 1)
-        assert ClassTable(kron, 5, (3, 3)).label_modules(d, batch) == default
-        assert set(widths) == {1} and len(set(default)) > 10
+        monkeypatch.setattr(modules, "hom_system_stack", spy)
+        monkeypatch.setattr(modules, "_HOM_STACK", 1)
+        assert t.label_modules(d, batch) == default
+        assert set(leading) == {1} and len(leading) > 300 and len(set(default)) > 10

@@ -7,7 +7,7 @@ from hallcrys import linalg
 from hallcrys._kernels import rref_mod
 from hallcrys.modules import (CatalogUnavailable, Representation, _path_basis,
                               direct_sum, dual, ext_dim, ext_dims, hom_basis,
-                              hom_dim, hom_dims, hom_system, hom_system_stack,
+                              hom_counts, hom_dim, hom_dims, hom_system, hom_system_stack,
                               indecomposable_catalog,
                               is_morphism, projective, projective_presentation,
                               reflect_minus, reflect_plus, NotASink, NotASource)
@@ -118,6 +118,80 @@ class TestHomDims:
         N = Representation.simple(a2, 3, 0)
         with pytest.raises(ValueError, match="mismatched base field"):
             hom_dims([M], [M, N])
+
+
+def _stacks(reps, narrows):
+    return [np.stack([R.maps[k] for R in reps]) for k in range(narrows)]
+
+
+class TestHomCounts:
+    """The stacked Hom count over broadcast batch axes equals the per-pair
+    oracle entry by entry."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_batch_shapes(self, a3, kron, q):
+        """(A, 1) x (B) gives (A, B), (A) x (A) the diagonal, an unbatched M
+        against (B) gives (B), and a zero-size batch gives an empty array."""
+        rng = np.random.default_rng(70 + q)
+        for quiver in (a3, kron):
+            narrows = len(quiver.arrows)
+            for _ in range(8):
+                m_dims, n_dims = (tuple(int(d) for d in rng.integers(0, 3, quiver.n))
+                                  for _ in range(2))
+                Ms = [random_rep(rng, quiver, q, m_dims) for _ in range(3)]
+                Ns = [random_rep(rng, quiver, q, n_dims) for _ in range(4)]
+                m_st, n_st = _stacks(Ms, narrows), _stacks(Ns, narrows)
+                h = hom_counts(quiver, q, m_dims, [m[:, None] for m in m_st], n_dims, n_st)
+                assert h.dtype == np.int64 and h.shape == (3, 4)
+                assert h.tolist() == [[hom_dim_reference(M, N) for N in Ns] for M in Ms]
+                h = hom_counts(quiver, q, m_dims, m_st, m_dims, m_st)
+                assert h.tolist() == [hom_dim_reference(M, M) for M in Ms]
+                h = hom_counts(quiver, q, m_dims, Ms[0].maps, n_dims, n_st)
+                assert h.tolist() == [hom_dim_reference(Ms[0], N) for N in Ns]
+                h = hom_counts(quiver, q, m_dims, [m[:0, None] for m in m_st], n_dims, n_st)
+                assert h.shape == (0, 4)
+
+    def test_no_arrows(self):
+        quiver = Quiver(["1", "2"], [])
+        h = hom_counts(quiver, 3, (2, 1), [], (1, 3), [])
+        assert h.shape == () and h == 5
+
+    def test_empty_systems_are_not_ranked(self, kron, monkeypatch):
+        """No unknowns (S1 -> S2) or no conditions (S2 + S2 -> S2): the count is
+        the number of unknowns, with no rank taken."""
+        from hallcrys import modules
+
+        def no_rank(*args):
+            raise AssertionError("rank_mod_stack called")
+
+        monkeypatch.setattr(modules, "rank_mod_stack", no_rank)
+        s1 = [np.zeros((5, 0, 1), dtype=np.int64)] * 2
+        s2 = [np.zeros((5, 1, 0), dtype=np.int64)] * 2
+        assert hom_counts(kron, 3, (1, 0), s1, (0, 1), s2).tolist() == [0] * 5
+        twice = [np.zeros((5, 2, 0), dtype=np.int64)] * 2
+        assert hom_counts(kron, 3, (0, 2), twice, (0, 1), s2).tolist() == [2] * 5
+
+    def test_stack_of_one(self, kron, monkeypatch):
+        """With room for one system per stacked Hom count, every system has a
+        leading batch axis of one, and the counts are the same."""
+        from hallcrys import modules
+        reps = [it.rep for it in indecomposable_catalog(kron, 3, (3, 3)) if it.dim == (2, 2)]
+        st = _stacks(reps, 2)
+        default = hom_counts(kron, 3, (2, 2), [m[:, None] for m in st], (2, 2), st)
+        assert default.tolist() == [[hom_dim_reference(M, N) for N in reps] for M in reps]
+        leading = []
+        stack = modules.hom_system_stack
+
+        def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
+            D = stack(quiver, q, m_dims, m_maps, n_dims, n_maps)
+            leading.append(D.shape[0])
+            return D
+
+        monkeypatch.setattr(modules, "hom_system_stack", spy)
+        monkeypatch.setattr(modules, "_HOM_STACK", 1)
+        h = hom_counts(kron, 3, (2, 2), [m[:, None] for m in st], (2, 2), st)
+        assert np.array_equal(h, default)
+        assert leading == [1] * len(reps) and len(reps) > 1
 
 
 def ext_dim_reference(M, N):
@@ -636,6 +710,16 @@ class TestCatalogs:
         assert all(it.field_dependent for it in regs1)
         rigid = sorted(it.dim for it in cat if not it.field_dependent)
         assert rigid == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_irreducible_counts(self, q):
+        """Gauss's count (1/d) sum_{e | d} mu(e) q^(d/e) of monic irreducibles
+        of degree d, for d <= 4: at d = 4 rootless is not irreducible."""
+        from hallcrys.modules import _monic_irreducibles
+        mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+        for d in (1, 2, 3, 4):
+            gauss = sum(mobius[e] * q ** (d // e) for e in mobius if d % e == 0) // d
+            assert len(_monic_irreducibles(q, d)) == gauss
 
     def test_kronecker_rigid_are_bricks(self, kron):
         for q in (2, 3):
