@@ -6,7 +6,9 @@ ranks a whole stack of equal-shape matrices in one numpy column sweep; it
 serves ``modules.hom_counts``, the one stacked Hom count (one call per
 bounded cut of its batch), which the Hom matrix, Krull–Schmidt labelling and
 Ext's Hom(P1, N) go through, and the images g o phi of ``modules.ext_dims``
-(one call per block of dimension vectors).
+(one call per block of dimension vectors).  ``rref_mod_stack`` reduces a
+stack the same way to full RREFs; it serves ``linalg.complement_basis``,
+which completes a whole Grassmannian's frames in one call.
 ``decode_points``/``encode_points`` map points of E_d (tuples of arrow
 matrices) to integer codes and back, and ``orbit_fill`` is the
 breadth-first flood fill behind the orbit oracle of
@@ -104,6 +106,54 @@ def rank_mod_stack(a: np.ndarray, p: int) -> np.ndarray:
         factor = np.where(free, column, 0)
         a[:, :, col + 1:] -= factor[:, :, None] * lead[:, None, :]
     return rank
+
+
+def rref_mod_stack(a: np.ndarray, p: int):
+    """The RREFs mod p of a ``(B, r, c)`` stack: returns (rref, rank,
+    pivots), the ``(B, r, c)`` stack of RREFs, the int64 ranks and a
+    ``(B, c)`` bool mask of each matrix's pivot columns.
+
+    One Gauss-Jordan column sweep for the whole stack: at each column every
+    matrix picks its first row at or below its rank with a nonzero entry
+    there, moves it up to the rank's row, scales it to a unit pivot and
+    clears the column from every other row, all in one broadcast.  Rows at
+    or below the rank are zero left of the column, so only the columns from
+    it onwards are updated, and every entry is reduced mod p at each step.
+
+    A stack of one matrix goes through :func:`rref_mod` instead, as in
+    :func:`rank_mod_stack`."""
+    if p + (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"an elimination step mod {p} can overflow int64")
+    a = np.asarray(a, dtype=np.int64) % p
+    batch, nrows, ncols = a.shape
+    pivots = np.zeros((batch, ncols), dtype=bool)
+    if batch == 1:
+        out, rank, piv = rref_mod(a[0], p)
+        pivots[0, piv] = True
+        return out[None], np.array([rank], dtype=np.int64), pivots
+    rank = np.zeros(batch, dtype=np.int64)
+    if not (nrows and ncols):
+        return a, rank, pivots
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    rows = np.arange(nrows)
+    for col in range(ncols):
+        cand = (a[:, :, col] != 0) & (rows >= rank[:, None])
+        piv = cand.argmax(axis=1)
+        found = np.flatnonzero(cand[np.arange(batch), piv])
+        if not found.size:
+            continue
+        src, dst = piv[found], rank[found]
+        lead = a[found, src, col:]
+        a[found, src, col:] = a[found, dst, col:]
+        lead = lead * inverse[lead[:, 0]][:, None] % p
+        sub = a[found, :, col:]
+        sub -= sub[:, :, :1] * lead[:, None, :]
+        sub %= p
+        sub[np.arange(found.size), dst] = lead
+        a[found, :, col:] = sub
+        pivots[found, col] = True
+        rank[found] += 1
+    return a, rank, pivots
 
 
 def decode_points(codes, cells, p) -> list:

@@ -12,12 +12,14 @@ Hall numbers come from Grassmannian scans: one scan of the subspace tuples
 of dimension dim beta in V_lambda, for every class lambda of one dimension
 vector together, labels every closed tuple's submodule and quotient, and so
 fills g^lambda_{alpha beta} for all classes lambda, alpha, beta of those
-dimensions at once.  Each Grassmannian is enumerated once per table,
-together with a complement and the coordinate and quotient projections of
-every subspace.  A scan computes each arrow's blocks for all the classes by
-one stacked product, counts closed tuples by the interned label-cache keys
-of their blocks, with no module object built, and labels each side's
-distinct blocks in one batch once the sweep ends.  Krull-Schmidt labelling
+dimensions at once.  Each Grassmannian is enumerated once per table as two
+stacks, the frames [W | C] of its subspaces and their inverses, from one
+stacked elimination.  A scan sweeps the product of the Grassmannians in
+bounded chunks: per arrow one batched product gives the blocks of every
+(tuple, class) pair of a chunk, closed pairs are counted by the label-cache
+keys of their blocks, interned in bulk from one bytes view per side with no
+module object built, and each side's distinct blocks are labelled in one
+batch once the sweep ends.  Krull-Schmidt labelling
 has one route, :meth:`ClassTable.label_modules`, which owns the label cache
 and decomposes all its misses together by Hom counts against the catalog;
 the scans, the extension counts and :meth:`ClassTable.label_module` all use
@@ -28,16 +30,16 @@ counting) stays as an independent oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import linalg, modules
 from ._kernels import decode_points, encode_points, orbit_fill
 from .checks import CheckFailed, check
 from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim, hom_counts,
@@ -86,16 +88,6 @@ class IsoClass:
 
 
 ZERO_CLASS = IsoClass(())
-
-
-class _Subspace(NamedTuple):
-    """A k-subspace W of F_q^d as the frame [W | C] and its inverse, both
-    from the one elimination of :func:`linalg.complement_basis`: C is the
-    greedy complement, the first k rows of the inverse give coordinates in W,
-    and the others project onto the quotient F_q^d / W in the basis C."""
-    k: int
-    frame: np.ndarray
-    frame_inv: np.ndarray
 
 
 def parse_class_label(text: str) -> IsoClass:
@@ -537,11 +529,15 @@ class ClassTable:
         count the submodules of V_lambda of dimension bd by the pair (class
         of the quotient, class of the submodule).
 
-        One sweep of the Grassmannian product serves every lambda: each
-        arrow's blocks for all of them come from one stacked product, and
-        closure is tested per class.  A closed tuple is counted by the
-        interned label-cache keys of its quotient and submodule blocks, with
-        no representation built and no block kept; once the sweep ends, each
+        One sweep of the Grassmannian product serves every lambda, in chunks
+        of consecutive subspace tuples that hold at most
+        ``modules._HOM_STACK`` block entries.  For each arrow one batched
+        product gives the blocks of every (tuple, class) pair of a chunk, and
+        one ``any`` over the lower-left blocks gives closure.  The closed
+        pairs' quotient and submodule blocks are then laid out as one row of
+        bytes per pair and side, each side read through one ``void`` view and
+        interned into small ints in the sweep's order, with no
+        representation built and no block kept; once the sweep ends, each
         side's distinct keys are labelled in one batch."""
         q = self.q
         arrows = self.quiver.arrows
@@ -549,32 +545,39 @@ class ClassTable:
         dims = reps[0].dims
         stacks = [np.stack([rep.maps[k] for rep in reps]) for k in range(len(arrows))]
         side_dims = (tuple(d - b for d, b in zip(dims, bd)), tuple(bd))
-        quot_ids, sub_ids = {}, {}  # per side: label-cache key -> small int
-        counts = {}                 # (index in lams, quotient id, submodule id) -> count
+        ids = ({}, {})          # per side: key bytes -> small int
+        counts = Counter()      # (index in lams, quotient id, submodule id) -> count
         grass = [self._grassmannian(dims[v], bd[v]) for v in range(self.quiver.n)]
-        for combo in product(*grass):
-            closed = np.ones(len(lams), dtype=bool)
-            subs, quots = [], []
+        total = prod(len(frames) for frames, _ in grass)
+        entries = len(lams) * max(1, sum(dims[s] * dims[t] for s, t in arrows))
+        step = max(1, modules._HOM_STACK // entries)
+        for lo in range(0, total, step):
+            # per vertex, the Grassmannian index of each tuple of the chunk,
+            # in the order of itertools.product
+            point = np.unravel_index(np.arange(lo, min(lo + step, total)),
+                                     [len(frames) for frames, _ in grass])
+            closed = np.ones((len(point[0]), len(lams)), dtype=bool)
+            blocks = []
             for k, (s, t) in enumerate(arrows):
-                ws, wt = combo[s], combo[t]
                 # the arrow in the frames [W_s | C_s] -> [W_t | C_t]: the tuple
                 # is closed when W_s lands in W_t, i.e. the block C_t <- W_s is
                 # zero; then the sub block maps W_s to W_t and the quotient
                 # block C_s to C_t
-                block = (wt.frame_inv @ stacks[k] @ ws.frame) % q
-                closed &= ~block[:, wt.k:, :ws.k].any(axis=(1, 2))
+                frame = grass[s][0][point[s]][:, None]
+                frame_inv = grass[t][1][point[t]][:, None]
+                block = frame_inv @ (stacks[k] @ frame) % q
+                closed &= ~block[:, :, bd[t]:, :bd[s]].any(axis=(2, 3))
+                blocks.append(block)
                 if not closed.any():
                     break
-                subs.append(block[:, :wt.k, :ws.k])
-                quots.append(block[:, wt.k:, ws.k:])
             else:
-                for i in np.flatnonzero(closed).tolist():
-                    quot = quot_ids.setdefault(_label_key(side_dims[0], [m[i] for m in quots]),
-                                               len(quot_ids))
-                    sub = sub_ids.setdefault(_label_key(side_dims[1], [m[i] for m in subs]),
-                                             len(sub_ids))
-                    counts[i, quot, sub] = counts.get((i, quot, sub), 0) + 1
-        labels = [self.label_modules(d, ids) for d, ids in zip(side_dims, (quot_ids, sub_ids))]
+                rows, cls = np.nonzero(closed)
+                quot = [b[rows, cls, bd[t]:, bd[s]:] for b, (s, t) in zip(blocks, arrows)]
+                sub = [b[rows, cls, :bd[t], :bd[s]] for b, (s, t) in zip(blocks, arrows)]
+                counts.update(zip(cls.tolist(), _intern(ids[0], len(rows), quot),
+                                  _intern(ids[1], len(rows), sub)))
+        labels = [self.label_modules(d, dict.fromkeys((d, key) for key in side_ids))
+                  for d, side_ids in zip(side_dims, ids)]
         tallies = {lam: {} for lam in lams}
         for (i, quot, sub), count in counts.items():
             tally = tallies[lams[i]]
@@ -582,15 +585,18 @@ class ClassTable:
             tally[pair] = tally.get(pair, 0) + count
         return tallies
 
-    def _grassmannian(self, d: int, k: int) -> list:
-        """The k-subspaces of F_q^d, each as a :class:`_Subspace`."""
+    def _grassmannian(self, d: int, k: int):
+        """The k-subspaces of F_q^d in the order of :func:`linalg.subspaces`,
+        as two (N, d, d) stacks: the frames [W | C], with C the greedy
+        complement, and their inverses, whose first k rows give coordinates
+        in W and whose others project onto the quotient F_q^d / W in the
+        basis C.  Both come from one stacked
+        :func:`linalg.complement_basis` of all the subspaces."""
         key = (d, k)
         if key not in self._grass_cache:
-            out = []
-            for basis in linalg.subspaces(d, k, self.q):
-                comp, inv = linalg.complement_basis(basis, self.q)
-                out.append(_Subspace(k, np.concatenate([basis, comp], axis=1), inv))
-            self._grass_cache[key] = out
+            bases = np.stack(list(linalg.subspaces(d, k, self.q)))
+            comp, inv = linalg.complement_basis(bases, self.q)
+            self._grass_cache[key] = (np.concatenate([bases, comp], axis=2), inv)
         return self._grass_cache[key]
 
     # -- cache -------------------------------------------------------------
@@ -762,17 +768,42 @@ def _check_same_rigid(first: ClassTable, other: ClassTable):
 
 
 def _label_key(dims, maps) -> tuple:
-    """The label-cache key of a module: its dimension vector and the bytes of
-    its arrow matrices (int64, entries reduced mod q)."""
-    return dims, tuple(m.tobytes() for m in maps)
+    """The label-cache key of a module: its dimension vector and one bytes
+    string, its arrow matrices (int64, entries reduced mod q) in arrow order,
+    each row-major."""
+    return dims, b"".join(m.tobytes() for m in maps)
 
 
 def _key_stacks(arrows, dims, keys) -> list:
     """Per arrow, the (len(keys), d_t, d_s) stack of the arrow matrices of
     modules of dimension vector ``dims``, read back from their
-    :func:`_label_key` keys over a quiver with these arrows."""
-    return [np.frombuffer(b"".join(key[1][k] for key in keys), dtype=np.int64)
-            .reshape(len(keys), dims[t], dims[s]) for k, (s, t) in enumerate(arrows)]
+    :func:`_label_key` keys over a quiver with these arrows by splitting the
+    bytes at the block offsets."""
+    cells = [(dims[t], dims[s]) for s, t in arrows]
+    flat = np.frombuffer(b"".join(key[1] for key in keys), dtype=np.int64)
+    flat = flat.reshape(len(keys), sum(r * c for r, c in cells))
+    mats = []
+    off = 0
+    for r, c in cells:
+        mats.append(flat[:, off:off + r * c].reshape(len(keys), r, c))
+        off += r * c
+    return mats
+
+
+def _intern(ids, n, mats) -> list:
+    """The small ints of the n modules whose arrow matrices are the rows of
+    the ``(n, d_t, d_s)`` stacks ``mats`` (one per arrow), each module's key
+    bytes (as in :func:`_label_key`) read off one ``void`` view and interned
+    into ``ids`` (bytes -> int) in row order."""
+    flat = np.concatenate([np.zeros((n, 0), dtype=np.int64)]
+                          + [m.reshape(n, m.shape[1] * m.shape[2]) for m in mats], axis=1)
+    if flat.shape[1]:
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+    else:
+        keys = [b""] * n
+    for key in dict.fromkeys(keys):
+        ids.setdefault(key, len(ids))
+    return list(map(ids.__getitem__, keys))
 
 
 def _rep_stacks(items, narrows) -> list:

@@ -3,7 +3,8 @@ one Gauss–Jordan elimination over exact fields such as Q and Q(v).
 
 A mod-p change of basis is one elimination: :func:`complement_basis` reads
 both the complement of a column space and the inverse of the frame it
-completes off a single rref of [a | I]."""
+completes off a single rref of [a | I], or off one stacked rref for a whole
+stack of matrices."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._kernels import rank_mod, rref_mod
+from ._kernels import rank_mod, rref_mod, rref_mod_stack
 from .checks import check
 
 
@@ -121,12 +122,28 @@ def complement_basis(a: np.ndarray, p: int):
     row operations E, and E [a[:, pivots] | comp] = I, so the last
     ``len(comp)`` rows of E project onto the quotient by the span of ``a`` in
     the basis ``comp``.  Returns ``(comp, E)``.
+
+    ``a`` may also be an (N, n, k) stack of matrices of one rank (else
+    ValueError); then ``comp`` is (N, n, n - rank) and E is (N, n, n), both
+    read off one :func:`~hallcrys._kernels.rref_mod_stack` of the stacked
+    [a | I], and a stack of one goes through :func:`rref_mod`.
     """
-    n, k = a.shape
-    joint = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    r, _, piv = rref_mod(joint, p)
-    units = [int(c) - k for c in piv if c >= k]
-    return np.eye(n, dtype=np.int64)[:, units], r[:, k:].copy()
+    a = np.asarray(a, dtype=np.int64)
+    stack = a if a.ndim == 3 else a[None]
+    count, n, k = stack.shape
+    eye = np.eye(n, dtype=np.int64)
+    joint = np.zeros((count, n, k + n), dtype=np.int64)
+    joint[:, :, :k] = stack
+    joint[:, :, k:] = eye
+    r, _, pivots = rref_mod_stack(joint, p)
+    units = pivots[:, k:]
+    if a.ndim == 2:
+        return eye[:, units[0]], r[0, :, k:].copy()
+    width = units.sum(axis=1)
+    if (width != width[:1]).any():
+        raise ValueError("complement_basis needs a stack of matrices of one rank")
+    idx = np.nonzero(units)[1].reshape(count, int(width[0]) if count else max(n - k, 0))
+    return eye[:, idx].transpose(1, 0, 2), r[:, :, k:].copy()
 
 
 def invertible_mod(a: np.ndarray, p: int) -> bool:

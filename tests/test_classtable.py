@@ -535,11 +535,12 @@ class TestHomMatrix:
             _check_same_rigid(first, other)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_grassmannian_matches_two_eliminations(reg, a2, q):
-    """Oracle for ClassTable._grassmannian: each frame [W | C], with C the
-    greedy complement, and its inverse by a second elimination (solve_mod),
-    for every (d, k) with d <= 4."""
+    """Oracle for ClassTable._grassmannian: frame i of the stacked cache is
+    [W | C] for the i-th subspace W of linalg.subspaces, with C the greedy
+    complement, and its inverse is a second elimination (solve_mod), for
+    every (d, k) with d <= 4."""
     import numpy as np
     from hallcrys import linalg
     t = reg.table(a2, q)
@@ -547,21 +548,22 @@ def test_grassmannian_matches_two_eliminations(reg, a2, q):
         eye = np.eye(d, dtype=np.int64)
         for k in range(d + 1):
             bases = list(linalg.subspaces(d, k, q))
-            got = t._grassmannian(d, k)
-            assert len(got) == len(bases)
-            for sub, basis in zip(got, bases):
+            frames, inverses = t._grassmannian(d, k)
+            assert frames.shape == inverses.shape == (len(bases), d, d)
+            assert frames.dtype == inverses.dtype == np.int64
+            for i, basis in enumerate(bases):
                 frame = np.concatenate([basis, linalg.complement_basis(basis, q)[0]], axis=1)
                 inv = linalg.solve_mod(frame, eye, q) if d else eye
-                assert sub.k == k
-                assert np.array_equal(sub.frame, frame)
-                assert sub.frame_inv.dtype == np.int64 and np.array_equal(sub.frame_inv, inv)
+                assert np.array_equal(frames[i], frame)
+                assert np.array_equal(inverses[i], inv)
 
 
 def _scan_per_lambda(t, lam, bd) -> dict:
     """Oracle for ClassTable._scan_submodules: the sweep of one class lambda
-    at a time, counting the submodules of V_lambda of dimension bd by (class
-    of the quotient, class of the submodule), with each tuple's blocks taken
-    arrow by arrow from the 2-D representative."""
+    at a time, one subspace tuple at a time, counting the submodules of
+    V_lambda of dimension bd by (class of the quotient, class of the
+    submodule), with each tuple's blocks taken arrow by arrow from the 2-D
+    representative and the frames indexed in the stacked Grassmannians."""
     import numpy as np
     from hallcrys.classtable import _label_key
     q = t.q
@@ -571,15 +573,15 @@ def _scan_per_lambda(t, lam, bd) -> dict:
     blocks = ({}, {})
     counts = {}
     grass = [t._grassmannian(rep.dims[v], bd[v]) for v in range(t.quiver.n)]
-    for combo in product(*grass):
+    for combo in product(*(range(len(frames)) for frames, _ in grass)):
         sub_maps, quot_maps = [], []
         for k, (src, tgt) in enumerate(arrows):
-            ws, wt = combo[src], combo[tgt]
-            block = (wt.frame_inv @ ((rep.maps[k] @ ws.frame) % q)) % q
-            if block[wt.k:, :ws.k].any():
+            frame, frame_inv = grass[src][0][combo[src]], grass[tgt][1][combo[tgt]]
+            block = (frame_inv @ ((rep.maps[k] @ frame) % q)) % q
+            if block[bd[tgt]:, :bd[src]].any():
                 break
-            sub_maps.append(np.array(block[:wt.k, :ws.k]))
-            quot_maps.append(np.array(block[wt.k:, ws.k:]))
+            sub_maps.append(np.array(block[:bd[tgt], :bd[src]]))
+            quot_maps.append(np.array(block[bd[tgt]:, bd[src]:]))
         else:
             keys = (_label_key(side_dims[0], quot_maps), _label_key(side_dims[1], sub_maps))
             counts[keys] = counts.get(keys, 0) + 1
@@ -676,6 +678,86 @@ class TestGroupedScan:
         assert t._hall_cache[(lam, r0, r1)] == 9
         fresh = ClassTable(kron, 2, (2, 2))
         assert fresh.hall_number(other, r0, r0) != 5 and fresh.hall_number(lam, r0, r1) != 9
+
+
+    @pytest.mark.parametrize("name, q, bound", [("a3", 3, (2, 2, 2)), ("kron", 2, (3, 3))])
+    def test_chunk_of_one_matches_default(self, request, monkeypatch, name, q, bound):
+        """With room for one block entry per chunk, so that every chunk of
+        every scan holds one subspace tuple, each scan's tallies and the dump
+        of the table filled with every Hall number under the bound equal the
+        default ones."""
+        from hallcrys import modules
+        quiver = request.getfixturevalue(name)
+        results = []
+        for stack in (modules._HOM_STACK, 1):
+            monkeypatch.setattr(modules, "_HOM_STACK", stack)
+            t = ClassTable(quiver, q, bound)
+            scans = {}
+            for ld in _dims_under(bound):
+                for bd in product(*(range(d + 1) for d in ld)):
+                    ad = tuple(x - y for x, y in zip(ld, bd))
+                    scans[ld, bd] = t._scan_submodules(t.classes_of_dim(ld), bd)
+                    for lam, alpha, beta in product(t.classes_of_dim(ld), t.classes_of_dim(ad),
+                                                    t.classes_of_dim(bd)):
+                        t.hall_number(lam, alpha, beta)
+            results.append((scans, t.dump_cache()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("name, q, ld", [("kron", 3, (2, 2)), ("a3", 2, (1, 2, 1))])
+    def test_scan_sides_without_entries(self, request, name, q, ld):
+        """bd = 0 and bd = dim lambda leave one side with no block entries at
+        all: each lambda has exactly the submodules 0 and V_lambda."""
+        t = ClassTable(request.getfixturevalue(name), q, (3,) * len(ld))
+        lams = t.classes_of_dim(ld)
+        zero = tuple(0 for _ in ld)
+        assert t._scan_submodules(lams, zero) == {lam: {(lam, ZERO_CLASS): 1} for lam in lams}
+        assert t._scan_submodules(lams, ld) == {lam: {(ZERO_CLASS, lam): 1} for lam in lams}
+
+
+D4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
+
+
+class TestLabelKeys:
+    @pytest.mark.parametrize("name, dims", [
+        ("a2", (1, 0)), ("kron", (0, 1)), ("kron", (2, 0)), ("d4", (1, 0, 0, 0)),
+        ("kron", (0, 0)), ("d4", (0, 0, 0, 0)), ("kron", (2, 3)), ("a3", (2, 1, 2))])
+    def test_key_stacks_recover_the_matrices(self, request, name, dims):
+        """_key_stacks splits _label_key bytes back into each arrow's stack,
+        zero module and zero-size blocks included; equal modules give equal
+        keys and different modules different keys."""
+        import numpy as np
+        from hallcrys.classtable import _key_stacks, _label_key
+        quiver = D4 if name == "d4" else request.getfixturevalue(name)
+        rng = np.random.default_rng(sum(dims))
+        reps = [[rng.integers(0, 2, (dims[t], dims[s])) for s, t in quiver.arrows]
+                for _ in range(12)]
+        keys = [_label_key(dims, maps) for maps in reps]
+        stacks = _key_stacks(quiver.arrows, dims, keys)
+        assert len(stacks) == len(quiver.arrows)
+        for k, (s, t) in enumerate(quiver.arrows):
+            assert stacks[k].shape == (len(reps), dims[t], dims[s])
+            assert np.array_equal(stacks[k], np.stack([maps[k] for maps in reps]))
+        for a, ka in zip(reps, keys):
+            for b, kb in zip(reps, keys):
+                assert (ka == kb) == all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert _key_stacks(quiver.arrows, dims, [])[0].shape[0] == 0
+
+    def test_zero_size_keys_keep_their_dimension_vector(self, a2, kron):
+        """Modules whose arrow blocks have no entries share the empty bytes
+        string, so their keys differ by the dimension vector alone, and the
+        zero module's key is the one the label cache is seeded with."""
+        import numpy as np
+        from hallcrys.classtable import _label_key
+        from hallcrys.modules import Representation
+        t = ClassTable(kron, 2, (2, 2))
+        zero = Representation.zero(kron, 2)
+        assert t._label_cache[_label_key(zero.dims, zero.maps)] == ZERO_CLASS
+        assert _label_key((0, 0), zero.maps) == ((0, 0), b"")
+        keys = {_label_key(d, [np.zeros((d[1], d[0]), dtype=np.int64)] * 2)
+                for d in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))}
+        assert len(keys) == 5 and {k[1] for k in keys} == {b""}
+        assert t.label_modules((2, 0), [[np.zeros((0, 2), dtype=np.int64)] * 2]) \
+            == [IsoClass.of("S1", "S1")]
 
 
 class TestLabelChunks:

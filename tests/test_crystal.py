@@ -236,6 +236,20 @@ def test_d4_box_crystal_has_kostant_counts(d4_box_crystal):
     assert sum(counts.values()) == len(d4_box_crystal.all_vertices()) == 448
 
 
+def test_a3_crystal_at_weight_six_has_kostant_counts(reg, a3):
+    """The full-triangle A3 crystal to weight 6 over the bound (4,4,4) has
+    Kostant's count at every weight, 217 vertices in all; the largest of its
+    Hall scans sweep the Grassmannian product in several chunks."""
+    crystal = Crystal(reg.ctx(a3, (4, 4, 4)), 6)
+    weights = [w for w in product(range(7), repeat=3) if sum(w) <= 6]
+    roots = [x for x in weights if any(x) and euler_bilinear(a3, x, x) == 1]
+    assert len(roots) == 6
+    assert crystal.falsifications == []
+    counts = {w: len(crystal.vertices_of_weight(w)) for w in weights}
+    assert counts == {w: kostant(roots, w) for w in weights}
+    assert sum(counts.values()) == len(crystal.all_vertices()) == 217
+
+
 def test_riedtmann_fits_hold_at_unscanned_primes(reg, a3, a3_crystal_w5):
     # the Hall polynomials accepted on the Riedtmann numerator F, checked
     # against direct scans at two primes that took no part in their fit

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from hallcrys import linalg
 from hallcrys._kernels import (decode_points, encode_points, orbit_fill, rank_mod,
-                               rank_mod_stack, rref_mod)
+                               rank_mod_stack, rref_mod, rref_mod_stack)
 from hallcrys.modules import Representation
 from hallcrys.quivers import quiver_a2, quiver_a3, quiver_kronecker
 
@@ -160,6 +160,38 @@ def test_rank_mod_stack_refuses_an_overflowing_sweep():
         stack = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.int64), shape)
         with pytest.raises(ValueError, match="sweep of 16777216 columns .* overflow int64"):
             rank_mod_stack(stack, p)
+
+
+@given(rank_stacks())
+@settings(deadline=None, max_examples=150)
+@example((np.zeros((3, 0, 5), dtype=np.int64), 5))             # no rows
+@example((np.ones((3, 4, 0), dtype=np.int64), 7))              # no columns
+@example((np.zeros((0, 3, 3), dtype=np.int64), 2))             # empty stack
+@example((np.arange(12, dtype=np.int64).reshape(1, 3, 4), 3))  # a stack of one
+@example((np.arange(54, dtype=np.int64).reshape(2, 3, 9), 5))  # wide
+@example((np.arange(54, dtype=np.int64).reshape(2, 9, 3), 5))  # tall
+@example(worst_growth(2))
+@example(worst_growth(101))
+def test_rref_mod_stack_matches_rref_mod(case):
+    """rref_mod_stack equals rref_mod matrix by matrix: the same RREF, rank
+    and pivot columns (as a mask), and leaves its input untouched."""
+    a, p = case
+    copy = a.copy()
+    out, ranks, pivots = rref_mod_stack(a, p)
+    b, r, c = a.shape
+    assert out.dtype == ranks.dtype == np.int64 and pivots.dtype == bool
+    assert out.shape == (b, r, c) and ranks.shape == (b,) and pivots.shape == (b, c)
+    for x, got, rank, mask in zip(a, out, ranks.tolist(), pivots):
+        want, want_rank, want_piv = rref_mod(x, p)
+        assert np.array_equal(got, want) and rank == want_rank
+        assert np.flatnonzero(mask).tolist() == want_piv.tolist()
+    assert np.array_equal(a, copy)
+
+
+def test_rref_mod_stack_refuses_an_overflowing_step():
+    """A prime whose (p - 1)**2 passes 2**63 is refused before any arithmetic."""
+    with pytest.raises(ValueError, match="overflow int64"):
+        rref_mod_stack(np.zeros((2, 1, 1), dtype=np.int64), 2**32 + 15)
 
 
 def test_nullspace_and_solve():
@@ -324,3 +356,36 @@ def test_complement_basis_matches_greedy(p):
         frame = np.concatenate([basis[:, rref_mod(basis, p)[2]], comp], axis=1)
         assert inv.shape == (n, n) and inv.dtype == np.int64 and inv.base is None
         assert np.array_equal(inv @ frame % p, np.eye(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_complement_basis_stack_matches_per_matrix(p):
+    """A stack of matrices of one rank gives, matrix by matrix, the
+    complement and inverse of the per-matrix call, and the inverse inverts
+    the frame [a[:, pivots] | comp]; stacks of mixed rank are refused."""
+    rng = np.random.default_rng(300 + p)
+    stacks = [np.zeros(shape, dtype=np.int64) for shape in ((3, 0, 0), (2, 4, 0), (2, 0, 3),
+                                                             (0, 3, 2))]
+    stacks.append(np.stack(list(linalg.subspaces(4, 2, min(p, 3)))))
+    for _ in range(30):
+        n, k, rank = int(rng.integers(0, 6)), int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        rank = min(rank, n, k)
+        mats, size = [], int(rng.integers(1, 6))
+        while len(mats) < size:
+            a = rng.integers(0, p, (n, rank)) @ rng.integers(0, p, (rank, k))
+            if rank_mod(a, p) == rank:
+                mats.append(a + p * rng.integers(-2, 3, (n, k)))
+        stacks.append(np.stack(mats))
+    for stack in stacks:
+        count, n, k = stack.shape
+        comp, inv = linalg.complement_basis(stack, p)
+        assert comp.dtype == inv.dtype == np.int64
+        assert comp.shape[:2] == (count, n) and inv.shape == (count, n, n)
+        for a, c, e in zip(stack, comp, inv):
+            want_comp, want_inv = linalg.complement_basis(a, p)
+            assert np.array_equal(c, want_comp) and np.array_equal(e, want_inv)
+            frame = np.concatenate([a[:, rref_mod(a, p)[2]], c], axis=1)
+            assert np.array_equal(e @ frame % p, np.eye(n, dtype=np.int64))
+    mixed = np.stack([np.eye(3, 2, dtype=np.int64), np.zeros((3, 2), dtype=np.int64)])
+    with pytest.raises(ValueError, match="one rank"):
+        linalg.complement_basis(mixed, p)
