@@ -16,14 +16,14 @@ dimensions at once.  Each Grassmannian is enumerated once per table as two
 stacks, the frames [W | C] of its subspaces and their inverses, from one
 stacked elimination.  A scan sweeps the product of the Grassmannians in
 bounded chunks: per arrow one batched product gives the blocks of every
-(tuple, class) pair of a chunk, closed pairs are counted by the label-cache
-keys of their blocks, interned in bulk from one bytes view per side with no
-module object built, and each side's distinct blocks are labelled in one
-batch once the sweep ends.  Krull-Schmidt labelling
-has one route, :meth:`ClassTable.label_modules`, which owns the label cache
-and decomposes all its misses together by Hom counts against the catalog;
-the scans, the extension counts and :meth:`ClassTable.label_module` all use
-it.
+(tuple, class) pair of a chunk, and each side's closed blocks are labelled
+as soon as their chunk is swept, with no module object built.  A batch of
+modules moves as one format, per-arrow (n, d_t, d_s) stacks and the batch
+size n.  Krull-Schmidt labelling has one route,
+:meth:`ClassTable.label_modules`, which owns the label cache and decomposes
+all the misses of a batch together by Hom counts against the catalog, whose
+per-arrow stacks are built once per dimension vector; the scans, the
+extension counts and :meth:`ClassTable.label_module` all use it.
 :meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by extension-class
 counting) stays as an independent oracle.
 """
@@ -43,7 +43,7 @@ from . import linalg, modules
 from ._kernels import decode_points, encode_points, orbit_fill
 from .checks import CheckFailed, check
 from .modules import (BudgetExceeded, Representation, direct_sum, ext_dim, hom_counts,
-                      hom_dims, hom_system, indecomposable_catalog, require_ring)
+                      hom_system, indecomposable_catalog, require_ring)
 from .quivers import Quiver, euler_bilinear
 from .scalars import QSqrtScalar, eval_at_sqrt_q
 
@@ -114,21 +114,30 @@ class ClassTable:
         self._hom_cache = {}
         self._ext_cache = {}
         self._rep_cache = {}
-        zero = Representation.zero(quiver, q)
-        self._label_cache = {_label_key(zero.dims, zero.maps): ZERO_CLASS}
+        # the zero module's label key: no arrow block has an entry
+        self._label_cache = {((0,) * quiver.n, b""): ZERO_CLASS}
         self._solver_cache = {}
         self._hall_cache = {}
         self._grass_cache = {}
         self._classes_cache = {}
+        self._class_stacks_cache = {}
         self._aut_orbit_cache = {}
-        # End dimensions by one stacked diagonal per dimension vector, not by
-        # hom_matrix, so that only the (label, label) keys enter the Hom cache
+        # the catalog by dimension vector: its entries in catalog order and,
+        # per arrow, the stack of their arrow matrices; the End diagonals,
+        # the label probes and hom_matrix read their stacks from here
         by_dim = {}
         for it in self.catalog:
             by_dim.setdefault(it.dim, []).append(it)
-        for dim, items in by_dim.items():
-            maps = _rep_stacks(items, len(quiver.arrows))
-            ends = np.broadcast_to(hom_counts(quiver, q, dim, maps, dim, maps), len(items))
+        self._catalog_by_dim = {
+            dim: (items, [np.stack([it.rep.maps[k] for it in items])
+                          for k in range(len(quiver.arrows))])
+            for dim, items in by_dim.items()}
+        self._catalog_index = {it.label: i for items, _ in self._catalog_by_dim.values()
+                               for i, it in enumerate(items)}
+        # End dimensions by one stacked diagonal per dimension vector, not by
+        # hom_matrix, so that only the (label, label) keys enter the Hom cache
+        for dim, (items, stacks) in self._catalog_by_dim.items():
+            ends = np.broadcast_to(hom_counts(quiver, q, dim, stacks, dim, stacks), len(items))
             for it, h in zip(items, ends.tolist()):
                 self._hom_cache[it.label, it.label] = h
         for it in self.catalog:
@@ -151,19 +160,22 @@ class ClassTable:
         return self._hom_cache[key]
 
     def hom_matrix(self, rows, cols) -> list:
-        """[[hom_indec(a, b) for b in cols] for a in rows].  The pairs missing
-        from the Hom cache are computed together by :func:`hom_dims` and
-        stored with ``setdefault``, so an entry loaded from a cache stays."""
+        """[[hom_indec(a, b) for b in cols] for a in rows].  Exactly the pairs
+        missing from the Hom cache are counted, one :func:`hom_counts` per
+        block of dimension vectors (dim a, dim b) over index-aligned stacks
+        of the catalog, and stored with ``setdefault``, so an entry loaded
+        from a cache stays."""
         cache = self._hom_cache
-        missing = [(a, b) for a in rows for b in cols if (a, b) not in cache]
-        if missing:
-            ms = list(dict.fromkeys(a for a, _ in missing))
-            ns = list(dict.fromkeys(b for _, b in missing))
-            counts = hom_dims([self.by_label[a].rep for a in ms],
-                              [self.by_label[b].rep for b in ns])
-            for a, row in zip(ms, counts):
-                for b, h in zip(ns, row):
-                    cache.setdefault((a, b), h)
+        blocks = {}
+        for a, b in dict.fromkeys((a, b) for a in rows for b in cols if (a, b) not in cache):
+            blocks.setdefault((self.by_label[a].dim, self.by_label[b].dim), []).append((a, b))
+        for (da, db), pairs in blocks.items():
+            ia, ib = ([self._catalog_index[x] for x in labels] for labels in zip(*pairs))
+            counts = hom_counts(self.quiver, self.q,
+                                da, [m[ia] for m in self._catalog_by_dim[da][1]],
+                                db, [m[ib] for m in self._catalog_by_dim[db][1]])
+            for pair, h in zip(pairs, np.broadcast_to(counts, len(pairs)).tolist()):
+                cache.setdefault(pair, h)
         return [[cache[a, b] for b in cols] for a in rows]
 
     def ext_indec(self, a: str, b: str) -> int:
@@ -216,6 +228,17 @@ class ClassTable:
         out.sort()
         self._classes_cache[dim] = out
         return out
+
+    def _class_stacks(self, dim) -> list:
+        """Per arrow, the stack of the arrow matrices of the representatives
+        of :meth:`classes_of_dim`, in its order, built once per dimension
+        vector."""
+        dim = tuple(dim)
+        if dim not in self._class_stacks_cache:
+            reps = [self.representative(cls) for cls in self.classes_of_dim(dim)]
+            self._class_stacks_cache[dim] = [np.stack([rep.maps[k] for rep in reps])
+                                             for k in range(len(self.quiver.arrows))]
+        return self._class_stacks_cache[dim]
 
     def representative(self, cls: IsoClass) -> Representation:
         if cls.is_zero():
@@ -415,19 +438,19 @@ class ClassTable:
         """Iso-class of a representation over the table's quiver and field: a
         batch of one for :meth:`label_modules`."""
         require_ring(M, self.quiver, self.q)
-        return self.label_modules(M.dims, [M.maps])[0]
+        return self.label_modules(M.dims, 1, [m[None] for m in M.maps])[0]
 
-    def label_modules(self, dims, batch) -> list:
-        """The iso-classes of a batch of modules of dimension vector ``dims``
-        over the table's quiver and field, each given by its arrow matrices
-        (int64, entries reduced mod q), in input order.  ``batch`` may also
-        be a dict whose keys are :func:`_label_key` keys, as a scan interns
-        them; the labels then follow the dict's order, and the matrices are
-        read back from the keys.
+    def label_modules(self, dims, n, stacks) -> list:
+        """The iso-classes of a batch of n modules of dimension vector
+        ``dims`` over the table's quiver and field, in batch order.  The
+        modules are given per arrow as one (n, d_t, d_s) int64 stack of
+        arrow matrices, entries reduced mod q; n is passed because a quiver
+        without arrows has no stacks.
 
         The only reader and writer of the label cache, keyed by
-        :func:`_label_key` and seeded with the zero module.  The distinct
-        misses are labelled together by Hom-count decomposition:
+        :func:`_label_keys` and seeded with the zero module.  The distinct
+        misses are picked from the stacks by index and labelled together by
+        Hom-count decomposition:
         dim Hom(I, M) = sum_K mult_K * dim Hom(I, K) over the catalog; the
         catalog Hom matrix is invertible (block-triangular w.r.t. the
         preprojective < regular < preinjective order), so multiplicities are
@@ -439,11 +462,8 @@ class ClassTable:
         with the Hom counts followed by an exact division.
         """
         cache = self._label_cache
-        if isinstance(batch, dict):
-            keys = list(batch)
-        else:
-            keys = [_label_key(dims, maps) for maps in batch]
-        misses = [key for key in dict.fromkeys(keys) if key not in cache]
+        keys = _label_keys(dims, n, stacks)
+        misses = {key: i for i, key in enumerate(keys) if key not in cache}
         if not misses:
             return [cache[key] for key in keys]
         items = [it for it in self.catalog if all(d <= b for d, b in zip(it.dim, dims))]
@@ -454,11 +474,12 @@ class ClassTable:
         for i, it in enumerate(items):
             groups.setdefault(it.dim, []).append(i)
         # the misses on the leading batch axis, the probes of a group on the next
-        stack = [m[:, None] for m in _key_stacks(self.quiver.arrows, dims, misses)]
+        rows = list(misses.values())
+        stack = [m[rows][:, None] for m in stacks]
         h = np.zeros((len(items), len(misses)), dtype=np.int64)
-        for probe_dims, rows in groups.items():
-            probes = _rep_stacks([items[i] for i in rows], len(self.quiver.arrows))
-            h[rows] = hom_counts(self.quiver, self.q, probe_dims, probes, dims, stack).T
+        for probe_dims, group in groups.items():
+            probes = self._catalog_by_dim[probe_dims][1]
+            h[group] = hom_counts(self.quiver, self.q, probe_dims, probes, dims, stack).T
         num = inv @ h
         integral = (num % den == 0) & (num >= 0)
         mult = num // den
@@ -525,28 +546,25 @@ class ClassTable:
         return self._hall_cache.setdefault(key, 0)
 
     def _scan_submodules(self, lams, bd) -> dict:
-        """For each class lambda of ``lams`` (all of one dimension vector),
-        count the submodules of V_lambda of dimension bd by the pair (class
-        of the quotient, class of the submodule).
+        """For each class lambda of ``lams`` (the classes of one dimension
+        vector, as :meth:`classes_of_dim` lists them), count the submodules
+        of V_lambda of dimension bd by the pair (class of the quotient, class
+        of the submodule).
 
         One sweep of the Grassmannian product serves every lambda, in chunks
         of consecutive subspace tuples that hold at most
         ``modules._HOM_STACK`` block entries.  For each arrow one batched
         product gives the blocks of every (tuple, class) pair of a chunk, and
         one ``any`` over the lower-left blocks gives closure.  The closed
-        pairs' quotient and submodule blocks are then laid out as one row of
-        bytes per pair and side, each side read through one ``void`` view and
-        interned into small ints in the sweep's order, with no
-        representation built and no block kept; once the sweep ends, each
-        side's distinct keys are labelled in one batch."""
+        pairs' quotient and submodule blocks are labelled as soon as their
+        chunk is swept, one :meth:`label_modules` batch per side, with no
+        representation built and no block kept."""
         q = self.q
         arrows = self.quiver.arrows
-        reps = [self.representative(lam) for lam in lams]
-        dims = reps[0].dims
-        stacks = [np.stack([rep.maps[k] for rep in reps]) for k in range(len(arrows))]
+        dims = self.class_dim(lams[0])
+        stacks = self._class_stacks(dims)
         side_dims = (tuple(d - b for d, b in zip(dims, bd)), tuple(bd))
-        ids = ({}, {})          # per side: key bytes -> small int
-        counts = Counter()      # (index in lams, quotient id, submodule id) -> count
+        counts = Counter()      # (index in lams, quotient class, submodule class) -> count
         grass = [self._grassmannian(dims[v], bd[v]) for v in range(self.quiver.n)]
         total = prod(len(frames) for frames, _ in grass)
         entries = len(lams) * max(1, sum(dims[s] * dims[t] for s, t in arrows))
@@ -574,15 +592,11 @@ class ClassTable:
                 rows, cls = np.nonzero(closed)
                 quot = [b[rows, cls, bd[t]:, bd[s]:] for b, (s, t) in zip(blocks, arrows)]
                 sub = [b[rows, cls, :bd[t], :bd[s]] for b, (s, t) in zip(blocks, arrows)]
-                counts.update(zip(cls.tolist(), _intern(ids[0], len(rows), quot),
-                                  _intern(ids[1], len(rows), sub)))
-        labels = [self.label_modules(d, dict.fromkeys((d, key) for key in side_ids))
-                  for d, side_ids in zip(side_dims, ids)]
+                counts.update(zip(cls.tolist(), self.label_modules(side_dims[0], len(rows), quot),
+                                  self.label_modules(side_dims[1], len(rows), sub)))
         tallies = {lam: {} for lam in lams}
         for (i, quot, sub), count in counts.items():
-            tally = tallies[lams[i]]
-            pair = (labels[0][quot], labels[1][sub])
-            tally[pair] = tally.get(pair, 0) + count
+            tallies[lams[i]][quot, sub] = count
         return tallies
 
     def _grassmannian(self, d: int, k: int):
@@ -696,13 +710,14 @@ class ClassTable:
         middles = self._middle_terms(A, B, coeffs @ comp.T % q)
         dims = tuple(a + b for a, b in zip(A.dims, B.dims))
         counts = {}
-        for cls in self.label_modules(dims, middles):
+        for cls in self.label_modules(dims, len(coeffs), middles):
             counts[cls] = counts.get(cls, 0) + 1
         return counts
 
     def _middle_terms(self, A, B, cocycles) -> list:
-        """The arrow matrices of the middle term of each cocycle (a row of
-        ``cocycles``, cells in arrow order): [[A_k, 0], [c_k, B_k]]."""
+        """Per arrow, the stack of the matrices [[A_k, 0], [c_k, B_k]] of the
+        middle terms of the cocycles (the rows of ``cocycles``, cells in
+        arrow order)."""
         n = cocycles.shape[0]
         stacks = []
         off = 0
@@ -714,7 +729,7 @@ class ClassTable:
             m[:, A.dims[t]:, c:] = B.maps[k]
             off += r * c
             stacks.append(m)
-        return [[m[i] for m in stacks] for i in range(n)]
+        return stacks
 
 
 class TableSet(dict):
@@ -767,49 +782,17 @@ def _check_same_rigid(first: ClassTable, other: ClassTable):
             check(h == other_h, f"Hom({a},{b}) differs {where}")
 
 
-def _label_key(dims, maps) -> tuple:
-    """The label-cache key of a module: its dimension vector and one bytes
-    string, its arrow matrices (int64, entries reduced mod q) in arrow order,
-    each row-major."""
-    return dims, b"".join(m.tobytes() for m in maps)
-
-
-def _key_stacks(arrows, dims, keys) -> list:
-    """Per arrow, the (len(keys), d_t, d_s) stack of the arrow matrices of
-    modules of dimension vector ``dims``, read back from their
-    :func:`_label_key` keys over a quiver with these arrows by splitting the
-    bytes at the block offsets."""
-    cells = [(dims[t], dims[s]) for s, t in arrows]
-    flat = np.frombuffer(b"".join(key[1] for key in keys), dtype=np.int64)
-    flat = flat.reshape(len(keys), sum(r * c for r, c in cells))
-    mats = []
-    off = 0
-    for r, c in cells:
-        mats.append(flat[:, off:off + r * c].reshape(len(keys), r, c))
-        off += r * c
-    return mats
-
-
-def _intern(ids, n, mats) -> list:
-    """The small ints of the n modules whose arrow matrices are the rows of
-    the ``(n, d_t, d_s)`` stacks ``mats`` (one per arrow), each module's key
-    bytes (as in :func:`_label_key`) read off one ``void`` view and interned
-    into ``ids`` (bytes -> int) in row order."""
+def _label_keys(dims, n, stacks) -> list:
+    """The label-cache keys of n modules of dimension vector ``dims``, given
+    per arrow as (n, d_t, d_s) int64 stacks with entries reduced mod q: the
+    dimension vector and one bytes string per module, its arrow matrices in
+    arrow order, each row-major, all read off one ``void`` view."""
     flat = np.concatenate([np.zeros((n, 0), dtype=np.int64)]
-                          + [m.reshape(n, m.shape[1] * m.shape[2]) for m in mats], axis=1)
-    if flat.shape[1]:
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
-    else:
-        keys = [b""] * n
-    for key in dict.fromkeys(keys):
-        ids.setdefault(key, len(ids))
-    return list(map(ids.__getitem__, keys))
-
-
-def _rep_stacks(items, narrows) -> list:
-    """Per arrow, the stack of the arrow matrices of the catalog entries
-    ``items`` (all of one dimension vector)."""
-    return [np.stack([it.rep.maps[k] for it in items]) for k in range(narrows)]
+                          + [m.reshape(n, m.shape[1] * m.shape[2]) for m in stacks], axis=1)
+    if not flat.shape[1]:
+        return [(dims, b"")] * n
+    raw = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+    return [(dims, key) for key in raw]
 
 
 def _fraction_inverse(rows):

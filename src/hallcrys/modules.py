@@ -152,8 +152,9 @@ def hom_system_stack(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> 
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    """dim Hom(M, N): one pair of :func:`hom_dims`."""
-    return hom_dims([M], [N])[0][0]
+    """dim Hom(M, N): one pair of :func:`hom_counts`."""
+    require_ring(N, M.quiver, M.q)
+    return int(hom_counts(M.quiver, M.q, M.dims, M.maps, N.dims, N.maps))
 
 
 def hom_counts(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> np.ndarray:
@@ -175,34 +176,6 @@ def hom_counts(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> np.nda
                             .reshape(-1, nconds, nvars), q)
              for lo in range(0, shape[0], step)]
     return (nvars - np.concatenate(ranks)).reshape(batch)
-
-
-def hom_dims(Ms, Ns) -> list:
-    """The matrix [dim Hom(M, N) for N in Ns] for M in Ms: one
-    :func:`hom_counts` per block of Ms and Ns of one dimension vector each."""
-    Ms, Ns = list(Ms), list(Ns)
-    out = [[0] * len(Ns) for _ in Ms]
-    if not (Ms and Ns):
-        return out
-    quiver, q = Ms[0].quiver, Ms[0].q
-    for X in Ms + Ns:
-        require_ring(X, quiver, q)
-    m_groups, n_groups = {}, {}
-    for i, M in enumerate(Ms):
-        m_groups.setdefault(M.dims, []).append(i)
-    for j, N in enumerate(Ns):
-        n_groups.setdefault(N.dims, []).append(j)
-    arrows = range(len(quiver.arrows))
-    n_maps = {d: [np.array([Ns[j].maps[k] for j in cols]) for k in arrows]
-              for d, cols in n_groups.items()}
-    for m_dims, rows in m_groups.items():
-        m_maps = [np.array([Ms[i].maps[k] for i in rows])[:, None] for k in arrows]
-        for n_dims, cols in n_groups.items():
-            counts = hom_counts(quiver, q, m_dims, m_maps, n_dims, n_maps[n_dims])
-            for i, row in zip(rows, np.broadcast_to(counts, (len(rows), len(cols))).tolist()):
-                for j, h in zip(cols, row):
-                    out[i][j] = h
-    return out
 
 
 def hom_basis(M: Representation, N: Representation):

@@ -209,7 +209,8 @@ class TestLabeling:
             modules = [Representation(quiver, q, d, [rng.integers(0, q, (d[t], d[s]))
                                                      for s, t in quiver.arrows])
                        for _ in range(40)]
-            labels = batch.label_modules(d, [M.maps for M in modules])
+            stacks = [np.stack([M.maps[k] for M in modules]) for k in range(len(quiver.arrows))]
+            labels = batch.label_modules(d, len(modules), stacks)
             assert labels == [single.label_module(M) for M in modules]
             seen.update(labels)
         assert len(seen) > 2 * len(dims)
@@ -231,26 +232,36 @@ class TestLabeling:
         assert t.label_module(same) == IsoClass.of("S1", "r0.1.1")
 
     def test_one_label_batch_per_side(self, kron, monkeypatch):
-        """A scan labels each side in one batch once its sweep ends, and the
-        extension counts label their middle terms in one batch."""
+        """A scan of one chunk labels each side in one batch, and the
+        extension counts label their middle terms in one batch.  With room
+        for one subspace tuple per chunk, a scan labels chunk by chunk: no
+        batch holds more rows than one chunk's closed (tuple, class) pairs,
+        and the batches of a side together hold every closed pair."""
+        from hallcrys import modules
         t = ClassTable(kron, 3, (3, 3))
         calls = []
         label_modules = ClassTable.label_modules
 
-        def spy(self, dims, batch):
-            calls.append(dims)
-            return label_modules(self, dims, batch)
+        def spy(self, dims, n, stacks):
+            calls.append((dims, n))
+            return label_modules(self, dims, n, stacks)
 
         monkeypatch.setattr(ClassTable, "label_modules", spy)
         lam = IsoClass.of("S1", "S1", "S2", "S2")
         alpha, beta = IsoClass.of("S1", "S2", "S2"), IsoClass.of("S1")
         assert t.hall_number(lam, alpha, beta) == 3 + 1     # lines in F_3^2
-        assert calls == [(1, 2), (1, 0)] and len(t._label_cache) > 1
+        assert [dims for dims, _ in calls] == [(1, 2), (1, 0)] and len(t._label_cache) > 1
         calls.clear()
         size = len(t._label_cache)
         counts = t.extension_middle_counts(IsoClass.of("S1", "S1"), IsoClass.of("S2"))
-        assert calls == [(2, 1)] and len(t._label_cache) > size
+        assert [dims for dims, _ in calls] == [(2, 1)] and len(t._label_cache) > size
         assert sum(counts.values()) == 3 ** 4
+        monkeypatch.setattr(modules, "_HOM_STACK", 1)
+        lams = t.classes_of_dim((2, 2))
+        calls.clear()
+        closed = sum(sum(tally.values()) for tally in t._scan_submodules(lams, (1, 1)).values())
+        assert len(calls) > 2 and all(n <= len(lams) for _, n in calls)
+        assert sum(n for _, n in calls[0::2]) == sum(n for _, n in calls[1::2]) == closed
 
     def test_zero_module_needs_no_decomposition(self, kron, monkeypatch):
         """The zero module's label is in the cache from the start: labelling
@@ -270,7 +281,7 @@ class TestLabeling:
         monkeypatch.setattr(ct, "hom_counts", spy)
         assert t.label_module(Representation.zero(kron, 2)) == ZERO_CLASS
         empty = np.zeros((0, 0), dtype=np.int64)
-        assert t.label_modules((0, 0), [[empty, empty]] * 2) == [ZERO_CLASS] * 2
+        assert t.label_modules((0, 0), 2, [np.stack([empty] * 2)] * 2) == [ZERO_CLASS] * 2
         assert t.extension_middle_counts(ZERO_CLASS, ZERO_CLASS) == {ZERO_CLASS: 1}
         assert probed == []
         lam = IsoClass.of("R[0]m1")
@@ -507,6 +518,28 @@ class TestHomMatrix:
             assert all(t.hom_indec(it.label, it.label) == hom_dim_reference(it.rep, it.rep)
                        for it in t.catalog)
 
+    def test_counts_only_missing_pairs(self, kron, monkeypatch):
+        """On a fresh table, hom_matrix over the whole catalog counts the
+        pairs off the diagonal and none of the cached End diagonals again:
+        74 labels at q = 5 under (3,3), so 74 * 74 - 74 = 5,402 pairs."""
+        import hallcrys.classtable as ct
+        t = ClassTable(kron, 5, (3, 3))
+        labels = [it.label for it in t.catalog]
+        sizes = []
+        counts = ct.hom_counts
+
+        def spy(quiver, q, m_dims, m_maps, n_dims, n_maps):
+            sizes.append(m_maps[0].shape[0])
+            assert n_maps[0].shape[0] == sizes[-1]
+            return counts(quiver, q, m_dims, m_maps, n_dims, n_maps)
+
+        monkeypatch.setattr(ct, "hom_counts", spy)
+        got = t.hom_matrix(labels, labels)
+        assert len(labels) == 74 and sum(sizes) == 5402
+        assert len(sizes) == len({(t.by_label[a].dim, t.by_label[b].dim)
+                                  for a in labels for b in labels if a != b})
+        assert got == ClassTable(kron, 5, (3, 3)).hom_matrix(labels[::-1], labels)[::-1]
+
     def test_keeps_a_loaded_entry(self, kron):
         """A doctored entry loaded from a cache survives a hom_matrix fill."""
         fresh = ClassTable(kron, 3, (2, 2))
@@ -565,7 +598,7 @@ def _scan_per_lambda(t, lam, bd) -> dict:
     submodule), with each tuple's blocks taken arrow by arrow from the 2-D
     representative and the frames indexed in the stacked Grassmannians."""
     import numpy as np
-    from hallcrys.classtable import _label_key
+    from hallcrys.classtable import _label_keys
     q = t.q
     rep = t.representative(lam)
     arrows = t.quiver.arrows
@@ -583,11 +616,14 @@ def _scan_per_lambda(t, lam, bd) -> dict:
             sub_maps.append(np.array(block[:bd[tgt], :bd[src]]))
             quot_maps.append(np.array(block[bd[tgt]:, bd[src]:]))
         else:
-            keys = (_label_key(side_dims[0], quot_maps), _label_key(side_dims[1], sub_maps))
+            keys = tuple(_label_keys(d, 1, [m[None] for m in maps])[0]
+                         for d, maps in zip(side_dims, (quot_maps, sub_maps)))
             counts[keys] = counts.get(keys, 0) + 1
             blocks[0].setdefault(keys[0], quot_maps)
             blocks[1].setdefault(keys[1], sub_maps)
-    labels = [dict(zip(side, t.label_modules(dims, side)))
+    labels = [dict(zip(side, t.label_modules(
+                  dims, len(side), [np.stack([maps[k] for maps in side.values()])
+                                    for k in range(len(arrows))]))) if side else {}
               for dims, side in zip(side_dims, blocks)]
     tally = {}
     for (quot, sub), count in counts.items():
@@ -722,41 +758,48 @@ class TestLabelKeys:
         ("a2", (1, 0)), ("kron", (0, 1)), ("kron", (2, 0)), ("d4", (1, 0, 0, 0)),
         ("kron", (0, 0)), ("d4", (0, 0, 0, 0)), ("kron", (2, 3)), ("a3", (2, 1, 2))])
     def test_key_stacks_recover_the_matrices(self, request, name, dims):
-        """_key_stacks splits _label_key bytes back into each arrow's stack,
-        zero module and zero-size blocks included; equal modules give equal
-        keys and different modules different keys."""
+        """_label_keys gives each module its dimension vector and the bytes
+        of its arrow matrices, in arrow order and each row-major, so the
+        bytes read back into each arrow's stack, zero module and zero-size
+        blocks included; equal modules give equal keys and different
+        modules different keys."""
         import numpy as np
-        from hallcrys.classtable import _key_stacks, _label_key
+        from hallcrys.classtable import _label_keys
         quiver = D4 if name == "d4" else request.getfixturevalue(name)
         rng = np.random.default_rng(sum(dims))
         reps = [[rng.integers(0, 2, (dims[t], dims[s])) for s, t in quiver.arrows]
                 for _ in range(12)]
-        keys = [_label_key(dims, maps) for maps in reps]
-        stacks = _key_stacks(quiver.arrows, dims, keys)
-        assert len(stacks) == len(quiver.arrows)
+        stacks = [np.stack([maps[k] for maps in reps]) for k in range(len(quiver.arrows))]
+        keys = _label_keys(dims, len(reps), stacks)
+        assert keys == [(dims, b"".join(m.tobytes() for m in maps)) for maps in reps]
+        flat = np.frombuffer(b"".join(key for _, key in keys), dtype=np.int64)
+        flat = flat.reshape(len(reps), -1)
+        off = 0
         for k, (s, t) in enumerate(quiver.arrows):
-            assert stacks[k].shape == (len(reps), dims[t], dims[s])
-            assert np.array_equal(stacks[k], np.stack([maps[k] for maps in reps]))
+            cells = dims[t] * dims[s]
+            assert np.array_equal(flat[:, off:off + cells].reshape(len(reps), dims[t], dims[s]),
+                                  stacks[k])
+            off += cells
         for a, ka in zip(reps, keys):
             for b, kb in zip(reps, keys):
                 assert (ka == kb) == all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert _key_stacks(quiver.arrows, dims, [])[0].shape[0] == 0
+        assert _label_keys(dims, 0, [m[:0] for m in stacks]) == []
 
     def test_zero_size_keys_keep_their_dimension_vector(self, a2, kron):
         """Modules whose arrow blocks have no entries share the empty bytes
         string, so their keys differ by the dimension vector alone, and the
         zero module's key is the one the label cache is seeded with."""
         import numpy as np
-        from hallcrys.classtable import _label_key
+        from hallcrys.classtable import _label_keys
         from hallcrys.modules import Representation
         t = ClassTable(kron, 2, (2, 2))
         zero = Representation.zero(kron, 2)
-        assert t._label_cache[_label_key(zero.dims, zero.maps)] == ZERO_CLASS
-        assert _label_key((0, 0), zero.maps) == ((0, 0), b"")
-        keys = {_label_key(d, [np.zeros((d[1], d[0]), dtype=np.int64)] * 2)
-                for d in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))}
+        [key] = _label_keys(zero.dims, 1, [m[None] for m in zero.maps])
+        assert key == ((0, 0), b"") and t._label_cache[key] == ZERO_CLASS
+        keys = {key for d in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))
+                for key in _label_keys(d, 2, [np.zeros((2, d[1], d[0]), dtype=np.int64)] * 2)}
         assert len(keys) == 5 and {k[1] for k in keys} == {b""}
-        assert t.label_modules((2, 0), [[np.zeros((0, 2), dtype=np.int64)] * 2]) \
+        assert t.label_modules((2, 0), 1, [np.zeros((1, 0, 2), dtype=np.int64)] * 2) \
             == [IsoClass.of("S1", "S1")]
 
 
@@ -769,9 +812,10 @@ class TestLabelChunks:
         from hallcrys import modules
         rng = np.random.default_rng(5)
         d = (3, 2)
-        batch = [[rng.integers(0, 5, (d[t], d[s])) for s, t in kron.arrows]
-                 for _ in range(300)]
-        default = ClassTable(kron, 5, (3, 3)).label_modules(d, batch)
+        mods = [[rng.integers(0, 5, (d[t], d[s])) for s, t in kron.arrows]
+                for _ in range(300)]
+        batch = [np.stack([maps[k] for maps in mods]) for k in range(len(kron.arrows))]
+        default = ClassTable(kron, 5, (3, 3)).label_modules(d, 300, batch)
         t = ClassTable(kron, 5, (3, 3))
         leading = []
         stack = modules.hom_system_stack
@@ -783,5 +827,5 @@ class TestLabelChunks:
 
         monkeypatch.setattr(modules, "hom_system_stack", spy)
         monkeypatch.setattr(modules, "_HOM_STACK", 1)
-        assert t.label_modules(d, batch) == default
+        assert t.label_modules(d, 300, batch) == default
         assert set(leading) == {1} and len(leading) > 300 and len(set(default)) > 10

@@ -309,6 +309,22 @@ class TestSelftestAndCache:
         assert len(report["results"]) == 19
         assert all(c["pass"] for c in report["results"])
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--primes", "2,3"],
+        ["certify", "--all-exceptional", "--dim-bound", "2", "--target", "both"],
+        ["selftest", "--dim-bound", "2"]])
+    def test_two_vertices_without_arrows(self, tmp_path, capsys, argv):
+        """Two vertices and no arrows: the catalog stacks, label batches and
+        Hom counts have no arrow stacks, and the cross-prime check reads a
+        Hom matrix of 0-d counts; each command exits 0 with no
+        falsification."""
+        from hallcrys import cli
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": []}))
+        assert cli.main([*argv, "--quiver", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["falsifications"] == []
+
 
 class TestCertifyCache:
     ARGS = ("certify", "--all-exceptional", "--dim-bound", "2",

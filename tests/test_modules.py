@@ -7,7 +7,7 @@ from hallcrys import linalg
 from hallcrys._kernels import rref_mod
 from hallcrys.modules import (CatalogUnavailable, Representation, _path_basis,
                               direct_sum, dual, ext_dim, ext_dims, hom_basis,
-                              hom_counts, hom_dim, hom_dims, hom_system, hom_system_stack,
+                              hom_counts, hom_dim, hom_system, hom_system_stack,
                               indecomposable_catalog,
                               is_morphism, projective, projective_presentation,
                               reflect_minus, reflect_plus, NotASink, NotASource)
@@ -62,7 +62,8 @@ class TestHomExt:
 
 def hom_dim_reference(M, N):
     """dim Hom(M, N) one pair at a time: the pair's intertwiner system and
-    one single-matrix rank.  The oracle for :func:`hom_dims`."""
+    one single-matrix rank.  The oracle for :func:`hom_dim` and
+    :meth:`ClassTable.hom_matrix`."""
     D = hom_system(M, N)
     return D.shape[1] - (linalg.rank_mod(D, M.q) if D.size else 0)
 
@@ -71,29 +72,41 @@ D4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
 
 
 class TestHomDims:
-    """The batched Hom matrix equals the per-pair oracle entry by entry."""
+    """The batched Hom matrix and the single Hom count equal the per-pair
+    oracle entry by entry."""
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_every_catalog_pair(self, a3, kron, q):
         """Every pair of catalog modules of A3 (2,2,2), D4 (2,2,2,2) and the
-        Kronecker quiver (3,3), the zero module included, rows shuffled."""
+        Kronecker quiver (3,3) by ClassTable.hom_matrix, rows shuffled, and
+        every pair with the zero module by hom_dim."""
+        from hallcrys.classtable import ClassTable
         rng = np.random.default_rng(q)
         for quiver, bound in ((a3, (2, 2, 2)), (D4, (2, 2, 2, 2)), (kron, (3, 3))):
-            Ns = [it.rep for it in indecomposable_catalog(quiver, q, bound)]
-            Ns.append(Representation.zero(quiver, q))
-            Ms = list(Ns)
-            rng.shuffle(Ms)
-            shapes = {hom_system(M, N).shape for M in Ms for N in Ns}
+            t = ClassTable(quiver, q, bound)
+            cols = [it.label for it in t.catalog]
+            rows = list(cols)
+            rng.shuffle(rows)
+            Ns = [it.rep for it in t.catalog]
+            shapes = {hom_system(M, N).shape for M in Ns for N in Ns}
             assert any(nvars == 0 for _, nvars in shapes)                 # no unknowns
             assert any(nconds == 0 < nvars for nconds, nvars in shapes)   # no conditions
-            assert hom_dims(Ms, Ns) == [[hom_dim_reference(M, N) for N in Ns] for M in Ms]
+            reps = t.by_label
+            assert t.hom_matrix(rows, cols) == [
+                [hom_dim_reference(reps[a].rep, reps[b].rep) for b in cols] for a in rows]
+            zero = Representation.zero(quiver, q)
+            for N in Ns + [zero]:
+                assert hom_dim(zero, N) == hom_dim(N, zero) == 0 == hom_dim_reference(zero, N)
 
     def test_chunks_of_one_row(self, kron, monkeypatch):
-        """With room for one system per chunk, every stacked system holds the
-        Hom systems of a single M, and the matrix is the same."""
+        """With room for one system per chunk, every stacked system of
+        ClassTable.hom_matrix holds the Hom system of a single pair, and the
+        matrix is the same."""
         from hallcrys import modules
-        reps = [it.rep for it in indecomposable_catalog(kron, 3, (3, 3))]
-        default = hom_dims(reps, reps)
+        from hallcrys.classtable import ClassTable
+        fresh = ClassTable(kron, 3, (3, 3))
+        labels = [it.label for it in fresh.catalog]
+        default = fresh.hom_matrix(labels, labels)
         rows = []
         stack = modules.hom_system_stack
 
@@ -103,21 +116,27 @@ class TestHomDims:
 
         monkeypatch.setattr(modules, "hom_system_stack", spy)
         monkeypatch.setattr(modules, "_HOM_STACK", 1)
-        assert hom_dims(reps, reps) == default
+        t = ClassTable(kron, 3, (3, 3))
+        rows.clear()
+        assert t.hom_matrix(labels, labels) == default
         assert set(rows) == {1} and max(map(max, default)) > 1
 
     def test_no_arrows_and_empty_lists(self):
+        from hallcrys.classtable import ClassTable
         quiver = Quiver(["1", "2"], [])
         Ms = [Representation(quiver, 3, d) for d in ((2, 1), (0, 3), (1, 0))]
-        assert hom_dims(Ms, Ms) == [[5, 3, 2], [3, 9, 0], [2, 0, 1]]
-        assert hom_dims([], Ms) == []
-        assert hom_dims(Ms, []) == [[], [], []]
+        assert [[hom_dim(M, N) for N in Ms] for M in Ms] == [[5, 3, 2], [3, 9, 0], [2, 0, 1]]
+        t = ClassTable(quiver, 3, (2, 2))
+        labels = [it.label for it in t.catalog]
+        assert t.hom_matrix(labels, labels) == [[1, 0], [0, 1]]
+        assert t.hom_matrix([], labels) == []
+        assert t.hom_matrix(labels, []) == [[], []]
 
     def test_mismatched_field(self, a2):
         M = Representation.simple(a2, 2, 0)
         N = Representation.simple(a2, 3, 0)
         with pytest.raises(ValueError, match="mismatched base field"):
-            hom_dims([M], [M, N])
+            hom_dim(M, N)
 
 
 def _stacks(reps, narrows):
