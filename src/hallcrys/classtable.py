@@ -635,7 +635,9 @@ class ClassTable:
     def load_cache(self, data: dict) -> int:
         """Merge tables written by :meth:`dump_cache`; returns the number of
         malformed entries skipped (bad key shape, unknown label, dimensions
-        that do not add up, or a value that is not a nonnegative integer).
+        that do not add up, a value that is not a nonnegative integer, or an
+        Ext dimension other than dim Hom(a, b) - <dim a, dim b>, the Hom
+        table read after its cached entries are merged).
 
         A payload for another schema, quiver (arrow order included), prime or
         bound is rejected whole with a ValueError."""
@@ -655,6 +657,9 @@ class ClassTable:
             for key, value in entries.items():
                 parsed = self._parse_cache_key(section, key)
                 if parsed is None or type(value) is not int or value < 0:
+                    skipped += 1
+                elif section == "ext" and value != self.hom_indec(*parsed) - euler_bilinear(
+                        self.quiver, *(self.by_label[x].dim for x in parsed)):
                     skipped += 1
                 else:
                     store[parsed] = value

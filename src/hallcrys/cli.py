@@ -1,5 +1,8 @@
 """Command-line driver: enumerate, compute, certify, selftest.
 
+:func:`main` owns the run envelope: it loads the quiver, builds the prime
+tables through the cache, runs one ``cmd_*`` (which returns the report's
+inputs, results and falsifications), saves the tables and writes the report.
 Reports are deterministic JSON (sorted keys; a single ``generated_at``
 timestamp field is the only run-dependent entry).  Exit codes: 0 all checks
 pass, 2 a falsification flag was raised or a check raised
@@ -24,7 +27,7 @@ from .crystal import Crystal, certify_exceptional
 from .exseq import CertificateEngine, braid_move_hall, braid_move_module
 from .generic import GenericContext, generic_multiply, kashiwara_pair_elements
 from .hallalg import HallElement, multiply, rescale, ringel_pair, rprime
-from .quivers import Quiver, QuiverError, dim_total
+from .quivers import Quiver, dim_total
 
 SCHEMA = 1
 
@@ -109,19 +112,9 @@ def _save_tables(config: RunConfig, quiver: Quiver, tables: TableSet):
 
 
 def _all_dims(quiver: Quiver, bound: int):
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == quiver.n:
-            if any(prefix):
-                out.append(tuple(prefix))
-            return
-        for d in range(bound + 1):
-            rec(prefix + [d])
-
-    rec([])
-    out.sort(key=lambda d: (sum(d), d))
-    return out
+    from itertools import product
+    dims = [d for d in product(range(bound + 1), repeat=quiver.n) if any(d)]
+    return sorted(dims, key=lambda d: (sum(d), d))
 
 
 def _report(command, inputs, results, primes, falsifications):
@@ -140,11 +133,9 @@ def _report(command, inputs, results, primes, falsifications):
 # enumerate
 
 
-def cmd_enumerate(config: RunConfig) -> dict:
-    quiver = Quiver.load(config.quiver_path)
+def cmd_enumerate(config: RunConfig, quiver: Quiver, tables: TableSet, args):
     falsifications = []
     per_prime = {}
-    tables = _tables(config, quiver)
     for q in config.primes:
         table = tables[q]
         entries = []
@@ -168,10 +159,7 @@ def cmd_enumerate(config: RunConfig) -> dict:
                     "field_dependent": table.field_dependent(cls),
                 })
         per_prime[str(q)] = entries
-    _save_tables(config, quiver, tables)
-    return _report("enumerate", {"quiver": quiver.to_json(),
-                                 "dim_bound": config.dim_bound},
-                   per_prime, config.primes, falsifications)
+    return {"dim_bound": config.dim_bound}, per_prime, falsifications
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +325,9 @@ def _evaluate(node, layer):
     raise CLIError(f"cannot evaluate {kind}")
 
 
-def cmd_compute(config: RunConfig, expression: str) -> dict:
-    quiver = Quiver.load(config.quiver_path)
-    node = _Parser(expression).parse()
+def cmd_compute(config: RunConfig, quiver: Quiver, tables: TableSet, args):
+    node = _Parser(args.expression).parse()
     results = {"fixed": {}, "generic": None, "generic_error": None}
-    falsifications = []
-    tables = _tables(config, quiver)
     for q in config.primes:
         try:
             val = _evaluate(node, tables[q])
@@ -359,22 +344,18 @@ def cmd_compute(config: RunConfig, expression: str) -> dict:
             results["generic_error"] = str(exc)
     else:
         results["generic_error"] = "generic layer requires a Dynkin quiver"
-    _save_tables(config, quiver, tables)
-    return _report("compute", {"quiver": quiver.to_json(), "expression": expression},
-                   results, config.primes, falsifications)
+    return {"expression": args.expression}, results, []
 
 
 # ----------------------------------------------------------------------
 # certify
 
 
-def cmd_certify(config: RunConfig, target: str, label: str | None,
-                all_exceptional: bool) -> dict:
-    quiver = Quiver.load(config.quiver_path)
+def cmd_certify(config: RunConfig, quiver: Quiver, tables: TableSet, args):
+    target, label = args.target, args.label
     bound = _bound_tuple(quiver, config)
-    tables = _tables(config, quiver)
     t0 = tables[config.primes[0]]
-    if all_exceptional:
+    if args.all_exceptional:
         classes = []
         for dim in _all_dims(quiver, config.dim_bound):
             for cls in t0.classes_of_dim(dim):
@@ -389,10 +370,8 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
             if part not in t0.by_label:
                 raise CLIError(f"unknown indecomposable label {part!r}")
         if not t0.is_exceptional(classes[0]):
-            return _report("certify", {"quiver": quiver.to_json(), "label": label},
-                           {"rejected": f"{label} is not exceptional"},
-                           config.primes,
-                           [f"{label} is not exceptional"])
+            return ({"label": label}, {"rejected": f"{label} is not exceptional"},
+                    [f"{label} is not exceptional"])
     falsifications = []
     results = []
     engine = CertificateEngine(quiver, bound, config.primes, tables=tables)
@@ -420,22 +399,19 @@ def cmd_certify(config: RunConfig, target: str, label: str | None,
             entry["crystal"] = cert.to_json()
             falsifications.extend(f"{cls.label}: {f}" for f in cert.falsifications)
         results.append(entry)
-    _save_tables(config, quiver, tables)
-    return _report("certify", {"quiver": quiver.to_json(), "target": target,
-                               "label": label, "all_exceptional": all_exceptional},
-                   results, config.primes, falsifications)
+    inputs = {"target": target, "label": label, "all_exceptional": args.all_exceptional}
+    return inputs, results, falsifications
 
 
 # ----------------------------------------------------------------------
 # selftest
 
 
-def cmd_selftest(config: RunConfig) -> dict:
+def cmd_selftest(config: RunConfig, quiver: Quiver, tables: TableSet, args):
     from .exseq import BraidError
     from .hallalg import serre_defect
     from .modules import BudgetExceeded, ext_dims
     from .quivers import euler_form
-    quiver = Quiver.load(config.quiver_path)
     falsifications = []
     checks = []
 
@@ -447,7 +423,6 @@ def cmd_selftest(config: RunConfig) -> dict:
             print(f"hallcrys: selftest check {name!r} skipped {skipped} comparisons "
                   f"past a budget or the dimension bound", file=sys.stderr)
 
-    tables = _tables(config, quiver)
     for q in config.primes:
         table = tables[q]
         dims = [d for d in _all_dims(quiver, config.dim_bound) if sum(d) <= 4]
@@ -527,10 +502,7 @@ def cmd_selftest(config: RunConfig) -> dict:
     check("certificate replay on the simples",
           all(engine.verify_tree(engine.integral_certificate(cls), cls)
               for cls in simples))
-    _save_tables(config, quiver, tables)
-    return _report("selftest", {"quiver": quiver.to_json(),
-                                "dim_bound": config.dim_bound},
-                   checks, config.primes, falsifications)
+    return {"dim_bound": config.dim_bound}, checks, falsifications
 
 
 # ----------------------------------------------------------------------
@@ -585,6 +557,8 @@ def _emit(report: dict, fmt: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"enumerate": cmd_enumerate, "compute": cmd_compute,
+               "certify": cmd_certify, "selftest": cmd_selftest}[args.command]
     try:
         config = RunConfig(quiver_path=args.quiver,
                            primes=tuple(int(x) for x in args.primes.split(",")),
@@ -593,26 +567,19 @@ def main(argv=None) -> int:
                            ext_budget=args.ext_budget,
                            cache_dir=args.cache,
                            fmt=args.format)
-        if args.command == "enumerate":
-            report = cmd_enumerate(config)
-        elif args.command == "compute":
-            report = cmd_compute(config, args.expression)
-        elif args.command == "certify":
-            report = cmd_certify(config, args.target, args.label,
-                                 args.all_exceptional)
-        elif args.command == "selftest":
-            report = cmd_selftest(config)
-        else:
-            raise CLIError(f"unknown command {args.command}")
+        quiver = Quiver.load(config.quiver_path)
+        tables = _tables(config, quiver)
+        inputs, results, falsifications = command(config, quiver, tables, args)
+        _save_tables(config, quiver, tables)
+        report = _report(args.command, {"quiver": quiver.to_json(), **inputs},
+                         results, config.primes, falsifications)
     except CheckFailed as exc:
         # a contradicted identity is a falsification, not an operational error
         report = _report(args.command, {"quiver": args.quiver}, {},
                          config.primes, [str(exc)])
-    except (CLIError, QuiverError, ValueError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
-        return 1
-    except RuntimeError as exc:
-        # budget, catalog or certificate failures are operational errors
+    except (ValueError, RuntimeError) as exc:
+        # bad input (CLIError, QuiverError) or a budget, catalog or
+        # certificate failure: an operational error
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True))
         return 1
     _emit(report, config.fmt)

@@ -381,7 +381,7 @@ class CertificateEngine:
         label = cls.parts[0]
         target = IsoClass(tuple(sorted(cls.parts * s)))
         deep_context = None
-        for it in sorted(t0.catalog, key=lambda i: (i.total(), i.dim, i.label)):
+        for it in t0.catalog:
             if it.field_dependent or it.label == label:
                 continue
             mu = IsoClass((it.label,))

@@ -518,13 +518,6 @@ def _companion(coeffs, power: int, q: int) -> np.ndarray:
     return mat
 
 
-def _jordan_nilpotent(m: int) -> np.ndarray:
-    mat = np.zeros((m, m), dtype=np.int64)
-    for r in range(1, m):
-        mat[r, r - 1] = 1
-    return mat
-
-
 def kronecker_regulars(quiver: Quiver, q: int, max_mult: int):
     """Indecomposable regular Kronecker modules with dim (n, n), n <= max_mult.
 
@@ -534,9 +527,9 @@ def kronecker_regulars(quiver: Quiver, q: int, max_mult: int):
     """
     out = []
     for m in range(1, max_mult + 1):
-        jm = _jordan_nilpotent(m)
-        im = np.eye(m, dtype=np.int64)
-        rep = Representation(quiver, q, (m, m), [jm, im])
+        # the companion matrix of x^m is the nilpotent Jordan block
+        rep = Representation(quiver, q, (m, m),
+                             [_companion((0,), m, q), np.eye(m, dtype=np.int64)])
         out.append(Indec(f"R[inf]m{m}", (m, m), rep, end_dim=m, rad_dim=m - 1,
                          res_deg=1, field_dependent=True))
     for d in range(1, max_mult + 1):
@@ -562,21 +555,17 @@ def indecomposable_catalog(quiver: Quiver, q: int, bound) -> list:
     regular tubes.
     """
     bound = tuple(bound)
-    if quiver.is_dynkin():
-        reps = _generate_rigid(quiver, q, bound, dynkin=True)
-        items = [Indec(_rigid_label(quiver, r.dims), r.dims, r) for r in reps]
-        items.sort(key=lambda it: (it.total(), it.dim))
-        return items
-    if quiver.is_kronecker_like() and len(quiver.arrows) == 2:
-        reps = _generate_rigid(quiver, q, bound, dynkin=False)
-        items = [Indec(_rigid_label(quiver, r.dims), r.dims, r) for r in reps]
-        max_mult = min(bound)
-        items.extend(it for it in kronecker_regulars(quiver, q, max_mult)
+    dynkin = quiver.is_dynkin()
+    if not dynkin and not (quiver.is_kronecker_like() and len(quiver.arrows) == 2):
+        raise CatalogUnavailable(
+            "indecomposable catalog available only for Dynkin and Kronecker quivers")
+    items = [Indec(_rigid_label(quiver, r.dims), r.dims, r)
+             for r in _generate_rigid(quiver, q, bound, dynkin)]
+    if not dynkin:
+        items.extend(it for it in kronecker_regulars(quiver, q, min(bound))
                      if all(d <= b for d, b in zip(it.dim, bound)))
-        items.sort(key=lambda it: (it.total(), it.dim, it.label))
-        return items
-    raise CatalogUnavailable(
-        "indecomposable catalog available only for Dynkin and Kronecker quivers")
+    items.sort(key=lambda it: (it.total(), it.dim, it.label))
+    return items
 
 
 def _generate_rigid(quiver: Quiver, q: int, bound, dynkin: bool):

@@ -231,12 +231,21 @@ class TestCertify:
         assert entry["integrality"] == "pass"
         assert entry["tree"] == [{"coeff": "1", "word": [["1", 1]]}]
 
-    def test_non_exceptional_rejected(self, a2_file):
-        proc = run_cli("certify", "--quiver", a2_file, "--label", "S1+S2",
-                       "--target", "integrality")
+    def test_non_exceptional_rejected(self, a2_file, tmp_path):
+        args = ("certify", "--quiver", a2_file, "--label", "S1+S2", "--target", "integrality")
+        proc = run_cli(*args)
         assert proc.returncode == 2
         report = json.loads(proc.stdout)
         assert report["falsifications"]
+        # a rejection saves its tables like any other run
+        cache = tmp_path / "cache"
+        cached = run_cli(*args, "--cache", str(cache))
+        assert cached.returncode == 2
+        reports = [json.loads(p.stdout) for p in (proc, cached)]
+        for r in reports:
+            r.pop("generated_at")
+        assert reports[0] == reports[1]
+        assert list(cache.glob("*_q2_*.json"))    # the only table built
 
     @pytest.mark.parametrize("label", ["X9", "S1+X9"])
     def test_unknown_label_rejected(self, a2_file, label):
@@ -382,10 +391,11 @@ class TestCertifyCache:
         data["hall"]["r1.1|S1|nosuch"] = 1        # unknown label
         data["hall"]["r1.1|S1|S2"] = "one"       # non-integer value
         data["hom"]["S1"] = 0                     # bad key shape
+        data["ext"]["S1|S1"] = 1                  # not dim Hom - <dim, dim>
         path.write_text(json.dumps(data))
         proc = run_cli(*self.ARGS, "--quiver", a2_file, "--cache", str(cache))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert f"cache file {path}: skipped 4 malformed entries" in proc.stderr
+        assert f"cache file {path}: skipped 5 malformed entries" in proc.stderr
         reports = [json.loads(p.stdout) for p in (clean, proc)]
         for report in reports:
             report.pop("generated_at")
