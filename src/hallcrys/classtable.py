@@ -2,11 +2,12 @@
 
 A :class:`ClassTable` holds, for one quiver, one prime q and a dimension
 bound: the indecomposable catalog, the iso-classes per dimension vector
-(Krull-Schmidt multisets), automorphism orders, Hom/Ext tables and Hall
-numbers.  Completeness of the catalog is certified by the mass formula
-``sum_{classes of dim d} |G_d| / |Aut| = |E_d|``, an exact integer identity
-checked at every prime; orbit enumeration under the base-change group gives
-an independent second route within the point budget.
+(Krull-Schmidt multisets), automorphism orders, the Hom table (Ext is read
+off it by the Euler form) and Hall numbers.  Completeness of the catalog is
+certified by the mass formula ``sum_{classes of dim d} |G_d| / |Aut| =
+|E_d|``, an exact integer identity checked at every prime; orbit enumeration
+under the base-change group gives an independent second route within the
+point budget.
 
 Hall numbers come from Grassmannian scans: one scan of the subspace tuples
 of dimension dim beta in V_lambda, for every class lambda of one dimension
@@ -112,7 +113,6 @@ class ClassTable:
         self.catalog = indecomposable_catalog(quiver, q, self.dim_bound)
         self.by_label = {it.label: it for it in self.catalog}
         self._hom_cache = {}
-        self._ext_cache = {}
         self._rep_cache = {}
         # the zero module's label key: no arrow block has an entry
         self._label_cache = {((0,) * quiver.n, b""): ZERO_CLASS}
@@ -145,7 +145,8 @@ class ClassTable:
                 # rigid catalog entries must be bricks without self-extensions
                 check(self.hom_indec(it.label, it.label) == 1,
                       f"rigid catalog entry {it.label} is not a brick")
-                check(self.ext_indec(it.label, it.label) == 0,
+                # by projective presentation, independent of the Hom table
+                check(ext_dim(it.rep, it.rep) == 0,
                       f"rigid catalog entry {it.label} has self-extensions")
             else:
                 check(self.hom_indec(it.label, it.label) == it.end_dim,
@@ -177,12 +178,6 @@ class ClassTable:
             for pair, h in zip(pairs, np.broadcast_to(counts, len(pairs)).tolist()):
                 cache.setdefault(pair, h)
         return [[cache[a, b] for b in cols] for a in rows]
-
-    def ext_indec(self, a: str, b: str) -> int:
-        key = (a, b)
-        if key not in self._ext_cache:
-            self._ext_cache[key] = ext_dim(self.by_label[a].rep, self.by_label[b].rep)
-        return self._ext_cache[key]
 
     # -- classes ---------------------------------------------------------
 
@@ -252,7 +247,10 @@ class ClassTable:
         return sum(self.hom_indec(pa, pb) for pa in a.parts for pb in b.parts)
 
     def ext(self, a: IsoClass, b: IsoClass) -> int:
-        return sum(self.ext_indec(pa, pb) for pa in a.parts for pb in b.parts)
+        """dim Ext^1(a, b) = dim Hom(a, b) - <dim a, dim b> (hereditary
+        algebra); :func:`modules.ext_dims` is the independent oracle."""
+        return self.hom(a, b) - euler_bilinear(self.quiver, self.class_dim(a),
+                                               self.class_dim(b))
 
     def end_dim(self, cls: IsoClass) -> int:
         return self.hom(cls, cls)
@@ -624,7 +622,6 @@ class ClassTable:
         return {
             **self._cache_header(),
             "hom": {f"{a}|{b}": v for (a, b), v in sorted(self._hom_cache.items())},
-            "ext": {f"{a}|{b}": v for (a, b), v in sorted(self._ext_cache.items())},
             "hall": {f"{l.label}|{a.label}|{b.label}": g
                      for (l, a, b), g in sorted(self._hall_cache.items(),
                                                 key=lambda kv: (kv[0][0].label,
@@ -635,9 +632,8 @@ class ClassTable:
     def load_cache(self, data: dict) -> int:
         """Merge tables written by :meth:`dump_cache`; returns the number of
         malformed entries skipped (bad key shape, unknown label, dimensions
-        that do not add up, a value that is not a nonnegative integer, or an
-        Ext dimension other than dim Hom(a, b) - <dim a, dim b>, the Hom
-        table read after its cached entries are merged).
+        that do not add up, or a value that is not a nonnegative integer).
+        Any other section, such as the Ext table of older files, is not read.
 
         A payload for another schema, quiver (arrow order included), prime or
         bound is rejected whole with a ValueError."""
@@ -648,8 +644,7 @@ class ClassTable:
         if wrong:
             raise ValueError(f"table cache for another {', '.join(wrong)}")
         skipped = 0
-        for section, store in (("hom", self._hom_cache), ("ext", self._ext_cache),
-                               ("hall", self._hall_cache)):
+        for section, store in (("hom", self._hom_cache), ("hall", self._hall_cache)):
             entries = data.get(section, {})
             if not isinstance(entries, dict):
                 skipped += 1
@@ -657,9 +652,6 @@ class ClassTable:
             for key, value in entries.items():
                 parsed = self._parse_cache_key(section, key)
                 if parsed is None or type(value) is not int or value < 0:
-                    skipped += 1
-                elif section == "ext" and value != self.hom_indec(*parsed) - euler_bilinear(
-                        self.quiver, *(self.by_label[x].dim for x in parsed)):
                     skipped += 1
                 else:
                     store[parsed] = value

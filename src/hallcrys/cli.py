@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -446,9 +447,14 @@ def cmd_selftest(config: RunConfig, quiver: Quiver, tables: TableSet, args):
         check(f"euler identity q={q}", np.array_equal(C @ H @ C.T - X, D @ E @ D.T))
         mass_ok = all(table.mass_check(d) for d in dims)
         check(f"mass formula q={q}", mass_ok)
-        serre_ok = all(serre_defect(table, i, j).is_zero()
-                       for i in range(quiver.n) for j in range(quiver.n) if i != j)
-        check(f"quantum serre q={q}", serre_ok)
+        serre_ok, skipped = True, 0
+        for i, j in permutations(range(quiver.n), 2):
+            try:
+                if not serre_defect(table, i, j).is_zero():
+                    serre_ok = False
+            except BudgetExceeded:
+                skipped += 1     # the Serre degree 1 - a_ij leaves the bound
+        check(f"quantum serre q={q}", serre_ok, skipped)
         # dual-route Hall numbers and automorphism orders on small triples
         dual_ok, skipped = True, 0
         small = [c for c in classes if dim_total(table.class_dim(c)) <= 2]

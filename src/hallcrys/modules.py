@@ -240,17 +240,6 @@ def _precompose_matrix(quiver: Quiver, k: int, bases):
     return mats
 
 
-def hom_ext(M: Representation, N: Representation):
-    """(dim Hom, dim Ext) as a pair; the two dimensions are computed by
-    independent routes, so hom - ext = <dim M, dim N> stays a real check."""
-    return hom_dim(M, N), ext_dim(M, N)
-
-
-def is_exceptional(M: Representation) -> bool:
-    """No self-extensions (and nonzero)."""
-    return not M.is_zero() and ext_dim(M, M) == 0
-
-
 def projective_presentation(M: Representation):
     """The standard presentation P1 --phi--> P0 -->> M over the path algebra.
 
@@ -316,8 +305,9 @@ def ext_dim(M: Representation, N: Representation) -> int:
 
     Built from explicit projective objects and path composition, never from
     the intertwiner system ``hom_system(M, N)`` of :func:`hom_dim`, so the
-    Euler identity hom - ext = <dim M, dim N> is a genuine downstream
-    cross-check.  One pair of :func:`ext_dims`.
+    Euler identity hom - ext = <dim M, dim N> is a genuine cross-check: this
+    is the oracle for ``ClassTable.ext``, which reads Ext off the Hom table by
+    that identity.  One pair of :func:`ext_dims`.
     """
     return ext_dims([M], [N])[0][0]
 

@@ -180,11 +180,13 @@ class Quiver:
 
     @staticmethod
     def load(path) -> "Quiver":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise QuiverError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        except json.JSONDecodeError as exc:
+            raise QuiverError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        except OSError as exc:
+            raise QuiverError(f"{path}: cannot read quiver file: {exc.strerror}")
         return Quiver.from_json(data)
 
     def content_hash(self) -> str:

@@ -7,7 +7,7 @@ from hallcrys import linalg
 from hallcrys.checks import CheckFailed
 from hallcrys.classtable import (ClassTable, IsoClass, TableSet, ZERO_CLASS,
                                   _check_same_rigid, parse_class_label)
-from hallcrys.modules import BudgetExceeded, hom_dim, hom_system
+from hallcrys.modules import BudgetExceeded, ext_dims, hom_dim, hom_system
 from hallcrys.quivers import Quiver, euler_bilinear, quiver_a1
 
 
@@ -50,10 +50,30 @@ class TestClasses:
 
     def test_exceptionality(self, reg, a2):
         t = reg.table(a2, 2)
+        S1, S2 = t.simple_class(0), t.simple_class(1)
+        assert (t.hom(S1, S2), t.ext(S1, S2)) == (0, 1)
+        assert (t.hom(S2, P), t.ext(S2, P)) == (1, 0)
         assert t.is_exceptional(P)
         assert t.is_exceptional(IsoClass.of("S1"))
         assert not t.is_exceptional(IsoClass.of("S1", "S2"))  # Ext(S1,S2) = 1
         assert t.is_exceptional(IsoClass.of("S2", "r1.1"))
+        assert t.ext(ZERO_CLASS, ZERO_CLASS) == 0
+        assert not t.is_exceptional(ZERO_CLASS)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_ext_matches_projective_presentation(self, reg, a3, kron, q):
+        """On A3 (2,2,2), D4 (2,2,2,2) and the Kronecker quiver (3,3),
+        ClassTable.ext, Hom minus the Euler form, equals the oracle
+        modules.ext_dims of the representatives on every pair of catalog
+        entries and on every pair of classes of total dimension at most 3."""
+        for quiver, bound in ((a3, (2, 2, 2)), (D4, (2, 2, 2, 2)), (kron, (3, 3))):
+            t = reg.table(quiver, q, bound)
+            small = [dim for dim in product(*(range(b + 1) for b in bound)) if sum(dim) <= 3]
+            for classes in ([IsoClass((it.label,)) for it in t.catalog],
+                            [cls for dim in small for cls in t.classes_of_dim(dim)]):
+                reps = [t.representative(cls) for cls in classes]
+                assert [[t.ext(a, b) for b in classes] for a in classes] == \
+                    ext_dims(reps, reps)
 
     def test_exceptional_pairs(self, reg, a2):
         t = reg.table(a2, 2)

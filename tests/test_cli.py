@@ -63,6 +63,14 @@ class TestValidation:
         assert proc.returncode == 1
         assert "line" in json.loads(proc.stdout)["error"]
 
+    @pytest.mark.parametrize("name", ["nosuch.json", "."], ids=["missing", "directory"])
+    def test_unreadable_quiver_file_rejected(self, tmp_path, name):
+        path = tmp_path / name
+        proc = run_cli("certify", "--quiver", str(path), "--all-exceptional")
+        assert proc.returncode == 1
+        assert str(path) in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
     def test_single_prime_rejected(self, a2_file):
         proc = run_cli("enumerate", "--quiver", a2_file, "--primes", "2")
         assert proc.returncode == 1
@@ -309,6 +317,20 @@ class TestSelftestAndCache:
                                     f"comparisons past a budget or the dimension bound"
                                     for name, n in skipped.items()]
 
+    def test_selftest_serre_degree_past_bound_skipped(self, kron_file, monkeypatch, capsys):
+        """At bound (1, 1) the Kronecker Serre relation, of degree
+        1 - a_ij = 3, leaves the table; each (i, j) is counted as skipped
+        and the run exits 0."""
+        from hallcrys import cli
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        assert cli.main(["selftest", "--quiver", kron_file, "--dim-bound", "1",
+                         "--primes", "2,3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["falsifications"] == []
+        serre = [c for c in report["results"] if c["check"].startswith("quantum serre")]
+        assert serre == [{"check": f"quantum serre q={q}", "pass": True, "skipped": 2}
+                         for q in (2, 3)]
+
     def test_selftest_on_quiver_without_arrows(self, tmp_path):
         path = tmp_path / "a1.json"
         path.write_text(json.dumps({"vertices": ["1"], "arrows": []}))
@@ -391,11 +413,14 @@ class TestCertifyCache:
         data["hall"]["r1.1|S1|nosuch"] = 1        # unknown label
         data["hall"]["r1.1|S1|S2"] = "one"       # non-integer value
         data["hom"]["S1"] = 0                     # bad key shape
-        data["ext"]["S1|S1"] = 1                  # not dim Hom - <dim, dim>
+        # an Ext section, as older files held, is not read: Ext is Hom minus
+        # the Euler form, so a doctored entry cannot reach the report
+        assert "ext" not in data
+        data["ext"] = {"S1|S1": 1}
         path.write_text(json.dumps(data))
         proc = run_cli(*self.ARGS, "--quiver", a2_file, "--cache", str(cache))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert f"cache file {path}: skipped 5 malformed entries" in proc.stderr
+        assert f"cache file {path}: skipped 4 malformed entries" in proc.stderr
         reports = [json.loads(p.stdout) for p in (clean, proc)]
         for report in reports:
             report.pop("generated_at")

@@ -761,15 +761,3 @@ def test_direct_sum_dims(a2):
     P = P_a2(2)
     D = direct_sum([S1, P, P])
     assert D.dims == (3, 2)
-
-
-def test_hom_ext_pair_and_exceptional(a2):
-    from hallcrys.modules import hom_ext, is_exceptional
-    S1 = Representation.simple(a2, 2, 0)
-    S2 = Representation.simple(a2, 2, 1)
-    P = P_a2(2)
-    assert hom_ext(S1, S2) == (0, 1)
-    assert hom_ext(S2, P) == (1, 0)
-    assert is_exceptional(P) and is_exceptional(S1)
-    assert not is_exceptional(direct_sum([S1, S2]))
-    assert not is_exceptional(Representation.zero(a2, 2))
