@@ -3,17 +3,19 @@
 ``rref_mod`` is one Gauss–Jordan elimination over rows of Python ints; for a
 single small matrix that beats numpy row operations.  ``rank_mod_stack``
 ranks a whole stack of equal-shape matrices in one numpy column sweep; it
-serves ``modules.hom_counts``, the one stacked Hom count (one call per
-bounded cut of its batch), which the Hom matrix, Krull–Schmidt labelling and
-Ext's Hom(P1, N) go through, and the images g o phi of ``modules.ext_dims``
-(one call per block of dimension vectors).  ``rref_mod_stack`` reduces a
-stack the same way to full RREFs; it serves ``linalg.complement_basis``,
-which completes a whole Grassmannian's frames in one call.
+serves ``modules.hom_counts``, the one stacked Hom count, which the Hom
+matrix, Krull–Schmidt labelling and Ext's Hom(P1, N) go through, and the
+images g o phi of ``modules.ext_dims``.  ``rref_mod_stack`` reduces a stack
+the same way to full RREFs; it serves ``linalg.complement_basis``, which
+completes the frames of a Grassmannian.  Every caller passes one cut of its
+batch at a time, as ``modules.stack_cuts`` bounds it, so no stack outgrows
+``modules._HOM_STACK`` entries.
 ``decode_points``/``encode_points`` map points of E_d (tuples of arrow
 matrices) to integer codes and back, and ``orbit_fill`` is the
 breadth-first flood fill behind the orbit oracle of
 :class:`~hallcrys.classtable.ClassTable`, with each generator applied to a
-whole frontier by batched matrix products.
+whole frontier by batched matrix products and each frontier made distinct
+by ``sorted_distinct``.
 """
 
 from __future__ import annotations
@@ -189,6 +191,15 @@ def encode_points(mats, p, batch=None) -> np.ndarray:
     return (digits * p ** np.arange(digits.shape[1], dtype=np.int64)).sum(axis=1)
 
 
+def sorted_distinct(codes) -> np.ndarray:
+    """The distinct values of a 1-d batch of codes, ascending, as int64: what
+    ``np.unique`` returns, without its import of ``numpy.ma`` on first use."""
+    codes = np.sort(np.asarray(codes, dtype=np.int64))
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 def orbit_fill(start_codes, visited, arrows, dims, gens, p) -> int:
     """Mark the orbit(s) of the start codes under the group the generators
     span; returns the number of newly visited points.
@@ -198,7 +209,7 @@ def orbit_fill(start_codes, visited, arrows, dims, gens, p) -> int:
     v to M g^-1.
     """
     cells = [(dims[t], dims[s]) for s, t in arrows]
-    frontier = np.unique(np.asarray(start_codes, dtype=np.int64))
+    frontier = sorted_distinct(start_codes)
     frontier = frontier[~visited[frontier]]
     visited[frontier] = True
     count = int(frontier.size)
@@ -209,7 +220,7 @@ def orbit_fill(start_codes, visited, arrows, dims, gens, p) -> int:
             out = [g @ m % p if t == v else m for m, (_, t) in zip(mats, arrows)]
             out = [m @ g_inv % p if s == v else m for m, (s, _) in zip(out, arrows)]
             images.append(encode_points(out, p, frontier.size))
-        codes = np.unique(np.concatenate(images))
+        codes = sorted_distinct(np.concatenate(images))
         codes = codes[~visited[codes]]
         visited[codes] = True
         count += int(codes.size)

@@ -15,16 +15,16 @@ vector together, labels every closed tuple's submodule and quotient, and so
 fills g^lambda_{alpha beta} for all classes lambda, alpha, beta of those
 dimensions at once.  Each Grassmannian is enumerated once per table as two
 stacks, the frames [W | C] of its subspaces and their inverses, from one
-stacked elimination.  A scan sweeps the product of the Grassmannians in
-bounded chunks: per arrow one batched product gives the blocks of every
-(tuple, class) pair of a chunk, and each side's closed blocks are labelled
-as soon as their chunk is swept, with no module object built.  A batch of
-modules moves as one format, per-arrow (n, d_t, d_s) stacks and the batch
-size n.  Krull-Schmidt labelling has one route,
-:meth:`ClassTable.label_modules`, which owns the label cache and decomposes
-all the misses of a batch together by Hom counts against the catalog, whose
-per-arrow stacks are built once per dimension vector; the scans, the
-extension counts and :meth:`ClassTable.label_module` all use it.
+stacked elimination per bounded cut of its subspaces.  A scan sweeps the
+product of the Grassmannians in bounded chunks: per arrow one batched
+product gives the blocks of every (tuple, class) pair of a chunk, and each
+side's closed blocks are labelled as soon as their chunk is swept, with no
+module object built.  A batch of modules moves as one format, per-arrow
+(n, d_t, d_s) stacks and the batch size n.  Krull-Schmidt labelling has one
+route, :meth:`ClassTable.label_modules`, which owns the label cache and
+decomposes all the misses of a batch together by Hom counts against the
+catalog, whose per-arrow stacks are built once per dimension vector; the
+scans, the extension counts and :meth:`ClassTable.label_module` all use it.
 :meth:`ClassTable.hall_number_rp` (Riedtmann-Peng, by extension-class
 counting) stays as an independent oracle.
 """
@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import lcm, prod
 
 import numpy as np
@@ -551,12 +551,13 @@ class ClassTable:
 
         One sweep of the Grassmannian product serves every lambda, in chunks
         of consecutive subspace tuples that hold at most
-        ``modules._HOM_STACK`` block entries.  For each arrow one batched
-        product gives the blocks of every (tuple, class) pair of a chunk, and
-        one ``any`` over the lower-left blocks gives closure.  The closed
-        pairs' quotient and submodule blocks are labelled as soon as their
-        chunk is swept, one :meth:`label_modules` batch per side, with no
-        representation built and no block kept."""
+        ``modules._HOM_STACK`` block entries (:func:`modules.stack_cuts`).
+        For each arrow one batched product gives the blocks of every
+        (tuple, class) pair of a chunk, and one ``any`` over the lower-left
+        blocks gives closure.  The closed pairs' quotient and submodule
+        blocks are labelled as soon as their chunk is swept, one
+        :meth:`label_modules` batch per side, with no representation built
+        and no block kept."""
         q = self.q
         arrows = self.quiver.arrows
         dims = self.class_dim(lams[0])
@@ -566,11 +567,10 @@ class ClassTable:
         grass = [self._grassmannian(dims[v], bd[v]) for v in range(self.quiver.n)]
         total = prod(len(frames) for frames, _ in grass)
         entries = len(lams) * max(1, sum(dims[s] * dims[t] for s, t in arrows))
-        step = max(1, modules._HOM_STACK // entries)
-        for lo in range(0, total, step):
+        for cut in modules.stack_cuts(total, entries):
             # per vertex, the Grassmannian index of each tuple of the chunk,
             # in the order of itertools.product
-            point = np.unravel_index(np.arange(lo, min(lo + step, total)),
+            point = np.unravel_index(np.arange(cut.start, cut.stop),
                                      [len(frames) for frames, _ in grass])
             closed = np.ones((len(point[0]), len(lams)), dtype=bool)
             blocks = []
@@ -602,13 +602,24 @@ class ClassTable:
         as two (N, d, d) stacks: the frames [W | C], with C the greedy
         complement, and their inverses, whose first k rows give coordinates
         in W and whose others project onto the quotient F_q^d / W in the
-        basis C.  Both come from one stacked
-        :func:`linalg.complement_basis` of all the subspaces."""
+        basis C.  Both stacks are allocated once, N being the Gaussian
+        binomial, and filled by one stacked :func:`linalg.complement_basis`
+        per cut of the subspaces (:func:`modules.stack_cuts`), so the bases
+        and the [B | I] elimination of one cut at a time are all the build
+        holds beside them.  The whole Grassmannian stays cached."""
         key = (d, k)
         if key not in self._grass_cache:
-            bases = np.stack(list(linalg.subspaces(d, k, self.q)))
-            comp, inv = linalg.complement_basis(bases, self.q)
-            self._grass_cache[key] = (np.concatenate([bases, comp], axis=2), inv)
+            count = linalg.gaussian_binomial_int(d, k, self.q)
+            frames = np.empty((count, d, d), dtype=np.int64)
+            inverses = np.empty((count, d, d), dtype=np.int64)
+            found = linalg.subspaces(d, k, self.q)
+            # one cut's [B | I] holds d * (k + d) entries per subspace
+            for cut in modules.stack_cuts(count, d * (k + d)):
+                bases = np.stack(list(islice(found, cut.stop - cut.start)))
+                comp, inverses[cut] = linalg.complement_basis(bases, self.q)
+                frames[cut, :, :k] = bases
+                frames[cut, :, k:] = comp
+            self._grass_cache[key] = (frames, inverses)
         return self._grass_cache[key]
 
     # -- cache -------------------------------------------------------------
@@ -692,8 +703,10 @@ class ClassTable:
         return num // den
 
     def extension_middle_counts(self, alpha: IsoClass, beta: IsoClass):
-        """Count Ext(V_alpha, V_beta) classes by iso-class of the middle term,
-        the middle terms labelled in one batch."""
+        """Count Ext(V_alpha, V_beta) classes by iso-class of the middle term.
+        The middle terms are built and labelled one batch per cut of the
+        cocycles (:func:`modules.stack_cuts`, by the entries of one middle
+        term), so no batch outgrows ``modules._HOM_STACK`` entries."""
         q = self.q
         A = self.representative(alpha)
         B = self.representative(beta)
@@ -703,12 +716,16 @@ class ClassTable:
         e = comp.shape[1]
         if self.q**e > self.ext_budget:
             raise BudgetExceeded(f"|Ext| = {q}^{e} exceeds the extension budget")
-        coeffs = np.array(list(product(range(q), repeat=e)), dtype=np.int64).reshape(q**e, e)
-        middles = self._middle_terms(A, B, coeffs @ comp.T % q)
         dims = tuple(a + b for a, b in zip(A.dims, B.dims))
         counts = {}
-        for cls in self.label_modules(dims, len(coeffs), middles):
-            counts[cls] = counts.get(cls, 0) + 1
+        entries = sum(dims[s] * dims[t] for s, t in self.quiver.arrows)
+        for cut in modules.stack_cuts(q**e, entries):
+            # the cocycles' coordinates in comp: the base-q digits of their
+            # indices, in the order of itertools.product
+            coeffs = np.arange(cut.start, cut.stop)[:, None] // q ** np.arange(e - 1, -1, -1) % q
+            middles = self._middle_terms(A, B, coeffs @ comp.T % q)
+            for cls in self.label_modules(dims, len(coeffs), middles):
+                counts[cls] = counts.get(cls, 0) + 1
         return counts
 
     def _middle_terms(self, A, B, cocycles) -> list:

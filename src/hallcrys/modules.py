@@ -21,9 +21,19 @@ from .checks import check
 from .quivers import Quiver, dim_total
 
 
-# entries of one stacked system of hom_counts (256 KiB of int64); the rank
+# entries of one stacked array of the F_p kernels (256 KiB of int64): a
+# system of hom_counts, an image stack of ext_dims, a scan chunk, a cut of a
+# Grassmannian or of the middle terms of extension_middle_counts; the rank
 # sweep holds about three arrays of that size
 _HOM_STACK = 2**15
+
+
+def stack_cuts(count: int, per_item: int) -> list:
+    """The cuts of a leading axis of ``count`` items of ``per_item`` entries
+    each, as consecutive slices that hold at most ``_HOM_STACK`` entries
+    (read at call time) apart from a cut of one item, which may exceed it."""
+    step = max(1, _HOM_STACK // max(1, per_item))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 class BudgetExceeded(RuntimeError):
@@ -170,11 +180,10 @@ def hom_counts(quiver: Quiver, q: int, m_dims, m_maps, n_dims, n_maps) -> np.nda
     shape = batch or (1,)
     m_maps, n_maps = ([np.broadcast_to(m, shape + np.shape(m)[-2:]) for m in maps]
                       for maps in (m_maps, n_maps))
-    step = max(1, _HOM_STACK // (prod(shape[1:]) * nconds * nvars))
-    ranks = [rank_mod_stack(hom_system_stack(quiver, q, m_dims, [m[lo:lo + step] for m in m_maps],
-                                             n_dims, [m[lo:lo + step] for m in n_maps])
+    ranks = [rank_mod_stack(hom_system_stack(quiver, q, m_dims, [m[cut] for m in m_maps],
+                                             n_dims, [m[cut] for m in n_maps])
                             .reshape(-1, nconds, nvars), q)
-             for lo in range(0, shape[0], step)]
+             for cut in stack_cuts(shape[0], prod(shape[1:]) * nconds * nvars)]
     return (nvars - np.concatenate(ranks)).reshape(batch)
 
 
@@ -319,8 +328,11 @@ def ext_dims(Ms, Ns) -> list:
 
     P1 and P0 = sum_v P_v^{M_v} depend on M only through dim M; only phi
     carries M's arrow matrices.  Per block, one :func:`hom_counts` gives
-    dim Hom(P1, N), and one stacked rank the images g o phi, g running over
-    the Hom(P_v, N) bases, solved for once per vertex and N.  The Yoneda
+    dim Hom(P1, N), and stacked ranks the images g o phi, g running over
+    the Hom(P_v, N) bases, solved for once per vertex and N.  The images
+    are built and ranked one cut of the block's (N, M) pairs at a time
+    (:func:`stack_cuts`), so one stack holds at most ``_HOM_STACK`` entries
+    unless it holds a single pair.  The Yoneda
     forms (Hom(P_v, N) = N_v) would skip the solving, but would turn phi^*
     into the intertwiner system of (M, N) and the Euler identity into a
     tautology.
@@ -358,9 +370,8 @@ def ext_dims(Ms, Ns) -> list:
             if not wide:
                 continue        # Hom(P1, N) has no unknowns
             h1 = hom_counts(quiver, q, P1.dims, P1.maps, n_dims, n_maps[n_dims])
-            # g o phi for every pair: a row block per v, a column block per w
-            im = []
-            for v in (v for v in range(n) if m_dims[v]):
+            support = [v for v in range(n) if m_dims[v]]
+            for v in support:
                 if (v, n_dims) not in bases:
                     found = [hom_basis(proj[v], Ns[j]) for j in cols]
                     h = len(found[0])
@@ -369,13 +380,20 @@ def ext_dims(Ms, Ns) -> list:
                     bases[v, n_dims] = [
                         np.array([[g[w] for g in b] for b in found], dtype=np.int64)
                         .reshape(len(cols), h, n_dims[w], proj[v].dims[w]) for w in range(n)]
-                H = bases[v, n_dims]
-                im.append(np.concatenate(
-                    [(H[w][:, None, None] @ phi[v, w][None, :, :, None]).reshape(
-                        len(cols), len(rows), m_dims[v] * H[w].shape[1], n_dims[w] * P1.dims[w])
-                     for w in wide], axis=3))
-            im = np.concatenate(im, axis=2)
-            ranks = rank_mod_stack(im.reshape((len(cols) * len(rows),) + im.shape[2:]), q)
+            # g o phi for every (N, M) pair: a row block per v, a column block
+            # per w, stacked one cut of the pair axis at a time
+            H = {v: bases[v, n_dims] for v in support}
+            height = sum(m_dims[v] * H[v][0].shape[1] for v in support)
+            width = sum(n_dims[w] * P1.dims[w] for w in wide)
+            ranks = []
+            for cut in stack_cuts(len(cols) * len(rows), height * width):
+                of_n, of_m = np.divmod(np.arange(cut.start, cut.stop), len(rows))
+                im = np.concatenate([np.concatenate(
+                    [(H[v][w][of_n, None] @ phi[v, w][of_m, :, None]).reshape(
+                        len(of_n), m_dims[v] * H[v][w].shape[1], n_dims[w] * P1.dims[w])
+                     for w in wide], axis=2) for v in support], axis=1)
+                ranks.append(rank_mod_stack(im, q))
+            ranks = np.concatenate(ranks)
             for a, j in enumerate(cols):
                 for b, i in enumerate(rows):
                     out[i][j] = int(h1[a] - ranks[a * len(rows) + b])

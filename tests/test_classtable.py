@@ -324,6 +324,51 @@ class TestLabeling:
             t.extension_middle_counts(S1, S2)
 
 
+class TestStackCuts:
+    """The Grassmannian build and the extension counts stack at most
+    modules._HOM_STACK entries per call, unless a call holds one item, and
+    give the same result as at the default bound."""
+
+    def test_grassmannian_cuts(self, reg, a2, monkeypatch):
+        import numpy as np
+        from hallcrys import linalg, modules
+        shapes = ((4, 2), (4, 1), (3, 3), (0, 0))
+        default = {dk: reg.table(a2, 5)._grassmannian(*dk) for dk in shapes}
+        monkeypatch.setattr(modules, "_HOM_STACK", 200)
+        calls = []
+        complement_basis = linalg.complement_basis
+        monkeypatch.setattr(linalg, "complement_basis",
+                            lambda a, p: calls.append(a.shape) or complement_basis(a, p))
+        t = ClassTable(a2, 5, (1, 1))
+        for d, k in shapes:
+            calls.clear()
+            frames, inverses = t._grassmannian(d, k)
+            want = default[d, k]
+            assert np.array_equal(frames, want[0]) and np.array_equal(inverses, want[1])
+            assert sum(n for n, _, _ in calls) == len(frames)
+            assert all(n == 1 or n * d * (k + d) <= 200 for n, _, _ in calls)
+        assert len(t._grassmannian(4, 2)[0]) * 4 * 6 > 200
+
+    def test_extension_middle_count_cuts(self, reg, kron, monkeypatch):
+        from hallcrys import modules
+        alpha, beta = IsoClass.of("S1", "S1"), IsoClass.of("S2", "R[0]m1")
+        default = reg.table(kron, 3, (3, 3)).extension_middle_counts(alpha, beta)
+        monkeypatch.setattr(modules, "_HOM_STACK", 64)
+        calls = []
+        label_modules = ClassTable.label_modules
+
+        def spy(self, dims, n, stacks):
+            calls.append((n, sum(m[0].size for m in stacks)))
+            return label_modules(self, dims, n, stacks)
+
+        monkeypatch.setattr(ClassTable, "label_modules", spy)
+        t = ClassTable(kron, 3, (3, 3))
+        calls.clear()
+        assert t.extension_middle_counts(alpha, beta) == default
+        assert len(calls) > 1 and sum(n for n, _ in calls) == sum(default.values())
+        assert all(n == 1 or n * entries <= 64 for n, entries in calls)
+
+
 class TestHallNumbers:
     def test_spec_examples(self, reg, a2):
         t = reg.table(a2, 2)
@@ -589,26 +634,38 @@ class TestHomMatrix:
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
-def test_grassmannian_matches_two_eliminations(reg, a2, q):
+def test_grassmannian_matches_two_eliminations(reg, a2, q, monkeypatch):
     """Oracle for ClassTable._grassmannian: frame i of the stacked cache is
     [W | C] for the i-th subspace W of linalg.subspaces, with C the greedy
     complement, and its inverse is a second elimination (solve_mod), for
-    every (d, k) with d <= 4."""
+    every (d, k) with d <= 4; at the default bound, then with _HOM_STACK = 1
+    on a fresh table, which completes one subspace per complement_basis
+    call."""
     import numpy as np
-    from hallcrys import linalg
-    t = reg.table(a2, q)
-    for d in range(5):
-        eye = np.eye(d, dtype=np.int64)
-        for k in range(d + 1):
-            bases = list(linalg.subspaces(d, k, q))
-            frames, inverses = t._grassmannian(d, k)
-            assert frames.shape == inverses.shape == (len(bases), d, d)
-            assert frames.dtype == inverses.dtype == np.int64
-            for i, basis in enumerate(bases):
-                frame = np.concatenate([basis, linalg.complement_basis(basis, q)[0]], axis=1)
-                inv = linalg.solve_mod(frame, eye, q) if d else eye
-                assert np.array_equal(frames[i], frame)
-                assert np.array_equal(inverses[i], inv)
+    from hallcrys import linalg, modules
+    complement_basis = linalg.complement_basis
+    completed = []
+    for cuts_of_one in (False, True):
+        t = reg.table(a2, q)
+        if cuts_of_one:
+            monkeypatch.setattr(modules, "_HOM_STACK", 1)
+            monkeypatch.setattr(linalg, "complement_basis",
+                                lambda a, p: completed.append(len(a)) or complement_basis(a, p))
+            t = ClassTable(a2, q, (1, 1))
+        for d in range(5):
+            eye = np.eye(d, dtype=np.int64)
+            for k in range(d + 1):
+                bases = list(linalg.subspaces(d, k, q))
+                completed.clear()
+                frames, inverses = t._grassmannian(d, k)
+                assert completed == ([1] * len(bases) if cuts_of_one else [])
+                assert frames.shape == inverses.shape == (len(bases), d, d)
+                assert frames.dtype == inverses.dtype == np.int64
+                for i, basis in enumerate(bases):
+                    frame = np.concatenate([basis, complement_basis(basis, q)[0]], axis=1)
+                    inv = linalg.solve_mod(frame, eye, q) if d else eye
+                    assert np.array_equal(frames[i], frame)
+                    assert np.array_equal(inverses[i], inv)
 
 
 def _scan_per_lambda(t, lam, bd) -> dict:

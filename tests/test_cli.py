@@ -293,6 +293,21 @@ class TestSelftestAndCache:
         report.pop("generated_at")
         assert json.dumps(report, sort_keys=True) == outs[0]
 
+    def test_selftest_does_not_import_numpy_ma(self, kron_file):
+        """A selftest run, whose orbit |Aut| check runs orbit_fill, leaves
+        numpy.ma unimported: np.unique imports it on first use, a cost every
+        process would pay."""
+        script = ("import sys\nfrom hallcrys import cli\ncode = cli.main(sys.argv[1:])\n"
+                  "print('numpy.ma' in sys.modules, file=sys.stderr)\nsys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script, "selftest", "--quiver", kron_file,
+                               "--dim-bound", "2"], capture_output=True, text=True, cwd=BASE,
+                              env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads(proc.stdout)
+        assert any(e["check"].startswith("aut order closed form vs orbit") and e["pass"]
+                   for e in report["results"])
+        assert proc.stderr.splitlines()[-1] == "False"
+
     def test_selftest_checks_pass(self, a2_file):
         proc = run_cli("selftest", "--quiver", a2_file, "--dim-bound", "2",
                        "--primes", "2,3")

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from hallcrys import linalg
 from hallcrys._kernels import (decode_points, encode_points, orbit_fill, rank_mod,
-                               rank_mod_stack, rref_mod, rref_mod_stack)
+                               rank_mod_stack, rref_mod, rref_mod_stack, sorted_distinct)
 from hallcrys.modules import Representation
 from hallcrys.quivers import quiver_a2, quiver_a3, quiver_kronecker
 
@@ -225,6 +225,16 @@ def test_subspaces_distinct():
         key = r[:rank].tobytes()
         assert key not in seen
         seen.add(key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**40, 2**40) | st.integers(0, 5), max_size=40))
+@example([])
+@example([7, 7, 7])
+def test_sorted_distinct_matches_unique(codes):
+    got = sorted_distinct(codes)
+    want = np.unique(np.array(codes, dtype=np.int64))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_orbit_fill_gl1_orbits():

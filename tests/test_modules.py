@@ -1,4 +1,5 @@
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -213,6 +214,21 @@ class TestHomCounts:
         assert leading == [1] * len(reps) and len(reps) > 1
 
 
+@pytest.mark.parametrize("bound", [1, 7, 2**15])
+def test_stack_cuts_cover_the_axis_within_the_bound(monkeypatch, bound):
+    """The cuts are consecutive, cover the axis, hold at most _HOM_STACK
+    entries unless they hold one item, and are as long as that allows."""
+    from hallcrys import modules
+    monkeypatch.setattr(modules, "_HOM_STACK", bound)
+    for count in (0, 1, 5, 100):
+        for per_item in (0, 1, 3, 8, 2**16):
+            cuts = modules.stack_cuts(count, per_item)
+            assert [i for cut in cuts for i in range(count)[cut]] == list(range(count))
+            sizes = [cut.stop - cut.start for cut in cuts]
+            assert all(n == 1 or n * per_item <= bound for n in sizes)
+            assert all((n + 1) * max(1, per_item) > bound for n in sizes[:-1])
+
+
 def ext_dim_reference(M, N):
     """dim Ext^1(M, N) one pair at a time: a fresh presentation of M, and
     the images of the Hom(P0, N) basis maps composed with phi one by one.
@@ -293,10 +309,52 @@ class TestExtDimsBattery:
     def battery(self, reg, kron):
         return selftest_battery(reg.table(kron, 5, (2, 2)))
 
-    def test_matches_reference(self, battery):
+    @pytest.fixture(scope="class")
+    def reference(self, battery):
+        return [[ext_dim_reference(M, N) for N in battery] for M in battery]
+
+    def test_matches_reference(self, battery, reference):
         assert len(battery) == 74 and battery[-1].is_zero()
-        assert ext_dims(battery, battery) == [[ext_dim_reference(M, N) for N in battery]
-                                              for M in battery]
+        assert ext_dims(battery, battery) == reference
+
+    def test_every_stacked_rank_within_the_bound(self, battery, reference, monkeypatch):
+        """Each stacked rank ext_dims makes, of its images g o phi or of
+        Hom(P1, N)'s systems, holds at most _HOM_STACK entries or one matrix,
+        at the default bound and with _HOM_STACK = 1; the Ext matrix is the
+        reference at both."""
+        from hallcrys import modules
+        shapes = []
+        stack = modules.rank_mod_stack
+        monkeypatch.setattr(modules, "rank_mod_stack",
+                            lambda a, p: shapes.append(a.shape) or stack(a, p))
+        for bound in (modules._HOM_STACK, 1):
+            monkeypatch.setattr(modules, "_HOM_STACK", bound)
+            shapes.clear()
+            assert ext_dims(battery, battery) == reference
+            assert shapes and all(shape[0] == 1 or prod(shape) <= bound for shape in shapes)
+            assert max(shape[0] for shape in shapes) > 1 or bound == 1
+
+    def test_cut_images_halve_the_traced_peak(self, battery, monkeypatch):
+        """The traced peak of ext_dims on the battery at the default bound is
+        under half of the peak with stacks that are never cut."""
+        import tracemalloc
+        from hallcrys import modules
+        ext_dims(battery[:3], battery[:3])
+        peaks = []
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            for bound in (modules._HOM_STACK, 2**40):
+                monkeypatch.setattr(modules, "_HOM_STACK", bound)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                ext_dims(battery, battery)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
 
     def test_one_stacked_sweep_per_block(self, battery, monkeypatch):
         """No single-matrix rank_mod, and at most two rank_mod_stack calls per
