@@ -91,25 +91,30 @@ def _tables(config: RunConfig, quiver: Quiver) -> TableSet:
 
 
 def _save_tables(config: RunConfig, quiver: Quiver, tables: TableSet):
+    """Write each table to the cache directory.  The cache never changes
+    results, so a failed write is a note on stderr and the report stands."""
     if not config.cache_dir:
         return
-    os.makedirs(config.cache_dir, exist_ok=True)
-    # mkstemp creates files 0600; give them the mode open() would, so a
-    # cache directory shared through HALLCRYS_CACHE_DIR stays readable
-    umask = os.umask(0)
-    os.umask(umask)
-    for table in tables.values():
-        payload = json.dumps(table.dump_cache(), sort_keys=True, indent=1)
-        fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
-        try:
-            os.fchmod(fd, 0o666 & ~umask)
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, _cache_path(config, quiver, table.q))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    try:
+        os.makedirs(config.cache_dir, exist_ok=True)
+        # mkstemp creates files 0600; give them the mode open() would, so a
+        # cache directory shared through HALLCRYS_CACHE_DIR stays readable
+        umask = os.umask(0)
+        os.umask(umask)
+        for table in tables.values():
+            payload = json.dumps(table.dump_cache(), sort_keys=True, indent=1)
+            fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
+            try:
+                os.fchmod(fd, 0o666 & ~umask)
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(payload)
+                os.replace(tmp, _cache_path(config, quiver, table.q))
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+    except OSError as exc:
+        print(f"hallcrys: cache not written to {config.cache_dir}: {exc}", file=sys.stderr)
 
 
 def _all_dims(quiver: Quiver, bound: int):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from functools import cached_property
@@ -190,6 +189,14 @@ class Quiver:
         return Quiver.from_json(data)
 
     def content_hash(self) -> str:
+        """The cache key: the first 12 hex digits of the SHA-1 of the
+        canonical quiver JSON (sorted keys).
+
+        hashlib is imported here, not at module level: it maps OpenSSL's
+        libcrypto (about 3.6 MiB of resident memory), and only a run with a
+        cache directory names cache files.  A failed cache write is a note on
+        stderr that leaves the report unchanged (``cli._save_tables``)."""
+        import hashlib
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
         return hashlib.sha1(blob).hexdigest()[:12]
 

@@ -293,20 +293,33 @@ class TestSelftestAndCache:
         report.pop("generated_at")
         assert json.dumps(report, sort_keys=True) == outs[0]
 
-    def test_selftest_does_not_import_numpy_ma(self, kron_file):
-        """A selftest run, whose orbit |Aut| check runs orbit_fill, leaves
-        numpy.ma unimported: np.unique imports it on first use, a cost every
-        process would pay."""
+    @pytest.mark.parametrize("argv", [
+        ("selftest", "--dim-bound", "2"),
+        ("certify", "--all-exceptional", "--dim-bound", "2", "--target", "integrality",
+         "--primes", "2,3"),
+    ], ids=["selftest", "certify"])
+    def test_uncached_run_footprint(self, kron_file, argv):
+        """An uncached run in a fresh interpreter leaves numpy.ma and
+        _hashlib unimported.  np.unique imports numpy.ma on first use (the
+        selftest's orbit |Aut| check runs orbit_fill), and hashlib maps
+        OpenSSL's libcrypto; only cache file names need it."""
         script = ("import sys\nfrom hallcrys import cli\ncode = cli.main(sys.argv[1:])\n"
-                  "print('numpy.ma' in sys.modules, file=sys.stderr)\nsys.exit(code)\n")
-        proc = subprocess.run([sys.executable, "-c", script, "selftest", "--quiver", kron_file,
-                               "--dim-bound", "2"], capture_output=True, text=True, cwd=BASE,
-                              env={**os.environ, "PYTHONPATH": os.path.join(BASE, "src")})
+                  "print(sorted({'numpy.ma', '_hashlib'} & set(sys.modules)), "
+                  "file=sys.stderr)\nsys.exit(code)\n")
+        env = {key: value for key, value in os.environ.items()
+               if key != "HALLCRYS_CACHE_DIR"}
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--quiver", kron_file],
+                              capture_output=True, text=True, cwd=BASE,
+                              env={**env, "PYTHONPATH": os.path.join(BASE, "src")})
         assert proc.returncode == 0, proc.stdout + proc.stderr
         report = json.loads(proc.stdout)
-        assert any(e["check"].startswith("aut order closed form vs orbit") and e["pass"]
-                   for e in report["results"])
-        assert proc.stderr.splitlines()[-1] == "False"
+        if argv[0] == "selftest":
+            assert any(e["check"].startswith("aut order closed form vs orbit") and e["pass"]
+                       for e in report["results"])
+        else:
+            assert report["results"] and \
+                all(e["integrality"] == "pass" for e in report["results"])
+        assert proc.stderr.splitlines()[-1] == "[]"
 
     def test_selftest_checks_pass(self, a2_file):
         proc = run_cli("selftest", "--quiver", a2_file, "--dim-bound", "2",
@@ -387,8 +400,10 @@ class TestCertifyCache:
                             lambda config, quiver, q: built.append(q) or load(config, quiver, q))
         assert cli.main(argv) == 0
         first = json.loads(capsys.readouterr().out)
-        # one file per prime a table was built for, each holding Hall numbers
+        # one file per prime a table was built for, named by the quiver's
+        # content hash, the prime and the bound, each holding Hall numbers
         files = sorted(os.listdir(cache))
+        assert files[0] == "593004cb9e59_q2_b2.json"
         assert [int(f.split("_q")[1].split("_")[0]) for f in files] == sorted(built)
         for f in files:
             assert json.loads((cache / f).read_text())["hall"]
@@ -402,6 +417,33 @@ class TestCertifyCache:
         first.pop("generated_at")
         second.pop("generated_at")
         assert first == second
+
+    @pytest.mark.parametrize("blocker", ["file", "directory"])
+    def test_unwritable_cache_keeps_report(self, a2_file, tmp_path, monkeypatch, capsys,
+                                           blocker):
+        """A cache that cannot be written (its directory is a regular file,
+        or a directory stands where the table's file goes) is a note on
+        stderr naming the path; the report and exit code are those of an
+        uncached run, and no temporary file is left behind."""
+        from hallcrys import cli
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        argv = [*self.ARGS, "--quiver", a2_file]
+        assert cli.main(argv) == 0
+        uncached = json.loads(capsys.readouterr().out)
+        if blocker == "file":
+            cache = tmp_path / "cache"
+            cache.write_text("")
+        else:
+            cache = tmp_path
+            (cache / "593004cb9e59_q2_b2.json").mkdir()
+        assert cli.main([*argv, "--cache", str(cache)]) == 0
+        out, err = capsys.readouterr()
+        cached = json.loads(out)
+        uncached.pop("generated_at")
+        cached.pop("generated_at")
+        assert cached == uncached
+        assert f"hallcrys: cache not written to {cache}: " in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_cache_files_follow_umask(self, a2_file, tmp_path, capsys, umask):

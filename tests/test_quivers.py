@@ -100,6 +100,13 @@ def test_json_roundtrip(tmp_path, a3):
         Quiver.load(bad)
 
 
+def test_content_hash_pinned(a2, a3, kron):
+    """Cache file names are the first 12 hex digits of the SHA-1 of the
+    canonical quiver JSON; they must not move, or existing caches go unread."""
+    assert [q.content_hash() for q in (a2, a3, kron)] == \
+        ["593004cb9e59", "0b86cd97331a", "c8ada44c43f3"]
+
+
 def test_dynkin_detection(a2, a3, kron):
     assert a2.is_dynkin() and a3.is_dynkin()
     assert not kron.is_dynkin()
