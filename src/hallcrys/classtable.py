@@ -107,7 +107,7 @@ class ClassTable:
             raise ValueError(f"q = {q} must be prime")
         self.quiver = quiver
         self.q = q
-        self.dim_bound = tuple(dim_bound)
+        self.dim_bound = quiver.vertex_bound(dim_bound)
         self.point_budget = int(point_budget)
         self.ext_budget = int(ext_budget)
         self.catalog = indecomposable_catalog(quiver, q, self.dim_bound)
@@ -762,7 +762,7 @@ class TableSet(dict):
     def __init__(self, quiver: Quiver, dim_bound, build=None):
         super().__init__()
         self.quiver = quiver
-        self.dim_bound = tuple(dim_bound)
+        self.dim_bound = quiver.vertex_bound(dim_bound)
         self.build = build or (lambda q: ClassTable(quiver, q, self.dim_bound))
         self.failures = {}
 

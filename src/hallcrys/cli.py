@@ -151,9 +151,6 @@ def cmd_enumerate(config: RunConfig, quiver: Quiver, tables: TableSet, args):
             except CheckFailed as exc:
                 falsifications.append(f"mass formula failed at q={q}, dim={dim}: {exc}")
                 continue
-            except Exception as exc:
-                entries.append({"dim": list(dim), "error": str(exc)})
-                continue
             if not mass_ok:
                 falsifications.append(f"mass formula failed at q={q}, dim={dim}")
             for cls in table.classes_of_dim(dim):

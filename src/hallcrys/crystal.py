@@ -103,97 +103,64 @@ class StringDecomposition:
 
 
 class SingularStringSystem(CheckFailed):
-    """The direct-sum decomposition failed to produce a solvable system."""
+    """A string component peeled off by :func:`string_decompose` lies outside
+    ker f'_i, so E_i^(n) and f'_i break f'_i(E_i^(n) y) = v_i^(n-1) E_i^(n-1) y."""
 
 
 def kernel_basis(ctx: GenericContext, i: int, weight):
-    """Basis of ker f'_i inside the weight space, as HallElements."""
-    memo = _ctx_memo(ctx).setdefault("kernel", {})
-    key = (i, tuple(weight))
-    if key in memo:
-        return memo[key]
+    """Basis of ker f'_i inside the weight space, as HallElements, by a
+    nullspace over Q(v).
+
+    The oracle for :func:`string_decompose`, which uses no elimination: the
+    tests solve for x over the lifts E_i^(n) y of these elements.
+    """
     classes = ctx.classes_of_dim(weight)
-    if not classes:
-        memo[key] = []
-        return []
     below = tuple(w - (1 if v == i else 0) for v, w in enumerate(weight))
-    if any(w < 0 for w in below):
-        out = [rescale(ctx, cls) for cls in classes]
-        memo[key] = out
-        return out
+    if not classes or any(w < 0 for w in below):
+        return [rescale(ctx, cls) for cls in classes]
     target = ctx.classes_of_dim(below)
     cols = []
     for cls in classes:
         img = generic_rprime(ctx, ctx.simple_class(i), rescale(ctx, cls))
         cols.append([img.coeffs.get(tc, RatFunc.zero()) for tc in target])
-    # nullspace of the (target x classes) matrix
-    null = linalg.nullspace(cols, len(target), RatFunc)
-    out = []
-    for vec in null:
-        coeffs = {cls: c for cls, c in zip(classes, vec) if not c.is_zero()}
-        out.append(HallElement(ctx, coeffs))
-    memo[key] = out
-    return out
-
-
-def _ctx_memo(ctx) -> dict:
-    memo = getattr(ctx, "_crystal_memo", None)
-    if memo is None:
-        memo = {}
-        ctx._crystal_memo = memo
-    return memo
-
-
-def _string_lifts(ctx: GenericContext, i: int, weight):
-    """Cached (n, kernel element, lifted coordinate column) triples; raises
-    SingularStringSystem unless the columns are linearly independent."""
-    memo = _ctx_memo(ctx).setdefault("lifts", {})
-    key = (i, tuple(weight))
-    if key in memo:
-        return memo[key]
-    classes = ctx.classes_of_dim(weight)
-    lifts = []
-    for n in range(0, weight[i] + 1):
-        below = tuple(w - (n if v == i else 0) for v, w in enumerate(weight))
-        if any(w < 0 for w in below):
-            break
-        for ker_el in kernel_basis(ctx, i, below):
-            lifted = multiply(divided_power_simple(ctx, i, n), ker_el)
-            lifts.append((n, ker_el,
-                          [lifted.coeffs.get(cls, RatFunc.zero()) for cls in classes]))
-    if linalg.nullspace([lift[2] for lift in lifts], len(classes), RatFunc):
-        raise SingularStringSystem("string lifts are linearly dependent")
-    memo[key] = lifts
-    return lifts
+    return [HallElement(ctx, {cls: c for cls, c in zip(classes, vec) if not c.is_zero()})
+            for vec in linalg.nullspace(cols, len(target), RatFunc)]
 
 
 def string_decompose(ctx: GenericContext, i: int, x: HallElement) -> StringDecomposition:
-    """Decompose x = sum_n E_i^{(n)} x_n with f'_i(x_n) = 0, exactly.
+    """Decompose x = sum_n E_i^{(n)} x_n with f'_i(x_n) = 0, by peeling.
 
-    Both properties hold by construction (an exact solve over lifts of
-    :func:`kernel_basis` elements), so neither is re-checked here; the tests
-    apply :meth:`StringDecomposition.reassemble` and :func:`fprime` as the
-    oracle.
+    For y in ker f'_i the recursion f'_i(E_i P) = v_i^2 E_i f'_i(P) + P gives
+    f'_i(E_i^{(n)} y) = v_i^{n-1} E_i^{(n-1)} y, so f'_i^n kills the
+    components below n and sends E_i^{(n)} x_n to v_i^{n(n-1)/2} x_n.  From
+    n = weight[i] down to 0, x_n is read off the rest that way and
+    E_i^{(n)} x_n is taken off it, so the components sum to x by
+    construction.  Each x_n is checked to lie in ker f'_i, and
+    :class:`SingularStringSystem` is raised otherwise.  The tests keep the
+    exact solve over lifts of :func:`kernel_basis` elements as the oracle.
     """
     if x.is_zero():
         return StringDecomposition(i, [])
     ctx.require_generic()
     weight = x.pure_weight()
-    classes = ctx.classes_of_dim(weight)
-    lifts = _string_lifts(ctx, i, weight)
-    cols = [lift[2] for lift in lifts]
-    target = [x.coeffs.get(cls, RatFunc.zero()) for cls in classes]
-    sol = linalg.solve(cols, target, RatFunc)
-    if sol is None:
-        raise SingularStringSystem(
-            f"string system at weight {weight}, vertex {i} is singular")
-    parts = {}
-    for (n, ker_el, _), c in zip(lifts, sol):
-        if c.is_zero():
+    d_i = ctx.datum.symmetrizers[i]
+    comps = []
+    rest = x
+    for n in range(weight[i], -1, -1):
+        xn = rest
+        for _ in range(n):
+            xn = fprime(ctx, i, xn)
+        if xn.is_zero():
             continue
-        parts[n] = parts.get(n, zero_element(ctx)) + ker_el.scale(c)
-    comps = [(n, el) for n, el in sorted(parts.items()) if not el.is_zero()]
-    return StringDecomposition(i, comps)
+        xn = xn.scale(RatFunc.v_power(-d_i * n * (n - 1) // 2))
+        if not fprime(ctx, i, xn).is_zero():
+            raise SingularStringSystem(
+                f"string component {n} at weight {weight}, vertex {i} "
+                f"is not in ker f'_i")
+        comps.append((n, xn))
+        if n:
+            rest = rest - multiply(divided_power_simple(ctx, i, n), xn)
+    return StringDecomposition(i, comps[::-1])
 
 
 def kashiwara_apply(kind: str, ctx: GenericContext, i: int,
@@ -233,7 +200,7 @@ def membership_L(x: HallElement) -> bool:
 
 def norm_exponent(ctx: GenericContext, cls: IsoClass) -> int:
     """e with n_cls = v^{(d,d)} / a_cls in v^{-2e}(1 + v^-1 A), memoised."""
-    memo = _ctx_memo(ctx).setdefault("norm_exponent", {})
+    memo = vars(ctx).setdefault("_norm_exponents", {})
     if cls in memo:
         return memo[cls]
     d = ctx.class_dim(cls)
@@ -297,18 +264,19 @@ class Crystal:
     The Ringel pairing itself is not evaluated here; the tests use it as the
     oracle for these reduced pairings.
 
-    An optional ``box`` (one bound per vertex) keeps only the weights inside
-    it: Etilde_i is not applied where it would leave the box.  Etilde_i
-    raises the weight by e_i, so every vertex inside the box is reached
-    through weights inside it, and each of those buckets receives the same
-    candidates in the same order as in the full triangle.
+    An optional ``box`` (one nonnegative bound per vertex, or ValueError)
+    keeps only the weights inside it: Etilde_i is not applied where it would
+    leave the box.  Etilde_i raises the weight by e_i, so every vertex inside
+    the box is reached through weights inside it, and each of those buckets
+    receives the same candidates in the same order as in the full triangle.
     """
 
     def __init__(self, ctx: GenericContext, weight_bound: int, box=None):
         ctx.require_generic()
         self.ctx = ctx
         self.weight_bound = weight_bound
-        self.box = tuple(box) if box is not None else (weight_bound,) * ctx.quiver.n
+        self.box = (ctx.quiver.vertex_bound(box, "crystal box") if box is not None
+                    else (weight_bound,) * ctx.quiver.n)
         self.by_weight = {}
         self.falsifications = []
         self._generate()

@@ -108,10 +108,10 @@ class GenericContext:
 
     def __init__(self, quiver: Quiver, dim_bound, primes=(2, 3, 5), tables=None):
         self.quiver = quiver
-        self.dim_bound = tuple(dim_bound)
+        self.dim_bound = quiver.vertex_bound(dim_bound)
         self.primes = check_primes(primes)
         # shared with other users of the same quiver and bound when given
-        self._tables = tables if tables is not None else TableSet(quiver, dim_bound)
+        self._tables = tables if tables is not None else TableSet(quiver, self.dim_bound)
         self._hall_polys = {}
         self._aut_polys = {}
         self.datum = cartan_datum(quiver)

@@ -83,6 +83,15 @@ class Quiver:
 
     # -- combinatorics -------------------------------------------------
 
+    def vertex_bound(self, values, what: str = "dimension bound") -> tuple:
+        """``values`` as a tuple; ValueError unless it has one nonnegative
+        entry per vertex (a short one would leave the last vertices free)."""
+        bound = tuple(values)
+        if len(bound) != self.n or any(b < 0 for b in bound):
+            raise ValueError(f"{what} {bound} needs one nonnegative entry for "
+                             f"each of the {self.n} vertices")
+        return bound
+
     def arrows_out_of(self, i):
         return [k for k, (s, _) in enumerate(self.arrows) if s == i]
 

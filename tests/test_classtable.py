@@ -5,6 +5,8 @@ import pytest
 
 from hallcrys import linalg
 from hallcrys.checks import CheckFailed
+from hallcrys.exseq import CertificateEngine
+from hallcrys.generic import GenericContext
 from hallcrys.classtable import (ClassTable, IsoClass, TableSet, ZERO_CLASS,
                                   _check_same_rigid, parse_class_label)
 from hallcrys.modules import BudgetExceeded, ext_dims, hom_dim, hom_system
@@ -530,6 +532,19 @@ def test_table_set_keeps_failed_check(a2):
             tables[3]
     assert built == [2, 3]
     assert list(tables) == [2]
+
+
+@pytest.mark.parametrize("bound", [(1, 1, 1), (1, 1, 1, 1, 1), (1, 1, -1, 1)],
+                         ids=["short", "long", "negative"])
+def test_bound_needs_one_entry_per_vertex(bound):
+    """A short bound would leave the last vertex unbounded: (1, 1, 1) on D4
+    used to build 12 catalog entries, (1, 1, 2, 1) among them."""
+    d4 = Quiver(["1", "2", "3", "4"], [["1", "4"], ["2", "4"], ["3", "4"]])
+    for make in (lambda: ClassTable(d4, 2, bound), lambda: TableSet(d4, bound),
+                 lambda: GenericContext(d4, bound), lambda: CertificateEngine(d4, bound)):
+        with pytest.raises(ValueError, match="one nonnegative entry"):
+            make()
+    assert len(ClassTable(d4, 2, (1, 1, 1, 1)).catalog) == 11
 
 
 def hom_dim_reference(M, N):

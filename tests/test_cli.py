@@ -155,6 +155,22 @@ sys.exit(cli.main(sys.argv[1:]))
                 "mass formula failed at q=3, dim=(1, 1)"]
             assert all("error" not in e for e in report["results"]["2"])
 
+    def test_error_in_mass_check_exits_1(self, a2_file, monkeypatch, capsys):
+        """An error inside the per-dimension loop is an operational error, not
+        an entry of a report that exits 0."""
+        from hallcrys import cli
+        from hallcrys.classtable import ClassTable
+
+        def boom(self, dim):
+            raise RuntimeError("boom")
+
+        monkeypatch.delenv("HALLCRYS_CACHE_DIR", raising=False)
+        monkeypatch.setattr(ClassTable, "mass_check", boom)
+        code = cli.main(["enumerate", "--quiver", a2_file, "--dim-bound", "1",
+                         "--primes", "2,3"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "boom"
+
 
 class TestCompute:
     def test_product(self, a2_file):

@@ -3,21 +3,51 @@ from itertools import product
 
 import pytest
 
+from hallcrys import crystal, linalg
 from hallcrys.classtable import IsoClass
-from hallcrys.crystal import (Crystal, CrystalFalsification, certify_exceptional,
-                              etilde, exceptional_norm, fdoubleprime_tree,
-                              fprime, fprime_tree, ftilde, kashiwara_apply,
-                              membership_L, norm_exponent, reduced_pair,
-                              reduction_at_infinity, string_decompose)
+from hallcrys.crystal import (Crystal, CrystalFalsification, SingularStringSystem,
+                              certify_exceptional, etilde, exceptional_norm,
+                              fdoubleprime_tree, fprime, fprime_tree, ftilde,
+                              kashiwara_apply, kernel_basis, membership_L,
+                              norm_exponent, reduced_pair, reduction_at_infinity,
+                              string_decompose)
 from hallcrys.generic import (ExprTree, generic_multiply, generic_ringel_pair,
                               kashiwara_pair_elements)
 from hallcrys.hallalg import (chevalley, divided_power_simple, identity_element,
-                              rescale)
+                              multiply, rescale)
 from hallcrys.quivers import Quiver, euler_bilinear
 from hallcrys.scalars import (RatFunc, a_membership, in_one_plus_vinv_A,
                               parse_laurent)
 
 P = IsoClass.of("r1.1")
+
+
+def lift_and_solve(ctx, i, x, kernels):
+    """The string decomposition by exact linear algebra over Q(v): the lifts
+    E_i^(n) y of :func:`kernel_basis` elements y at every n, checked to be
+    independent, and one solve for x over them.  The oracle for
+    :func:`string_decompose`; ``kernels`` memoises kernel_basis by (i, weight).
+    """
+    weight = x.pure_weight()
+    classes = ctx.classes_of_dim(weight)
+    lifts, cols = [], []
+    for n in range(weight[i] + 1):
+        below = tuple(w - (n if v == i else 0) for v, w in enumerate(weight))
+        if (i, below) not in kernels:
+            kernels[i, below] = kernel_basis(ctx, i, below)
+        for y in kernels[i, below]:
+            lifted = multiply(divided_power_simple(ctx, i, n), y)
+            lifts.append((n, y))
+            cols.append([lifted.coeffs.get(cls, RatFunc.zero()) for cls in classes])
+    assert not linalg.nullspace(cols, len(classes), RatFunc)
+    sol = linalg.solve(cols, [x.coeffs.get(cls, RatFunc.zero()) for cls in classes],
+                       RatFunc)
+    assert sol is not None
+    parts = {}
+    for (n, y), c in zip(lifts, sol):
+        if not c.is_zero():
+            parts[n] = parts.get(n, y.scale(RatFunc.zero())) + y.scale(c)
+    return [(n, el) for n, el in sorted(parts.items()) if not el.is_zero()]
 
 
 class TestFPrime:
@@ -98,6 +128,49 @@ class TestStrings:
                 assert dec.reassemble(ctx) == x
                 for _, xn in dec.components:
                     assert fprime(ctx, i, xn).is_zero()
+
+    def test_matches_lift_and_solve_oracle(self, reg, a3, a3_crystal_w5):
+        ctx = reg.ctx(a3)
+        E = [chevalley(ctx, v) for v in range(3)]
+        samples = [generic_multiply(E[0], E[1]),
+                   generic_multiply(E[1], generic_multiply(E[0], E[2]))]
+        samples += [v.rep for v in a3_crystal_w5.all_vertices()]
+        kernels = {}
+        for x in samples:
+            for i in range(3):
+                assert string_decompose(ctx, i, x).components \
+                    == lift_and_solve(ctx, i, x, kernels), (str(x), i)
+
+    def test_crystal_runs_no_elimination(self, reg, a3, monkeypatch):
+        """Peeling with f'_i needs neither a solve, a nullspace nor the
+        kernel basis."""
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in ((linalg, "solve"), (linalg, "nullspace"),
+                             (crystal, "kernel_basis")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        cry = Crystal(reg.ctx(a3), 5)
+        assert cry.falsifications == []
+        assert calls == []
+
+    def test_component_outside_kernel_raises(self, reg, a2, monkeypatch):
+        """With E_i^(n) doubled for n >= 1, the peeled x_0 leaves ker f'_i."""
+        ctx = reg.ctx(a2)
+        x = generic_multiply(chevalley(ctx, 1), chevalley(ctx, 0))
+
+        def doubled(layer, v, n):
+            e = divided_power_simple(layer, v, n)
+            return e.scale(RatFunc(2)) if n else e
+
+        monkeypatch.setattr(crystal, "divided_power_simple", doubled)
+        with pytest.raises(SingularStringSystem, match="not in ker f'_i"):
+            string_decompose(ctx, 0, x)
 
 
 class TestKashiwaraOperators:
@@ -181,6 +254,13 @@ class TestCrystalGeneration:
 @pytest.fixture(scope="module")
 def a3_crystal_w5(reg, a3):
     return Crystal(reg.ctx(a3), 5)
+
+
+@pytest.mark.parametrize("box", [(1, 1), (1, 1, 1, 9), (1, -1, 1)],
+                         ids=["short", "long", "negative"])
+def test_box_needs_one_entry_per_vertex(reg, a3, box):
+    with pytest.raises(ValueError, match="crystal box"):
+        Crystal(reg.ctx(a3), 3, box)
 
 
 def test_box_crystal_matches_full_triangle(reg, a3, a3_crystal_w5):
